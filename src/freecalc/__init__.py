@@ -16,13 +16,11 @@ from .errors import (
 )
 from .freepoly import (
     FreePoly,
-    GMembership,
     PolyMatrix,
     compose_with_entries,
     diag_delta,
     e_lambda,
     gap_delta,
-    in_G_delta,
     lens_delta,
     row_delta,
     verify_separating_witnesses,
@@ -42,7 +40,6 @@ from .funcalc import (
     welldef_check,
 )
 from .matrix_core import (
-    ComplexMatrix,
     MatrixTuple,
     ampliate,
     block_assemble,
@@ -59,21 +56,14 @@ from .matrix_core import (
 )
 from .realization import (
     Colligation,
-    HomogTerm,
-    IsometryCheck,
     add_colligations,
-    combine,
     constant_colligation,
     coordinate_colligation,
     dft_points_for,
-    eval_at_tuple,
     eval_colligation,
     homog_extract_dft,
     homog_series,
-    homog_term,
-    homogeneous_expansion,
     identity_colligation,
-    is_isometry,
     multiply_colligations,
     poly_to_colligation,
     random_isometric,
@@ -82,7 +72,6 @@ from .realization import (
     symbolic_terms,
     xfirst_to_blocks,
     blocks_to_xfirst,
-    zero_colligation,
 )
 from .spectral import (
     CompressionReport,
@@ -105,22 +94,20 @@ from .version import VERSION as __version__
 __all__ = [
     "CheckFailure", "DomainError", "FreecalcError", "SeriesCapError",
     "ShapeError", "ValidationError",
-    "FreePoly", "GMembership", "PolyMatrix", "compose_with_entries",
-    "diag_delta", "e_lambda", "gap_delta", "in_G_delta", "lens_delta",
-    "row_delta", "verify_separating_witnesses",
+    "FreePoly", "PolyMatrix", "compose_with_entries", "diag_delta", "e_lambda",
+    "gap_delta", "lens_delta", "row_delta", "verify_separating_witnesses",
     "CalcParams", "CalcReport", "Certificate", "PolyConsistencyReport",
     "WelldefReport", "compile_polynomial", "derive_witnesses", "path_norm_sup",
     "poly_consistency", "sharp", "tail_bound", "welldef_check",
-    "ComplexMatrix", "MatrixTuple", "ampliate", "block_assemble", "compress",
-    "cyclic_shift", "direct_sum", "op_norm", "random_matrix", "random_tuple",
-    "rng_from", "shift_matrix", "similarity", "task_rng",
-    "Colligation", "HomogTerm", "IsometryCheck", "add_colligations", "combine",
-    "constant_colligation", "coordinate_colligation", "dft_points_for",
-    "eval_at_tuple", "eval_colligation", "homog_extract_dft", "homog_series",
-    "homog_term", "homogeneous_expansion", "identity_colligation",
-    "is_isometry", "multiply_colligations", "poly_to_colligation",
-    "random_isometric", "scale_colligation", "state_space_conjugate",
-    "symbolic_terms", "xfirst_to_blocks", "blocks_to_xfirst", "zero_colligation",
+    "MatrixTuple", "ampliate", "block_assemble", "compress", "cyclic_shift",
+    "direct_sum", "op_norm", "random_matrix", "random_tuple", "rng_from",
+    "shift_matrix", "similarity", "task_rng",
+    "Colligation", "add_colligations", "constant_colligation",
+    "coordinate_colligation", "dft_points_for", "eval_colligation",
+    "homog_extract_dft", "homog_series", "identity_colligation",
+    "multiply_colligations", "poly_to_colligation", "random_isometric",
+    "scale_colligation", "state_space_conjugate", "symbolic_terms",
+    "xfirst_to_blocks", "blocks_to_xfirst",
     "CompressionReport", "SampleConfig", "SpectralReport", "Violation",
     "compress_tuple", "compression_check", "family_matrix_polys",
     "family_monomials", "family_random", "gap_domain_proposal",

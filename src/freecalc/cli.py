@@ -31,6 +31,7 @@ from .serialize import (
     dumps_canonical,
     encode,
     load_path,
+    read_json,
 )
 from .spectral import (
     SampleConfig,
@@ -60,13 +61,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_as(path: str, decoder, expected: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.loads(fh.read())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"invalid JSON in {path}: {exc.msg}", "$", line=exc.lineno, col=exc.colno
-        )
+    raw = read_json(path)
     try:
         return decoder(raw, "$")
     except ValidationError as exc:
@@ -121,7 +116,7 @@ def _spectral_csv(rep: SpectralReport) -> str:
 def cmd_eval(args) -> int:
     F = _load_as(args.colligation, decode_colligation, "colligation")
     point = _load_as(args.point, decode_matrix, "matrix")
-    value = eval_colligation(F, point.a)
+    value = eval_colligation(F, point)
     _emit(dumps_canonical(encode(value)), args.out)
     return 0
 
@@ -157,14 +152,7 @@ def cmd_supnorm(args) -> int:
 def cmd_spectral_check(args) -> int:
     delta = _load_poly_or_matrix(args.delta)
     T = _load_as(args.tuple, decode_tuple, "matrix tuple")
-    with open(args.family, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.loads(fh.read())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"invalid JSON in {args.family}: {exc.msg}",
-                "$", line=exc.lineno, col=exc.colno,
-            )
+    raw = read_json(args.family)
     if not isinstance(raw, list) or not raw:
         raise ValidationError(
             f"{args.family}: a family file is a nonempty JSON array of polynomials"
@@ -232,13 +220,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            raw = json.loads(fh.read())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"invalid JSON: {exc.msg}", "$", line=exc.lineno, col=exc.colno
-        )
+    raw = read_json(args.path)
     kind = detect_kind(raw)
     decode_any(raw)
     _emit(dumps_canonical({"ok": True, "kind": kind, "path": args.path}), args.out)
@@ -248,8 +230,20 @@ def cmd_validate(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, the input-error code.
+
+    argparse's own code for them, 2, is this tool's "a check failed".
+    Subparsers inherit the class, so their errors exit 1 too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freecalc",
         description="Free functional calculus: models, domains, and experiments.",
     )

@@ -8,9 +8,11 @@ so re-running with the same arguments reproduces the report byte for byte.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .freepoly import (
     FreePoly,
     PolyMatrix,
@@ -432,6 +434,8 @@ def lens_point(seed: int, size: int, r: float) -> MatrixTuple:
     nilpotent bump, with max(||T||, ||T - 1||) <= r by construction."""
     if not 0.5 < r < 1.0:
         raise DomainError("the lens needs 0.5 < r < 1 (the disks must overlap)")
+    if size < 1:
+        raise DomainError(f"the lens point needs size >= 1, got {size}")
     rng = task_rng(seed, 0x40)
     height = np.sqrt(r * r - 0.25)
     ys = rng.uniform(-0.8 * height, 0.8 * height, size=size)
@@ -534,18 +538,54 @@ def run_custom(job: dict, seed: int = 0, source: str | None = None) -> dict:
     return _report("custom", seed, config, results, checks)
 
 
+def _fits(value, default) -> bool:
+    """Whether an option value has the type of the runner's default for it."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_fits(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def _check_options(runner, options: dict) -> None:
+    """Reject option names the runner does not take and values of the wrong type.
+
+    Names and types come from the runner's signature: the type of each
+    default, or the annotation where the default is None.
+    """
+    params = inspect.signature(runner, eval_str=True).parameters
+    names = [p for p in params if p != "seed"]
+    for key, value in options.items():
+        if key not in names:
+            raise ValidationError(
+                f"unknown option {key!r}; this experiment takes {', '.join(names)}"
+            )
+        default = params[key].default
+        if default is None:
+            ok = isinstance(value, params[key].annotation)
+            expected = str(params[key].annotation)
+        else:
+            ok = _fits(value, default)
+            expected = f"a value like {default!r}"
+        if not ok:
+            raise ValidationError(f"option {key!r} got {value!r}; expected {expected}")
+
+
 def run_experiment(name: str, seed: int, options: dict) -> dict:
-    """Dispatch an experiment by name with keyword options."""
-    if name == "gap":
-        return run_gap(seed=seed, **options)
-    if name == "rowball":
-        return run_rowball(seed=seed, **options)
-    if name == "polydisc":
-        return run_polydisc(seed=seed, **options)
-    if name == "commutator":
-        return run_commutator(seed=seed, **options)
-    if name == "lens":
-        return run_lens(seed=seed, **options)
-    raise DomainError(
-        f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
-    )
+    """Dispatch an experiment by name with keyword options, checked first
+    against the runner's signature."""
+    runners = {
+        "gap": run_gap,
+        "rowball": run_rowball,
+        "polydisc": run_polydisc,
+        "commutator": run_commutator,
+        "lens": run_lens,
+    }
+    if name not in runners:
+        raise DomainError(
+            f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
+        )
+    _check_options(runners[name], options)
+    return runners[name](seed=seed, **options)

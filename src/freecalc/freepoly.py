@@ -10,19 +10,17 @@ is the domain the rest of the package works over.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matrix_core import MatrixTuple, block_assemble, op_norm
+from .matrix_core import MatrixTuple, block_assemble
 
 __all__ = [
     "Word",
     "FreePoly",
     "PolyMatrix",
-    "GMembership",
-    "in_G_delta",
     "e_lambda",
     "row_delta",
     "diag_delta",
@@ -337,19 +335,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.I}x{self.J}, d={self._d})"
-
-
-class GMembership(NamedTuple):
-    inside: bool
-    norm: float
-
-
-def in_G_delta(delta: PolyMatrix, x: MatrixTuple, margin: float = 1e-3) -> GMembership:
-    """Membership test ||delta(x)|| <= 1 - margin, returning the norm as evidence."""
-    if not 0 <= margin < 1:
-        raise DomainError("margin must lie in [0, 1)")
-    norm = op_norm(delta.eval(x))
-    return GMembership(norm <= 1.0 - margin, norm)
 
 
 # --- standard defining matrices ---------------------------------------------

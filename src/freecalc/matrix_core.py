@@ -1,10 +1,9 @@
 """Dense complex linear-algebra substrate.
 
-Validated immutable matrix/tuple wrappers plus the structural operations the
-rest of the package is built from: operator norms, block assembly, ampliation,
-direct sums, similarity transforms, and seeded random sampling.  Numerical
-kernels accept either the wrappers or plain numpy arrays and return numpy
-arrays; the wrappers are the JSON-facing boundary types.
+The validated immutable point type (MatrixTuple) plus the structural
+operations the rest of the package is built from: operator norms, block
+assembly, ampliation, direct sums, similarity transforms, and seeded random
+sampling.  Matrices are plain complex numpy arrays throughout.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 __all__ = [
-    "ComplexMatrix",
     "MatrixTuple",
     "as_array",
     "op_norm",
@@ -33,13 +31,8 @@ __all__ = [
     "random_tuple",
 ]
 
-# Full SVD up to this dimension; power iteration on M*M above it.
-SVD_CUTOVER = 512
 # Smallest singular value below this times the largest counts as singular.
 SINGULAR_RTOL = 1e-12
-
-_POWER_RTOL = 1e-13
-_POWER_MAX_ITER = 10_000
 
 
 def _check_finite(a: np.ndarray, what: str = "matrix") -> None:
@@ -49,74 +42,10 @@ def _check_finite(a: np.ndarray, what: str = "matrix") -> None:
 
 def as_array(m) -> np.ndarray:
     """Coerce a matrix-like object to a 2-D complex128 array (no copy if possible)."""
-    if isinstance(m, ComplexMatrix):
-        return m.a
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got an array of ndim={a.ndim}")
     return a
-
-
-class ComplexMatrix:
-    """Immutable dense complex matrix, validated finite on construction."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, data):
-        a = np.array(data, dtype=np.complex128, copy=True)
-        if a.ndim != 2:
-            raise ShapeError(f"a ComplexMatrix needs 2-D data, got ndim={a.ndim}")
-        _check_finite(a)
-        a.setflags(write=False)
-        self._a = a
-
-    @property
-    def a(self) -> np.ndarray:
-        """The underlying (read-only) array."""
-        return self._a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def H(self) -> "ComplexMatrix":
-        return ComplexMatrix(self._a.conj().T)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self._a, dtype=dtype)
-
-    def __matmul__(self, other):
-        return ComplexMatrix(self._a @ as_array(other))
-
-    def __add__(self, other):
-        return ComplexMatrix(self._a + as_array(other))
-
-    def __sub__(self, other):
-        return ComplexMatrix(self._a - as_array(other))
-
-    def __mul__(self, c):
-        return ComplexMatrix(self._a * complex(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexMatrix(-self._a)
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(np.array_equal(self._a, other._a))
-
-    def __hash__(self):
-        return hash((self._a.shape, self._a.tobytes()))
-
-    def __repr__(self):
-        return f"ComplexMatrix({self.rows}x{self.cols})"
 
 
 class MatrixTuple:
@@ -189,37 +118,18 @@ class MatrixTuple:
         return f"MatrixTuple(d={self.d}, n={self.n})"
 
 
-def _power_norm(a: np.ndarray) -> float:
-    """Largest singular value by power iteration on M*M (deterministic start)."""
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = a.conj().T @ (a @ v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - lam_prev) <= _POWER_RTOL * lam:
-            break
-        lam_prev = lam
-    return math.sqrt(lam)
-
-
 def op_norm(m) -> float:
-    """Operator (spectral) norm of a dense complex matrix.
+    """Operator (spectral) norm of a dense complex matrix, by full SVD.
 
-    Full SVD for dimensions up to SVD_CUTOVER, power iteration above.
+    The SVD runs at every size: an iterative estimate such as power
+    iteration approaches the norm from below, the unsafe side of every
+    ``lhs <= rhs`` certificate.
     """
     a = as_array(m)
     _check_finite(a)
     if a.size == 0:
         return 0.0
-    if max(a.shape) <= SVD_CUTOVER:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    return _power_norm(a)
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:

@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .freepoly import FreePoly, PolyMatrix
 from .matrix_core import (
-    MatrixTuple,
     ampliate,
     as_array,
     commutation_permutation,
@@ -40,32 +38,23 @@ from .matrix_core import (
 
 __all__ = [
     "Colligation",
-    "IsometryCheck",
-    "HomogTerm",
-    "is_isometry",
-    "assemble",
     "eval_colligation",
-    "homog_term",
-    "homogeneous_expansion",
     "homog_series",
     "homog_extract_dft",
     "dft_points_for",
     "add_colligations",
     "multiply_colligations",
     "scale_colligation",
-    "combine",
     "poly_to_colligation",
     "symbolic_terms",
     "random_isometric",
     "state_space_conjugate",
-    "zero_colligation",
     "constant_colligation",
     "coordinate_colligation",
     "identity_colligation",
     "xfirst_to_blocks",
     "blocks_to_xfirst",
     "xfirst_direct_sum",
-    "eval_at_tuple",
 ]
 
 ISOMETRY_TOL = 1e-8
@@ -74,28 +63,14 @@ _SPECTRAL_SLACK = 1e-10
 _NILPOTENCY_SCAN_CAP = 128
 
 
-@dataclass(frozen=True)
-class IsometryCheck:
-    ok: bool
-    defect: float
-
-
-@dataclass(frozen=True)
-class HomogTerm:
-    """One homogeneous term of an expansion: degree and its value at a point."""
-
-    k: int
-    value: np.ndarray
-
-
 class Colligation:
     """Immutable block system matrix with validated shapes.
 
     Shapes: A is k2 x k1, B is k2 x (I*m), C is (J*m) x k1, D is (J*m) x (I*m).
     Columns of B and rows of C/D are ordered copy-major: slot (i, state) maps
     to index i*m + state.  ``isometric_certified`` is computed, not trusted:
-    it is True exactly when the assembled block passes is_isometry at the
-    package tolerance.
+    it is True exactly when the assembled block [A B; C D] satisfies
+    ||V*V - I|| <= ISOMETRY_TOL.
     """
 
     __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_defect",
@@ -214,22 +189,6 @@ def assemble_blocks(A, B, C, D) -> np.ndarray:
     return np.vstack([np.hstack([A, B]), np.hstack([C, D])])
 
 
-def assemble(F: Colligation) -> np.ndarray:
-    """The full (k2 + J*m) x (k1 + I*m) block matrix [A B; C D]."""
-    return assemble_blocks(F.A, F.B, F.C, F.D)
-
-
-def is_isometry(v, tol: float = ISOMETRY_TOL) -> IsometryCheck:
-    """Whether V*V = I within tol; works on a Colligation or raw matrix."""
-    if isinstance(v, Colligation):
-        defect = v.isometry_defect
-    else:
-        a = as_array(v)
-        gram = a.conj().T @ a - np.eye(a.shape[1])
-        defect = op_norm(gram) if gram.size else 0.0
-    return IsometryCheck(defect <= tol, float(defect))
-
-
 def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
     """Nilpotency index of the state-transition graph of D, or None."""
     if m == 0:
@@ -338,26 +297,6 @@ def homog_series(F: Colligation, y):
         k += 1
 
 
-def homog_term(F: Colligation, k: int, y) -> np.ndarray:
-    """The degree-k homogeneous term of the expansion, evaluated at a point."""
-    if k < 0:
-        raise DomainError("term degree must be nonnegative")
-    for kk, term in homog_series(F, y):
-        if kk == k:
-            return term
-    raise AssertionError("unreachable")
-
-
-def homogeneous_expansion(F: Colligation, y, max_k: int) -> list[HomogTerm]:
-    """Terms P_0 ... P_max_k at a point, as HomogTerm records."""
-    out = []
-    for k, term in homog_series(F, y):
-        out.append(HomogTerm(k, term))
-        if k == max_k:
-            break
-    return out
-
-
 def dft_points_for(k: int, t: float, tol: float) -> int:
     """Smallest certified angle count for degree-k extraction at radius t.
 
@@ -379,8 +318,8 @@ def homog_extract_dft(F: Colligation, y, k: int, n_angles: int) -> np.ndarray:
     """Extract the degree-k term by averaging evaluations over scaled points.
 
     Computes (1/N) * sum_j e^(-2 pi i j k / N) F(e^(2 pi i j / N) y).  This is
-    an independent route to homog_term: it only uses the closed-form
-    evaluation, never the series algebra.  Aliasing picks up terms of degree
+    an independent route to the terms of homog_series: it only uses the
+    closed-form evaluation, never the series algebra.  Aliasing picks up terms of degree
     k + N, k + 2N, ...; choose n_angles with dft_points_for to certify.
     """
     if n_angles <= k:
@@ -471,21 +410,6 @@ def scale_colligation(F: Colligation, c: complex) -> Colligation:
     c = complex(c)
     return Colligation(c * F.A, c * F.B, F.C, F.D, F.I, F.J,
                        nilpotent_index=F.nilpotent_index)
-
-
-def combine(F: Colligation, G: Colligation | None, kind: str, c: complex = 1.0) -> Colligation:
-    """Dispatching facade over the three combination rules."""
-    if kind == "sum":
-        if G is None:
-            raise ShapeError("sum needs two colligations")
-        return add_colligations(F, G)
-    if kind == "product":
-        if G is None:
-            raise ShapeError("product needs two colligations")
-        return multiply_colligations(F, G)
-    if kind == "scale":
-        return scale_colligation(F, c)
-    raise ShapeError(f"unknown combination kind: {kind!r}")
 
 
 # --- compiling polynomials ----------------------------------------------------
@@ -618,10 +542,6 @@ def state_space_conjugate(F: Colligation, w) -> Colligation:
                        F.I, F.J, nilpotent_index=F.nilpotent_index)
 
 
-def zero_colligation(k2: int, k1: int, I: int, J: int) -> Colligation:
-    return constant_colligation(np.zeros((k2, k1)), I, J)
-
-
 def constant_colligation(a, I: int, J: int) -> Colligation:
     """Colligation of the constant function Y -> I_n (x) A."""
     a = as_array(a)
@@ -683,8 +603,3 @@ def xfirst_direct_sum(u, v, k2: int, k1: int) -> np.ndarray:
     out[:n, :, :n, :] = u4
     out[n:, :, n:, :] = v4
     return out.reshape((n + p) * k2, (n + p) * k1)
-
-
-def eval_at_tuple(F: Colligation, delta: PolyMatrix, x: MatrixTuple) -> np.ndarray:
-    """Convenience: evaluate the colligation at delta(x)."""
-    return eval_colligation(F, delta.eval(x))

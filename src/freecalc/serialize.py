@@ -40,8 +40,8 @@ from .funcalc import (
     PolyConsistencyReport,
     WelldefReport,
 )
-from .matrix_core import ComplexMatrix, MatrixTuple, as_array
-from .realization import Colligation, is_isometry
+from .matrix_core import MatrixTuple, as_array
+from .realization import Colligation
 from .spectral import (
     CompressionReport,
     SampleConfig,
@@ -122,8 +122,6 @@ def _num(x) -> float | None:
 
 def encode(obj) -> Any:
     """Map a domain object (or report) onto plain JSON-ready data."""
-    if isinstance(obj, ComplexMatrix):
-        return _enc_matrix(obj)
     if isinstance(obj, np.ndarray):
         return _enc_matrix(obj)
     if isinstance(obj, MatrixTuple):
@@ -281,7 +279,8 @@ def _dec_complex(v, path: str) -> complex:
     return complex(re, im)
 
 
-def decode_matrix(v, path: str = "$") -> ComplexMatrix:
+def decode_matrix(v, path: str = "$") -> np.ndarray:
+    """Decode a matrix as a read-only complex128 array with finite entries."""
     obj = _want_dict(v, path)
     _want_keys(obj, path, {"rows", "cols", "data"})
     rows = _want_int(obj["rows"], f"{path}.rows", minimum=0)
@@ -291,7 +290,8 @@ def decode_matrix(v, path: str = "$") -> ComplexMatrix:
     for idx, cell in enumerate(data):
         i, j = divmod(idx, cols) if cols else (idx, 0)
         out[i, j] = _dec_complex(cell, f"{path}.data[{idx}]")
-    return ComplexMatrix(out)
+    out.setflags(write=False)
+    return out
 
 
 def decode_tuple(v, path: str = "$") -> MatrixTuple:
@@ -303,12 +303,12 @@ def decode_tuple(v, path: str = "$") -> MatrixTuple:
     mats = []
     for idx, c in enumerate(coords):
         m = decode_matrix(c, f"{path}.coords[{idx}]")
-        if m.rows != n or m.cols != n:
+        if m.shape != (n, n):
             raise ValidationError(
-                f"coordinate is {m.rows}x{m.cols}, expected {n}x{n}",
+                f"coordinate is {m.shape[0]}x{m.shape[1]}, expected {n}x{n}",
                 f"{path}.coords[{idx}]",
             )
-        mats.append(m.a)
+        mats.append(m)
     return MatrixTuple(mats)
 
 
@@ -385,12 +385,12 @@ def decode_colligation(v, path: str = "$") -> Colligation:
     blocks = {}
     for name, (r, c) in shapes.items():
         mat = decode_matrix(obj[name], f"{path}.{name}")
-        if (mat.rows, mat.cols) != (r, c):
+        if mat.shape != (r, c):
             raise ValidationError(
-                f"block {name} is {mat.rows}x{mat.cols}, expected {r}x{c}",
+                f"block {name} is {mat.shape[0]}x{mat.shape[1]}, expected {r}x{c}",
                 f"{path}.{name}",
             )
-        blocks[name] = mat.a
+        blocks[name] = mat
     claimed = _want_bool(obj["isometric_certified"], f"{path}.isometric_certified")
     F = Colligation(blocks["A"], blocks["B"], blocks["C"], blocks["D"], I, J)
     if F.isometric_certified != claimed:
@@ -464,18 +464,29 @@ def decode_any(v, path: str = "$"):
     )
 
 
-def loads(text: str):
-    """Parse and decode a JSON document, with positions on syntax errors."""
+def parse_json(text: str, source: str | None = None):
+    """Parse JSON text; a syntax error becomes a ValidationError at its line
+    and column, naming ``source`` (a file path) when given."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
+        where = f" in {source}" if source else ""
         raise ValidationError(
-            f"invalid JSON: {exc.msg}", "$", line=exc.lineno, col=exc.colno
+            f"invalid JSON{where}: {exc.msg}", "$", line=exc.lineno, col=exc.colno
         ) from exc
-    return decode_any(raw)
+
+
+def read_json(path: str):
+    """parse_json() for a file on disk."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_json(fh.read(), path)
+
+
+def loads(text: str):
+    """Parse and decode a JSON document of any supported domain type."""
+    return decode_any(parse_json(text))
 
 
 def load_path(path: str):
     """loads() for a file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return decode_any(read_json(path))

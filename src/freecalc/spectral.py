@@ -10,8 +10,9 @@ the true supremum.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,9 +173,18 @@ def gap_domain_proposal(eps: float):
 
 
 def _run_tasks(fn, tasks, jobs: int):
-    if jobs <= 1:
+    """Run fn over the tasks in order, on at most `jobs` threads.
+
+    The pool starts a thread per submitted task until it reaches its worker
+    count, so that count is capped by the CPU count and the number of tasks:
+    a huge `jobs` must not start thousands of threads.
+    """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda t: fn(*t), tasks))
 
 
@@ -641,8 +651,3 @@ def family_matrix_polys(
             grid[i][j] = grid[i][j] + FreePoly.monomial(w, d, c)
         out.append(PolyMatrix(grid))
     return out
-
-
-def with_seed(cfg: SampleConfig, seed: int) -> SampleConfig:
-    """Copy of the config with a different RNG seed."""
-    return replace(cfg, seed=seed)

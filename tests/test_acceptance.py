@@ -13,6 +13,7 @@ run doubles as a results table.
 """
 
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -48,8 +49,7 @@ from freecalc.realization import (
     dft_points_for,
     eval_colligation,
     homog_extract_dft,
-    homog_term,
-    homogeneous_expansion,
+    homog_series,
     random_isometric,
     xfirst_direct_sum,
 )
@@ -176,8 +176,8 @@ def test_homogeneous_terms_bounded_and_dft_consistent():
             t = 0.3 + 0.65 * ((c * 20 + p) % 14) / 13.0
             n = 1 + p % 2
             y = _ball_point(n, I, J, t, 94_000 + c * 20 + p)
-            for term in homogeneous_expansion(F, y, 12):
-                excess = op_norm(term.value) - t**term.k
+            for deg, term in islice(homog_series(F, y), 13):
+                excess = op_norm(term) - t**deg
                 worst_excess = max(worst_excess, excess)
                 assert excess <= 1e-8
         # independent extraction of the same graded pieces by angle averaging
@@ -186,7 +186,7 @@ def test_homogeneous_terms_bounded_and_dft_consistent():
         for k_deg in range(5):
             n_angles = dft_points_for(k_deg, t, 1e-12)
             gap = op_norm(homog_extract_dft(F, y, k_deg, n_angles)
-                          - homog_term(F, k_deg, y))
+                          - next(islice(homog_series(F, y), k_deg, None))[1])
             worst_dft = max(worst_dft, gap)
             assert gap <= 1e-10
     print(f"PASS homogeneous bound: max ||P_k(y)|| - t^k = {worst_excess:.3e}, "

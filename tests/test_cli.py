@@ -76,7 +76,7 @@ def test_eval_matches_library(tmp_path):
     res = run_cli("eval", "--colligation", cpath, "--point", ppath)
     assert res.returncode == 0
     got = decode_matrix(json.loads(res.stdout))
-    assert np.allclose(got.a, eval_colligation(F, y))
+    assert np.allclose(got, eval_colligation(F, y))
 
 
 def test_calc_job_roundtrip(tmp_path):
@@ -236,3 +236,24 @@ def test_custom_experiment_runs_job(tmp_path):
 def test_unknown_subcommand_fails():
     res = run_cli("frobnicate")
     assert res.returncode != 0
+
+
+def test_usage_error_exits_1_not_2():
+    # exit 2 means "a check failed"; a mistyped option is an input error
+    res = run_cli("calc", "--bogus")
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("experiment", "gap", "-p", "foo=1"),
+    ("experiment", "rowball", "-p", 'd="x"'),
+    ("experiment", "lens", "-p", "size=0"),
+    ("experiment", "gap", "--jobs", "0"),
+])
+def test_bad_experiment_options_are_input_errors(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+

@@ -11,7 +11,6 @@ from freecalc.freepoly import (
     diag_delta,
     e_lambda,
     gap_delta,
-    in_G_delta,
     lens_delta,
     row_delta,
     verify_separating_witnesses,
@@ -170,12 +169,12 @@ def test_gap_delta_membership_frozen_value():
     # the scalar pair (1, 1) satisfies yx = 1 exactly, so only the
     # coordinate blocks contribute: norm is 1/(1+eps)
     x = MatrixTuple([np.array([[1.0]]), np.array([[1.0]])])
-    member = in_G_delta(delta, x)
-    assert member.inside
-    assert member.norm == pytest.approx(0.9090909090909091, abs=1e-15)
+    norm = op_norm(delta.eval(x))
+    assert norm <= 1 - 1e-3
+    assert norm == pytest.approx(0.9090909090909091, abs=1e-15)
     # scalar (2, 1/2) also inverts but the big coordinate expels it
     y = MatrixTuple([np.array([[2.0]]), np.array([[0.5]])])
-    assert not in_G_delta(delta, y).inside
+    assert not op_norm(delta.eval(y)) <= 1 - 1e-3
 
 
 def test_gap_delta_eps_range():
@@ -184,20 +183,12 @@ def test_gap_delta_eps_range():
             gap_delta(bad)
 
 
-def test_in_g_delta_margin_validation():
-    delta = row_delta(1)
-    x = MatrixTuple([np.array([[0.1]])])
-    with pytest.raises(DomainError):
-        in_G_delta(delta, x, margin=1.0)
-    assert in_G_delta(delta, x, margin=0.0).inside
-
-
 def test_lens_delta_contains_half_plus_small():
     delta = lens_delta()
     inside = MatrixTuple([np.array([[0.5 + 0.3j]])])
-    assert in_G_delta(delta, inside).inside
+    assert op_norm(delta.eval(inside)) <= 1 - 1e-3
     outside = MatrixTuple([np.array([[1.7 + 0.0j]])])
-    assert not in_G_delta(delta, outside).inside
+    assert not op_norm(delta.eval(outside)) <= 1 - 1e-3
 
 
 def test_compose_with_entries_and_witnesses():

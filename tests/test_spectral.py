@@ -4,6 +4,7 @@ import pytest
 from freecalc.errors import CheckFailure, DomainError, ShapeError
 from freecalc.freepoly import FreePoly, PolyMatrix, gap_delta, row_delta
 from freecalc.matrix_core import MatrixTuple, cyclic_shift, op_norm
+from freecalc import spectral
 from freecalc.spectral import (
     SampleConfig,
     compress_tuple,
@@ -17,7 +18,6 @@ from freecalc.spectral import (
     sample_admissible,
     sigma_cc_falsify,
     sup_norm_estimate,
-    with_seed,
 )
 
 X1 = FreePoly.letter(1, 1)
@@ -36,13 +36,6 @@ def test_config_validation():
         SampleConfig(step_size=0.0)
     with pytest.raises(ShapeError):
         SampleConfig(norm_targets=())
-
-
-def test_with_seed_changes_only_the_seed():
-    cfg = SampleConfig(levels=(1, 2), trials_per_level=7, seed=3)
-    cfg2 = with_seed(cfg, 9)
-    assert cfg2.seed == 9
-    assert cfg2.levels == cfg.levels and cfg2.trials_per_level == cfg.trials_per_level
 
 
 def test_constant_objective_estimate_is_exact():
@@ -85,6 +78,40 @@ def test_reports_are_deterministic_and_job_count_invariant():
     assert a.estimate == b.estimate == c.estimate
     assert a.witness == b.witness == c.witness
     assert a.per_level == b.per_level == c.per_level
+
+
+def test_jobs_are_capped_by_cpus_and_tasks(monkeypatch):
+    # the fake pool records its worker count and runs the tasks serially, so
+    # no thread starts however large jobs is
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 4)
+    few = SampleConfig(levels=(1,), trials_per_level=3, ascent_steps=2)
+    many = SampleConfig(levels=(1, 2), trials_per_level=10, ascent_steps=2)
+    assert sup_norm_estimate(X1, row_delta(1), few, jobs=10_000) == \
+        sup_norm_estimate(X1, row_delta(1), few)
+    sup_norm_estimate(X1, row_delta(1), many, jobs=10_000)
+    assert workers == [3, 4]  # min(jobs, cpus, tasks)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(DomainError, match="jobs"):
+        sup_norm_estimate(X1, row_delta(1), SampleConfig(levels=(1,)), jobs=jobs)
 
 
 def test_per_level_summaries_are_coherent():
