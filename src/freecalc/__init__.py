@@ -42,7 +42,6 @@ from .funcalc import (
 from .matrix_core import (
     MatrixTuple,
     ampliate,
-    block_assemble,
     compress,
     cyclic_shift,
     direct_sum,
@@ -99,7 +98,7 @@ __all__ = [
     "CalcParams", "CalcReport", "Certificate", "PolyConsistencyReport",
     "WelldefReport", "compile_polynomial", "derive_witnesses", "path_norm_sup",
     "poly_consistency", "sharp", "tail_bound", "welldef_check",
-    "MatrixTuple", "ampliate", "block_assemble", "compress", "cyclic_shift",
+    "MatrixTuple", "ampliate", "compress", "cyclic_shift",
     "direct_sum", "op_norm", "random_matrix", "random_tuple", "rng_from",
     "shift_matrix", "similarity", "task_rng",
     "Colligation", "add_colligations", "constant_colligation",

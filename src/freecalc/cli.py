@@ -70,13 +70,11 @@ def _load_as(path: str, decoder, expected: str):
 
 def _load_poly_or_matrix(path: str) -> PolyMatrix:
     obj = load_path(path)
-    if isinstance(obj, FreePoly):
-        return PolyMatrix.from_poly(obj)
-    if isinstance(obj, PolyMatrix):
-        return obj
-    raise ValidationError(
-        f"{path}: expected a polynomial or polynomial matrix, got {type(obj).__name__}"
-    )
+    if not isinstance(obj, (FreePoly, PolyMatrix)):
+        raise ValidationError(
+            f"{path}: expected a polynomial or polynomial matrix, got {type(obj).__name__}"
+        )
+    return PolyMatrix.from_poly(obj)
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
@@ -160,14 +158,12 @@ def cmd_spectral_check(args) -> int:
     family = []
     for idx, item in enumerate(raw):
         member = decode_any(item, f"$[{idx}]")
-        if isinstance(member, FreePoly):
-            member = PolyMatrix.from_poly(member)
-        if not isinstance(member, PolyMatrix):
+        if not isinstance(member, (FreePoly, PolyMatrix)):
             raise ValidationError(
                 f"family member is a {type(member).__name__}, expected a polynomial",
                 f"$[{idx}]",
             )
-        family.append(member)
+        family.append(PolyMatrix.from_poly(member))
     cfg = _sample_config(args)
     rep = k_spectral_check(delta, T, args.k, family, cfg, jobs=args.jobs)
     _emit(dumps_canonical(encode(rep)), args.out)
@@ -250,10 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sampling: bool = False):
+    def common(p):
+        p.add_argument("--out", help="write the report here instead of stdout")
+
+    def seeded(p, sampling: bool = False):
+        common(p)
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $FREECALC_SEED or 0)")
-        p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker threads; results are identical to serial")
         if sampling:
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sup.add_argument("--poly", required=True, help="objective polynomial JSON file")
     p_sup.add_argument("--delta", required=True, help="defining polynomial matrix JSON file")
     p_sup.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p_sup, sampling=True)
+    seeded(p_sup, sampling=True)
     p_sup.set_defaults(func=cmd_supnorm)
 
     p_spec = sub.add_parser("spectral-check",
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--family", required=True,
                         help="JSON array of polynomials / polynomial matrices")
     p_spec.add_argument("--k", type=float, default=1.0, help="the spectral constant K")
-    common(p_spec, sampling=True)
+    seeded(p_spec, sampling=True)
     p_spec.set_defaults(func=cmd_spectral_check)
 
     p_exp = sub.add_parser("experiment", help="run a named experiment")
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("-p", "--param", action="append", metavar="KEY=VALUE",
                        help="experiment option, JSON-valued (repeatable)")
     p_exp.add_argument("--job", help="job file for the custom experiment")
-    common(p_exp)
+    seeded(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_val = sub.add_parser("validate", help="schema-check a JSON document")
@@ -310,15 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        try:
-            seed = _default_seed()
-        except ValidationError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 1
-        if hasattr(args, "seed"):
-            args.seed = seed
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

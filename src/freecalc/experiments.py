@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .freepoly import (
     FreePoly,
-    PolyMatrix,
     diag_delta,
     gap_delta,
     lens_delta,
@@ -173,6 +172,8 @@ def run_rowball(
     isometric model at a point with ||delta(T)|| = target_t and record its
     certificate set (contractivity and the geometric series envelope).
     """
+    if level < 1:
+        raise DomainError(f"the test point needs level >= 1, got {level}")
     delta = row_delta(d)
     worst_rel = 0.0
     for i in range(identity_trials):
@@ -242,6 +243,8 @@ def run_polydisc(
     family as far as sampling can tell (no violations of
     ||P(T)|| <= sup ||P(x)||).
     """
+    if level < 1:
+        raise DomainError(f"the test point needs level >= 1, got {level}")
     delta = diag_delta(d)
     worst = 0.0
     for i in range(identity_trials):
@@ -370,7 +373,7 @@ def run_commutator(
         levels=(1, 2, 3, 4), trials_per_level=emptiness_trials, ascent_steps=0,
         seed=seed,
     )
-    empt = sup_norm_estimate(FreePoly.one(d), PolyMatrix.from_poly(q), empt_cfg)
+    empt = sup_norm_estimate(FreePoly.one(d), q, empt_cfg)
 
     probe = T if T is not None else oscillator_pair(osc_size)
     q_at_probe = float(op_norm(q.eval(probe)))

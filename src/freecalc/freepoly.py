@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matrix_core import MatrixTuple, block_assemble
+from .matrix_core import MatrixTuple
 
 __all__ = [
     "Word",
@@ -285,8 +285,13 @@ class PolyMatrix:
         self._d = d
 
     @classmethod
-    def from_poly(cls, p: FreePoly) -> "PolyMatrix":
-        return cls(((p,),))
+    def from_poly(cls, p: "FreePoly | PolyMatrix") -> "PolyMatrix":
+        """A polynomial as a 1x1 PolyMatrix; a PolyMatrix comes back unchanged."""
+        if isinstance(p, PolyMatrix):
+            return p
+        if isinstance(p, FreePoly):
+            return cls(((p,),))
+        raise ShapeError(f"expected FreePoly or PolyMatrix, got {type(p).__name__}")
 
     @property
     def I(self) -> int:  # noqa: E743 - the domain calls the row count I
@@ -323,7 +328,12 @@ class PolyMatrix:
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
         """Assembled nI x nJ block evaluation at a level-n point."""
-        return block_assemble([[p.eval(x) for p in row] for row in self._rows])
+        n = x.n
+        out = np.empty((self.I, n, self.J, n), dtype=np.complex128)
+        for i, row in enumerate(self._rows):
+            for j, p in enumerate(row):
+                out[i, :, j, :] = p.eval(x)
+        return out.reshape(self.I * n, self.J * n)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

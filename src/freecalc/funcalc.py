@@ -109,6 +109,17 @@ def default_scale(t0: float) -> float:
     return (t0 + 1.0) / 2.0 if t0 < 1.0 else 1.0
 
 
+def _scaled_point(
+    delta: PolyMatrix, T: MatrixTuple, params: CalcParams
+) -> tuple[np.ndarray, float, float]:
+    """The point y = delta(T)/s, its norm t = ||delta(T)||/s, and the scale s
+    (``params.s``, or default_scale(||delta(T)||) when that is None)."""
+    point = delta.eval(T)
+    t0 = op_norm(point)
+    s = params.s if params.s is not None else default_scale(t0)
+    return point / s, t0 / s, s
+
+
 def _terms_for_tolerance(t: float, tol: float) -> int:
     """Smallest N with t^(N+1)/(1-t) <= tol (N >= 0)."""
     if t == 0.0:
@@ -154,10 +165,7 @@ def sharp(
     """
     params = params or CalcParams()
     _check_shapes(F, delta, T)
-    t0 = op_norm(delta.eval(T))
-    s = params.s if params.s is not None else default_scale(t0)
-    t = t0 / s
-    y = delta.eval(T) / s
+    y, t, s = _scaled_point(delta, T, params)
 
     nilp = F.nilpotent_index
     notes: list[str] = []
@@ -357,8 +365,7 @@ def welldef_check(
             f"models have outputs {F1.k2}x{F1.k1} and {F2.k2}x{F2.k1}; "
             "agreement needs matching shapes"
         )
-    t0 = op_norm(delta.eval(T))
-    s = params.s if params.s is not None else default_scale(t0)
+    s = _scaled_point(delta, T, params)[2]
     scaled = delta.scale(1.0 / s)
     cfg = cfg or SampleConfig(levels=(1, 2, 3), trials_per_level=80)
     points = sample_admissible(scaled, cfg, proposal=proposal, jobs=jobs)
@@ -466,8 +473,7 @@ def poly_consistency(
     at 0 and the segment r -> delta(rT)/s stays strictly inside the unit ball.
     """
     params = params or CalcParams()
-    if isinstance(P, FreePoly):
-        P = PolyMatrix.from_poly(P)
+    P = PolyMatrix.from_poly(P)
     _check_shapes(F, delta, T)
     if (P.I, P.J) != (F.k2, F.k1):
         raise ShapeError(
@@ -475,8 +481,7 @@ def poly_consistency(
         )
     if P.d != delta.d:
         raise ShapeError(f"polynomial uses {P.d} letters, delta uses {delta.d}")
-    t0 = op_norm(delta.eval(T))
-    s = params.s if params.s is not None else default_scale(t0)
+    s = _scaled_point(delta, T, params)[2]
     threshold = params.tol + _AGREE_SLACK
 
     vanishes = delta.vanishes_at_zero()
@@ -576,8 +581,7 @@ def compile_polynomial(
     """
     if not 0.0 < s <= 1.0:
         raise DomainError("scale s must lie in (0, 1]")
-    if isinstance(P, FreePoly):
-        P = PolyMatrix.from_poly(P)
+    P = PolyMatrix.from_poly(P)
     if P.d != delta.d:
         raise ShapeError(f"polynomial uses {P.d} letters, delta uses {delta.d}")
     if witnesses is None:

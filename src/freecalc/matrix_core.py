@@ -1,15 +1,15 @@
 """Dense complex linear-algebra substrate.
 
 The validated immutable point type (MatrixTuple) plus the structural
-operations the rest of the package is built from: operator norms, block
-assembly, ampliation, direct sums, similarity transforms, and seeded random
+operations the rest of the package is built from: operator norms,
+ampliation, direct sums, similarity transforms, and seeded random
 sampling.  Matrices are plain complex numpy arrays throughout.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "op_norm",
     "direct_sum",
     "ampliate",
-    "block_assemble",
     "similarity",
     "condition_number",
     "commutation_permutation",
@@ -63,6 +62,8 @@ class MatrixTuple:
             a = np.array(c, dtype=np.complex128, copy=True)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ShapeError(f"coordinate {k} is not a square matrix")
+            if a.shape[0] == 0:
+                raise ShapeError(f"coordinate {k} is 0x0; a level is at least 1")
             _check_finite(a, f"coordinate {k}")
             a.setflags(write=False)
             mats.append(a)
@@ -152,37 +153,6 @@ def ampliate(n: int, a) -> np.ndarray:
     if n < 0:
         raise ShapeError("ampliation size must be nonnegative")
     return np.kron(np.eye(n, dtype=np.complex128), as_array(a))
-
-
-def block_assemble(blocks: Sequence[Sequence]) -> np.ndarray:
-    """Assemble a rectangular grid of matrices into one matrix.
-
-    Row heights must agree along each block row and column widths along each
-    block column; violations raise ShapeError naming the offending block.
-    """
-    if not blocks or not blocks[0]:
-        raise ShapeError("block grid must be non-empty")
-    ncols = len(blocks[0])
-    grid = []
-    for i, row in enumerate(blocks):
-        if len(row) != ncols:
-            raise ShapeError(f"block row {i} has {len(row)} blocks, expected {ncols}")
-        grid.append([as_array(b) for b in row])
-    for i, row in enumerate(grid):
-        h = row[0].shape[0]
-        for j, b in enumerate(row):
-            if b.shape[0] != h:
-                raise ShapeError(
-                    f"block ({i},{j}) has {b.shape[0]} rows, expected {h}"
-                )
-    for j in range(ncols):
-        w = grid[0][j].shape[1]
-        for i, row in enumerate(grid):
-            if row[j].shape[1] != w:
-                raise ShapeError(
-                    f"block ({i},{j}) has {row[j].shape[1]} columns, expected {w}"
-                )
-    return np.block([[b for b in row] for row in grid])
 
 
 def condition_number(s) -> float:

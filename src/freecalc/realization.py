@@ -424,8 +424,7 @@ def poly_to_colligation(P: PolyMatrix | FreePoly, I: int, J: int) -> Colligation
     nilpotent with index at most the degree, making the expansion finite and
     exact.
     """
-    if isinstance(P, FreePoly):
-        P = PolyMatrix.from_poly(P)
+    P = PolyMatrix.from_poly(P)
     if P.d != I * J:
         raise ShapeError(f"polynomial has d={P.d} letters, arrangement needs {I * J}")
     k2, k1 = P.I, P.J

@@ -15,6 +15,10 @@ Wire formats:
   agree with the recomputation
 * evaluation job: ``{"F": colligation, "delta": polymatrix, "T": tuple,
   "params": {"s", "tol", "max_terms"}}``
+* report (any dataclass, ``CalcParams`` and ``SampleConfig`` included): an
+  object with one key per dataclass field, plus ``ok`` where the class
+  defines it; tuples become arrays, non-finite floats become null, and
+  nested domain objects and reports use their own formats
 
 Loading is strict: unknown keys, wrong arity, or non-finite numbers raise
 ValidationError with a path into the document.  ``dumps_canonical`` emits
@@ -33,20 +37,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .freepoly import FreePoly, PolyMatrix
-from .funcalc import (
-    CalcParams,
-    CalcReport,
-    Certificate,
-    PolyConsistencyReport,
-    WelldefReport,
-)
+from .funcalc import CalcParams
 from .matrix_core import MatrixTuple, as_array
 from .realization import Colligation
-from .spectral import (
-    CompressionReport,
-    SampleConfig,
-    SpectralReport,
-)
 
 
 # --- encoding -----------------------------------------------------------------
@@ -108,20 +101,30 @@ def _enc_colligation(F: Colligation) -> dict:
     }
 
 
-def _enc_params(p: CalcParams) -> dict:
-    return {"s": p.s, "tol": p.tol, "max_terms": p.max_terms}
-
-
-def _num(x) -> float | None:
+def _num(x: float) -> float | None:
     """Floats for JSON: non-finite values become null (allow_nan is off)."""
-    if x is None:
-        return None
     x = float(x)
     return x if math.isfinite(x) else None
 
 
+def _enc_field(v) -> Any:
+    """One report field: tuples become lists, floats go through _num, and
+    domain objects and nested reports go through encode()."""
+    if isinstance(v, tuple):
+        return [_enc_field(e) for e in v]
+    if isinstance(v, float):
+        return _num(v)
+    if v is None or isinstance(v, (bool, int, str)):
+        return v
+    return encode(v)
+
+
 def encode(obj) -> Any:
-    """Map a domain object (or report) onto plain JSON-ready data."""
+    """Map a domain object or report onto plain JSON-ready data.
+
+    A report (any dataclass) encodes as its fields, plus ``ok`` when its
+    class defines one.
+    """
     if isinstance(obj, np.ndarray):
         return _enc_matrix(obj)
     if isinstance(obj, MatrixTuple):
@@ -132,83 +135,10 @@ def encode(obj) -> Any:
         return _enc_polymatrix(obj)
     if isinstance(obj, Colligation):
         return _enc_colligation(obj)
-    if isinstance(obj, CalcParams):
-        return _enc_params(obj)
-    if isinstance(obj, CalcReport):
-        return {
-            "value": _enc_matrix(obj.value),
-            "t": _num(obj.t),
-            "s": _num(obj.s),
-            "terms_used": obj.terms_used,
-            "tail_bound": _num(obj.tail_bound),
-            "closed_form_agreement": _num(obj.closed_form_agreement),
-            "certificates": [encode(c) for c in obj.certificates],
-            "notes": list(obj.notes),
-            "ok": obj.ok,
-        }
-    if isinstance(obj, Certificate):
-        return {
-            "name": obj.name,
-            "passed": obj.passed,
-            "lhs": _num(obj.lhs),
-            "rhs": _num(obj.rhs),
-            "detail": obj.detail,
-        }
-    if isinstance(obj, SpectralReport):
-        return {
-            "kind": obj.kind,
-            "estimate": _num(obj.estimate),
-            "witness": _enc_tuple(obj.witness) if obj.witness is not None else None,
-            "witness_level": obj.witness_level,
-            "witness_trial": obj.witness_trial,
-            "witness_domain_norm": _num(obj.witness_domain_norm),
-            "ascent_converged": obj.ascent_converged,
-            "trials": obj.trials,
-            "admissible": obj.admissible,
-            "per_level": [
-                {
-                    "level": s.level,
-                    "trials": s.trials,
-                    "admissible": s.admissible,
-                    "best_value": _num(s.best_value),
-                    "best_trial": s.best_trial,
-                }
-                for s in obj.per_level
-            ],
-            "config": encode(obj.config),
-            "violations": [
-                {
-                    "index": v.index,
-                    "description": v.description,
-                    "lhs": _num(v.lhs),
-                    "rhs": _num(v.rhs),
-                    "status": v.status,
-                }
-                for v in obj.violations
-            ],
-            "notes": list(obj.notes),
-            "ok": obj.ok,
-        }
-    if isinstance(obj, SampleConfig):
-        return {
-            "levels": list(obj.levels),
-            "trials_per_level": obj.trials_per_level,
-            "ascent_steps": obj.ascent_steps,
-            "step_size": obj.step_size,
-            "margin": obj.margin,
-            "seed": obj.seed,
-            "norm_targets": list(obj.norm_targets),
-        }
-    if isinstance(obj, (WelldefReport, PolyConsistencyReport, CompressionReport)):
-        out = {}
-        for f in dataclasses.fields(obj):
-            v = getattr(obj, f.name)
-            if isinstance(v, tuple):
-                out[f.name] = list(v)
-            elif isinstance(v, float):
-                out[f.name] = _num(v)
-            else:
-                out[f.name] = v
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out = {f.name: _enc_field(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        if hasattr(type(obj), "ok"):
+            out["ok"] = obj.ok
         return out
     raise TypeError(f"no JSON encoding for {type(obj).__name__}")
 
@@ -477,9 +407,17 @@ def parse_json(text: str, source: str | None = None):
 
 
 def read_json(path: str):
-    """parse_json() for a file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_json(fh.read(), path)
+    """parse_json() for a file on disk.  A file that cannot be read, or is
+    not UTF-8, is a ValidationError naming the path; a missing file stays
+    FileNotFoundError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}", "$") from exc
+    return parse_json(text, path)
 
 
 def loads(text: str):

@@ -124,14 +124,6 @@ class SpectralReport:
         return not self.violations
 
 
-def _as_poly_matrix(p) -> PolyMatrix:
-    if isinstance(p, PolyMatrix):
-        return p
-    if isinstance(p, FreePoly):
-        return PolyMatrix([[p]])
-    raise ShapeError(f"expected FreePoly or PolyMatrix, got {type(p).__name__}")
-
-
 def default_proposal(d: int):
     """Gaussian tuples, cycling through the configured norm targets."""
 
@@ -188,6 +180,12 @@ def _run_tasks(fn, tasks, jobs: int):
         return list(pool.map(lambda t: fn(*t), tasks))
 
 
+def _in_domain(delta: PolyMatrix, x: MatrixTuple, cfg: SampleConfig) -> tuple[float, bool]:
+    """The membership test: ||delta(x)|| and whether it is <= 1 - margin."""
+    norm = op_norm(delta.eval(x))
+    return norm, norm <= 1.0 - cfg.margin
+
+
 def _ascend(
     objective: PolyMatrix,
     delta: PolyMatrix,
@@ -205,7 +203,6 @@ def _ascend(
     draw per step regardless of acceptance, so runs with more steps extend
     runs with fewer steps instead of diverging from them.
     """
-    cap = 1.0 - cfg.margin
     best_x, best_val, best_norm = start, start_value, start_norm
     cur, cur_val = start, start_value
     step = cfg.step_size
@@ -217,8 +214,8 @@ def _ascend(
         accepted = False
         for shrink in (1.0, 0.5, 0.25, 0.125):
             cand = cur + (step * shrink) * pert
-            cand_norm = op_norm(delta.eval(cand))
-            if cand_norm <= cap:
+            cand_norm, inside = _in_domain(delta, cand, cfg)
+            if inside:
                 cand_val = op_norm(objective.eval(cand))
                 if cand_val > cur_val:
                     cur, cur_val = cand, cand_val
@@ -239,22 +236,31 @@ def _ascend(
     return best_x, best_val, best_norm, converged
 
 
-def _run_trial(
-    objective: PolyMatrix,
-    delta: PolyMatrix,
-    cfg: SampleConfig,
-    level: int,
-    trial: int,
-    proposal,
-) -> TrialOutcome:
+def _propose(
+    delta: PolyMatrix, cfg: SampleConfig, level: int, trial: int, proposal
+) -> tuple[MatrixTuple, np.random.Generator]:
+    """Draw the proposal for one (level, trial) task from its own generator."""
     rng = task_rng(cfg.seed, level, trial)
     x = proposal(level, trial, rng, cfg)
     if x.d != delta.d:
         raise ShapeError(
             f"proposal returned a tuple in {x.d} letters, domain uses {delta.d}"
         )
-    domain_norm = op_norm(delta.eval(x))
-    if not domain_norm <= 1.0 - cfg.margin:
+    return x, rng
+
+
+def _climb(
+    objective: PolyMatrix,
+    delta: PolyMatrix,
+    cfg: SampleConfig,
+    x: MatrixTuple,
+    level: int,
+    trial: int,
+    rng: np.random.Generator,
+) -> TrialOutcome:
+    """Test x for membership; if it is admissible, hill-climb from it."""
+    domain_norm, inside = _in_domain(delta, x, cfg)
+    if not inside:
         return TrialOutcome(level, trial, False)
     value = op_norm(objective.eval(x))
     best_x, best_val, best_norm, converged = _ascend(
@@ -263,24 +269,16 @@ def _run_trial(
     return TrialOutcome(level, trial, True, best_val, best_x, best_norm, converged)
 
 
-def _ascend_candidate(
+def _run_trial(
     objective: PolyMatrix,
     delta: PolyMatrix,
     cfg: SampleConfig,
-    index: int,
-    x: MatrixTuple,
+    level: int,
+    trial: int,
+    proposal,
 ) -> TrialOutcome:
-    """Treat an explicitly supplied tuple as a trial (tagged with trial = -1-index)."""
-    tag = -1 - index
-    domain_norm = op_norm(delta.eval(x))
-    if not domain_norm <= 1.0 - cfg.margin:
-        return TrialOutcome(x.n, tag, False)
-    value = op_norm(objective.eval(x))
-    rng = task_rng(cfg.seed, 0x0E, index)
-    best_x, best_val, best_norm, converged = _ascend(
-        objective, delta, x, value, domain_norm, rng, cfg
-    )
-    return TrialOutcome(x.n, tag, True, best_val, best_x, best_norm, converged)
+    x, rng = _propose(delta, cfg, level, trial, proposal)
+    return _climb(objective, delta, cfg, x, level, trial, rng)
 
 
 def sup_norm_estimate(
@@ -300,8 +298,8 @@ def sup_norm_estimate(
     so the same config and seed reproduce the same report byte for byte and
     `jobs` only changes wall time.
     """
-    objective = _as_poly_matrix(objective)
-    delta = _as_poly_matrix(delta)
+    objective = PolyMatrix.from_poly(objective)
+    delta = PolyMatrix.from_poly(delta)
     if objective.d != delta.d:
         raise ShapeError(
             f"objective uses {objective.d} letters but the domain map uses {delta.d}"
@@ -315,10 +313,12 @@ def sup_norm_estimate(
         for trial in range(cfg.trials_per_level)
     ]
     outcomes = _run_tasks(_run_trial, tasks, jobs)
+    # An explicitly supplied tuple is a trial tagged with trial = -1 - index.
     extra_tasks = [
-        (objective, delta, cfg, idx, x) for idx, x in enumerate(extra_candidates)
+        (objective, delta, cfg, x, x.n, -1 - idx, task_rng(cfg.seed, 0x0E, idx))
+        for idx, x in enumerate(extra_candidates)
     ]
-    outcomes.extend(_run_tasks(_ascend_candidate, extra_tasks, jobs))
+    outcomes.extend(_run_tasks(_climb, extra_tasks, jobs))
 
     best: TrialOutcome | None = None
     admissible = 0
@@ -376,16 +376,13 @@ def sample_admissible(
     jobs: int = 1,
 ) -> list[MatrixTuple]:
     """Collect proposal tuples with ||delta(x)|| <= 1 - margin (no ascent)."""
-    delta = _as_poly_matrix(delta)
+    delta = PolyMatrix.from_poly(delta)
     cfg = cfg or SampleConfig()
     proposal = proposal or default_proposal(delta.d)
 
     def probe(level: int, trial: int):
-        rng = task_rng(cfg.seed, level, trial)
-        x = proposal(level, trial, rng, cfg)
-        if op_norm(delta.eval(x)) <= 1.0 - cfg.margin:
-            return x
-        return None
+        x, _ = _propose(delta, cfg, level, trial, proposal)
+        return x if _in_domain(delta, x, cfg)[1] else None
 
     tasks = [(level, trial) for level in cfg.levels for trial in range(cfg.trials_per_level)]
     hits = _run_tasks(probe, tasks, jobs)
@@ -416,19 +413,18 @@ def k_spectral_check(
     "potential" otherwise.  If T itself lies in the domain it is fed in as a
     candidate, which makes the K = 1 inequality hold by construction.
     """
-    delta = _as_poly_matrix(delta)
+    delta = PolyMatrix.from_poly(delta)
     cfg = cfg or SampleConfig()
     if K <= 0:
         raise DomainError("the spectral constant K must be positive")
-    t_norm = op_norm(delta.eval(T))
-    t_inside = t_norm <= 1.0 - cfg.margin
+    t_norm, t_inside = _in_domain(delta, T, cfg)
     extras = (T,) if t_inside else ()
 
     violations = []
     notes = []
     skipped = 0
     for idx, member in enumerate(family):
-        p = _as_poly_matrix(member)
+        p = PolyMatrix.from_poly(member)
         rep = sup_norm_estimate(
             p, delta, cfg, proposal=proposal, extra_candidates=extras, jobs=jobs
         )
@@ -484,7 +480,7 @@ def sigma_cc_falsify(x: MatrixTuple, T: MatrixTuple, family) -> SpectralReport:
     """
     if x.d != T.d:
         raise ShapeError(f"tuples use {x.d} and {T.d} letters; they must match")
-    members = [_as_poly_matrix(m) for m in family]
+    members = [PolyMatrix.from_poly(m) for m in family]
     violations = []
     for idx, p in enumerate(members):
         lhs = op_norm(p.eval(x))
@@ -553,7 +549,7 @@ def compression_check(
     badly, so `assert` mode refuses to certify and `report` mode simply
     records both norms.
     """
-    delta = _as_poly_matrix(delta)
+    delta = PolyMatrix.from_poly(delta)
     if mode not in ("report", "assert"):
         raise DomainError(f"unknown compression mode {mode!r}")
     affine = delta.max_degree() <= 1

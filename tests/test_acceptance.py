@@ -36,7 +36,6 @@ from freecalc.funcalc import (
 from freecalc.matrix_core import (
     MatrixTuple,
     ampliate,
-    block_assemble,
     cyclic_shift,
     direct_sum,
     op_norm,
@@ -439,7 +438,7 @@ def test_assembled_block_norm_dominates_entries():
             [random_matrix(heights[r], widths[cc], rng) for cc in range(cols)]
             for r in range(rows)
         ]
-        assembled = op_norm(block_assemble(blocks))
+        assembled = op_norm(np.block(blocks))
         best = max(op_norm(b) for row in blocks for b in row)
         worst = min(worst, assembled - best)
         assert assembled >= best - 1e-12

@@ -6,15 +6,21 @@ import sys
 import numpy as np
 import pytest
 
+import freecalc
 from freecalc.freepoly import FreePoly, diag_delta, row_delta
 from freecalc.matrix_core import MatrixTuple, random_tuple
 from freecalc.realization import eval_colligation, random_isometric
 from freecalc.serialize import decode_matrix, dumps_canonical, encode
 
 
+# The child process imports the same freecalc as this test run.
+SRC = os.path.dirname(os.path.dirname(freecalc.__file__))
+
+
 def run_cli(*argv, env_extra=None):
     env = dict(os.environ)
     env.pop("FREECALC_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -66,6 +72,19 @@ def test_validate_rejects_schema_violation(tmp_path):
 def test_missing_file_is_an_input_error():
     res = run_cli("validate", "/nonexistent/nowhere.json")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_file_is_an_input_error(tmp_path, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+    res = run_cli("validate", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and str(path) in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_eval_matches_library(tmp_path):
@@ -205,6 +224,21 @@ def test_experiment_rowball_smoke_and_seed_env(tmp_path):
     assert rep["experiment"] == "rowball" and rep["seed"] == 7 and rep["ok"]
 
 
+def test_seedless_commands_ignore_seed_env(tmp_path):
+    path = _write(tmp_path, "job.json", {
+        "F": encode(random_isometric(2, 2, 1, 1, 1, 5)),
+        "delta": encode(diag_delta(2)),
+        "T": encode(random_tuple(2, 2, 0.5, 6)),
+    })
+    for argv in (("validate", path), ("calc", "--job", path)):
+        clean = run_cli(*argv)
+        bad_env = run_cli(*argv, env_extra={"FREECALC_SEED": "abc"})
+        assert clean.returncode == 0
+        assert (bad_env.returncode, bad_env.stdout) == (0, clean.stdout)
+    for flag in ("--seed", "--jobs"):
+        assert run_cli("calc", "--job", path, flag, "1").returncode == 1
+
+
 def test_experiment_rejects_bad_seed_env():
     res = run_cli("experiment", "rowball", env_extra={"FREECALC_SEED": "often"})
     assert res.returncode == 1
@@ -250,6 +284,9 @@ def test_usage_error_exits_1_not_2():
     ("experiment", "rowball", "-p", 'd="x"'),
     ("experiment", "lens", "-p", "size=0"),
     ("experiment", "gap", "--jobs", "0"),
+    ("experiment", "rowball", "-p", "level=0"),
+    ("experiment", "rowball", "-p", "level=-1"),
+    ("experiment", "polydisc", "-p", "level=0"),
 ])
 def test_bad_experiment_options_are_input_errors(argv):
     res = run_cli(*argv)

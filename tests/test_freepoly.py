@@ -140,6 +140,11 @@ def test_polymatrix_shape_validation():
         PolyMatrix([[x], [x, x]])
     with pytest.raises(ShapeError):
         PolyMatrix([[x, FreePoly.letter(1, 2)]])
+    m = PolyMatrix.from_poly(x)
+    assert (m.I, m.J, m.entry(0, 0)) == (1, 1, x)
+    assert PolyMatrix.from_poly(m) is m
+    with pytest.raises(ShapeError, match="FreePoly or PolyMatrix"):
+        PolyMatrix.from_poly([[x]])
 
 
 def test_row_delta_norm_identity():

@@ -5,7 +5,6 @@ from freecalc.errors import DomainError, ShapeError
 from freecalc.matrix_core import (
     MatrixTuple,
     ampliate,
-    block_assemble,
     commutation_permutation,
     compress,
     condition_number,
@@ -73,6 +72,8 @@ def test_matrix_tuple_validation():
         MatrixTuple([np.zeros((2, 2)), np.zeros((3, 3))])
     with pytest.raises(DomainError):
         MatrixTuple([np.array([[np.nan]])])
+    with pytest.raises(ShapeError):
+        MatrixTuple([np.zeros((0, 0))])
 
 
 def test_matrix_tuple_arithmetic_is_entrywise():
@@ -108,18 +109,6 @@ def test_ampliate_is_kron_with_identity():
     assert op_norm(got) == pytest.approx(op_norm(a), rel=1e-12)
 
 
-def test_block_assemble_and_error_naming():
-    a = np.ones((2, 2))
-    b = np.zeros((2, 3))
-    c = np.zeros((1, 2))
-    d = np.ones((1, 3))
-    m = block_assemble([[a, b], [c, d]])
-    assert m.shape == (3, 5)
-    assert np.allclose(m[:2, :2], a) and np.allclose(m[2:, 2:], d)
-    with pytest.raises(ShapeError, match=r"\(1,1\)"):
-        block_assemble([[a, b], [c, np.ones((1, 4))]])
-
-
 def test_block_norm_dominates_entries():
     # the assembled norm is at least the norm of any single block
     for seed in range(20):
@@ -127,7 +116,7 @@ def test_block_norm_dominates_entries():
         rows = [int(rng.integers(1, 4)) for _ in range(2)]
         cols = [int(rng.integers(1, 4)) for _ in range(3)]
         blocks = [[random_matrix(r, c, rng) for c in cols] for r in rows]
-        assembled = op_norm(block_assemble(blocks))
+        assembled = op_norm(np.block(blocks))
         worst = max(op_norm(b) for row in blocks for b in row)
         assert assembled >= worst - 1e-12
 

@@ -227,6 +227,56 @@ def test_reports_serialize_to_plain_json():
     assert spayload["witness"]["n"] == 1
 
 
+def test_report_key_sets_are_pinned():
+    from freecalc.freepoly import row_delta
+    from freecalc.funcalc import compile_polynomial, poly_consistency, welldef_check
+    from freecalc.spectral import compression_check, family_monomials, k_spectral_check
+
+    def keys(obj):
+        return set(encode(obj))
+
+    calc = {"value", "t", "s", "terms_used", "tail_bound", "closed_form_agreement",
+            "certificates", "notes", "ok"}
+    cert = {"name", "passed", "lhs", "rhs", "detail"}
+    spectral = {"kind", "estimate", "witness", "witness_level", "witness_trial",
+                "witness_domain_norm", "ascent_converged", "trials", "admissible",
+                "per_level", "config", "violations", "notes", "ok"}
+    level = {"level", "trials", "admissible", "best_value", "best_trial"}
+    violation = {"index", "description", "lhs", "rhs", "status"}
+    config = {"levels", "trials_per_level", "ascent_steps", "step_size", "margin",
+              "seed", "norm_targets"}
+
+    delta = diag_delta(2)
+    F = random_isometric(2, 2, 1, 1, 1, 5)
+    T = random_tuple(2, 2, 0.5, 6)
+    rep = encode(sharp(F, delta, T))
+    assert set(rep) == calc and rep["certificates"]
+    assert all(set(c) == cert for c in rep["certificates"])
+
+    cfg = SampleConfig(levels=(1, 2), trials_per_level=6, ascent_steps=2)
+    sup = encode(sup_norm_estimate(FreePoly.letter(1, 1), row_delta(1), cfg))
+    assert set(sup) == spectral and set(sup["config"]) == config
+    assert sup["per_level"] and all(set(s) == level for s in sup["per_level"])
+    far = random_tuple(2, 2, 3.0, 7)
+    ks = encode(k_spectral_check(delta, far, 1.0, family_monomials(2, 1), cfg))
+    assert set(ks) == spectral and ks["ok"] is False
+    assert ks["violations"] and all(set(v) == violation for v in ks["violations"])
+
+    assert keys(CalcParams()) == {"s", "tol", "max_terms"}
+    assert keys(welldef_check(F, F, delta, T, cfg=cfg)) == {
+        "samples", "max_sample_gap", "sharp_gap", "agree_on_samples",
+        "agree_at_sharp", "violation", "s", "threshold", "notes"}
+    p = FreePoly.letter(1, 2) * FreePoly.letter(2, 2)
+    assert keys(poly_consistency(p, compile_polynomial(p, delta), delta, T, cfg=cfg)) == {
+        "vanishes_at_zero", "path_sup", "path_inside", "composition_samples",
+        "composition_gap", "sharp_gap", "s", "consistent", "notes"}
+    assert keys(compression_check(gap_delta(0.1), far, 1)) == {
+        "affine", "full_level", "compressed_level", "full_norm", "compressed_norm",
+        "holds", "mode", "notes"}
+    with pytest.raises(TypeError):
+        encode(object())
+
+
 def test_mixed_alphabets_rejected_in_polymatrix():
     good = encode(diag_delta(2))
     good["entries"][0][0]["d"] = 3

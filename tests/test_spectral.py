@@ -174,6 +174,17 @@ def test_objective_alphabet_mismatch():
         sup_norm_estimate(FreePoly.letter(1, 2), row_delta(1))
 
 
+def test_proposal_alphabet_mismatch():
+    def two_letters(level, trial, rng, cfg):
+        return MatrixTuple([np.zeros((level, level))] * 2)
+
+    cfg = SampleConfig(levels=(1,), trials_per_level=1)
+    with pytest.raises(ShapeError, match="proposal returned"):
+        sup_norm_estimate(FreePoly.letter(1, 1), row_delta(1), cfg, proposal=two_letters)
+    with pytest.raises(ShapeError, match="proposal returned"):
+        sample_admissible(row_delta(1), cfg, proposal=two_letters)
+
+
 def test_k_spectral_holds_when_tuple_is_inside():
     cfg = SampleConfig(levels=(1, 2), trials_per_level=15, ascent_steps=0, seed=6)
     T = MatrixTuple([np.array([[0.4 + 0.1j]])])
