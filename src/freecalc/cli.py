@@ -54,8 +54,11 @@ def _default_seed() -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc}", "--out") from exc
     else:
         sys.stdout.write(text)
 

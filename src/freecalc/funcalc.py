@@ -56,8 +56,8 @@ class CalcParams:
     def __post_init__(self):
         if self.s is not None and not 0.0 < self.s <= 1.0:
             raise DomainError("scale s must lie in (0, 1]")
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise DomainError("tol must be positive and finite")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
 
@@ -204,40 +204,47 @@ def sharp(
     series_value = None
     terms_used = 0  # top homogeneous degree included in the partial sum
     quiet_streak = 0
-    for k, term in homog_series(F, y):
-        term_norm = op_norm(term)
-        term_norms.append(term_norm)
-        series_value = term.copy() if series_value is None else series_value + term
-        terms_used = k
-        if stop_at is not None:
-            if k >= stop_at:
-                break
-        else:
-            scale_ref = max(1.0, float(op_norm(series_value)))
-            if term_norm <= params.tol * scale_ref:
-                quiet_streak += 1
-                if quiet_streak >= 3:
+    # A divergent series overflows to inf/nan; the finiteness check reports
+    # that as a DomainError, so numpy's overflow warnings are silenced here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, term in homog_series(F, y):
+            series_value = term.copy() if series_value is None else series_value + term
+            if not np.isfinite(series_value).all():
+                raise DomainError(
+                    f"series diverged at degree {k}: the partial sum is no longer finite"
+                )
+            term_norm = op_norm(term)
+            term_norms.append(term_norm)
+            terms_used = k
+            if stop_at is not None:
+                if k >= stop_at:
                     break
             else:
-                quiet_streak = 0
-        if k + 1 >= params.max_terms:
-            partial = CalcReport(
-                value=series_value,
-                t=t,
-                s=s,
-                terms_used=terms_used,
-                tail_bound=None,
-                closed_form_agreement=None,
-                certificates=(),
-                notes=tuple(
-                    notes
-                    + [f"series cap {params.max_terms} reached before the stopping rule"]
-                ),
-            )
-            raise SeriesCapError(
-                f"series did not settle within {params.max_terms} terms",
-                report=partial,
-            )
+                scale_ref = max(1.0, float(op_norm(series_value)))
+                if term_norm <= params.tol * scale_ref:
+                    quiet_streak += 1
+                    if quiet_streak >= 3:
+                        break
+                else:
+                    quiet_streak = 0
+            if k + 1 >= params.max_terms:
+                partial = CalcReport(
+                    value=series_value,
+                    t=t,
+                    s=s,
+                    terms_used=terms_used,
+                    tail_bound=None,
+                    closed_form_agreement=None,
+                    certificates=(),
+                    notes=tuple(
+                        notes
+                        + [f"series cap {params.max_terms} reached before the stopping rule"]
+                    ),
+                )
+                raise SeriesCapError(
+                    f"series did not settle within {params.max_terms} terms",
+                    report=partial,
+                )
     assert series_value is not None
 
     # --- closed form route ---------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "ampliate",
     "similarity",
     "condition_number",
-    "commutation_permutation",
     "rng_from",
     "task_rng",
     "random_matrix",
@@ -177,20 +176,6 @@ def similarity(s, x: MatrixTuple) -> MatrixTuple:
             f"(smallest singular value {sv[-1]:.3e} vs norm {sv[0]:.3e})"
         )
     return MatrixTuple(np.linalg.solve(a, c @ a) for c in x.coords)
-
-
-def commutation_permutation(p: int, q: int) -> np.ndarray:
-    """Index array realizing the canonical shuffle C^p (x) C^q -> C^q (x) C^p.
-
-    For a vector v indexed by (a,b) -> a*q+b, v[perm] is indexed by
-    (b,a) -> b*p+a.  Applying it to rows and columns of a matrix switches
-    between the two orderings of a tensor-product space.
-    """
-    perm = np.empty(p * q, dtype=np.intp)
-    for a in range(p):
-        for b in range(q):
-            perm[b * p + a] = a * q + b
-    return perm
 
 
 def rng_from(seed) -> np.random.Generator:

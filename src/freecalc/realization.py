@@ -11,6 +11,14 @@ function
     F(Y) = (I_n (x) A) + (I_n (x) B) Y_M [ I - (I_n (x) D) Y_M ]^{-1} (I_n (x) C)
 
 where Y_M is Y with the auxiliary space M tensored into each block slot.
+Y_M and I_n (x) B, I_n (x) D are applied in factored form, never formed:
+every route contracts one (block, point) view of Y against the slot views
+of B, C and D.  The closed form builds G = (I_n (x) D) Y_M and K = I - G on
+the n*J*m state space; the series builds the n*I*m loop operator
+Y_M (I_n (x) D) once and takes one product per term.  Only I_n (x) A (the
+constant part of a value) and I_n (x) C (the right-hand side of the one
+linear solve, the size of its solution) are formed.
+
 Values are (n*k2) x (n*k1) matrices in outer-point-first ordering: an n x n
 grid of k2 x k1 blocks, so a scalar-valued colligation (k1 = k2 = 1) returns
 a plain n x n matrix.  When V is an isometry and ||Y|| < 1 the Neumann series
@@ -27,14 +35,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .freepoly import FreePoly, PolyMatrix
-from .matrix_core import (
-    ampliate,
-    as_array,
-    commutation_permutation,
-    op_norm,
-    random_matrix,
-    rng_from,
-)
+from .matrix_core import ampliate, as_array, op_norm, random_matrix, rng_from
 
 __all__ = [
     "Colligation",
@@ -99,7 +100,7 @@ class Colligation:
                 raise DomainError(f"block {name} has non-finite entries")
         self._A, self._B, self._C, self._D = A, B, C, D
         self._I, self._J, self._m = I, J, m
-        v = assemble_blocks(A, B, C, D)
+        v = np.block([[A, B], [C, D]])
         gram = v.conj().T @ v - np.eye(v.shape[1])
         self._defect = op_norm(gram) if gram.size else 0.0
         self._nilpotent_index = nilpotent_index
@@ -185,10 +186,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def assemble_blocks(A, B, C, D) -> np.ndarray:
-    return np.vstack([np.hstack([A, B]), np.hstack([C, D])])
-
-
 def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
     """Nilpotency index of the state-transition graph of D, or None."""
     if m == 0:
@@ -206,22 +203,28 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
 
 
 # --- evaluation ----------------------------------------------------------------
+#
+# Index layout.  The point is read as y4[i, a, j, b] = (block (i, j) of y)[a, b],
+# and the slot views as b3[p, i, u], c3[j, u, q], d4[j, u, i, v] (see _b3/_c3/_d4).
+# Y_M has entries Y_M[(a, i, u), (b, j, v)] = y4[i, a, j, b] * delta(u, v), and
+# I_n (x) X acts on the point index a alone.  Every product below is contracted
+# from these views.
 
 
-def _with_states(y: np.ndarray, I: int, J: int, m: int) -> np.ndarray:
-    """Tensor the auxiliary space into each block slot of an nI x nJ point.
-
-    Input rows are ordered (block row i, point row a); output rows are ordered
-    (point row a, block row i, state u) to match the I_n (x) blocks of the
-    ampliated system matrices.
-    """
-    n = y.shape[0] // I
-    y4 = y.reshape(I, n, J, n)
-    out = np.einsum("iajb,uv->aiubjv", y4, np.eye(m, dtype=np.complex128))
-    return np.ascontiguousarray(out).reshape(n * I * m, n * J * m)
+def _b3(F: Colligation) -> np.ndarray:
+    return F.B.reshape(F.k2, F.I, F.m)
 
 
-def _split_point(F: Colligation, y) -> tuple[np.ndarray, int]:
+def _c3(F: Colligation) -> np.ndarray:
+    return F.C.reshape(F.J, F.m, F.k1)
+
+
+def _d4(F: Colligation) -> np.ndarray:
+    return F.D.reshape(F.J, F.m, F.I, F.m)
+
+
+def _point_blocks(F: Colligation, y) -> np.ndarray:
+    """The nI x nJ point as y4[i, a, j, b], checked against F's block grid."""
     a = as_array(y)
     if a.shape[0] % F.I != 0 or a.shape[1] % F.J != 0:
         raise ShapeError(
@@ -232,7 +235,12 @@ def _split_point(F: Colligation, y) -> tuple[np.ndarray, int]:
         raise ShapeError(
             f"point blocks are {n}x{a.shape[1] // F.J}, expected square"
         )
-    return a, n
+    return a.reshape(F.I, n, F.J, n)
+
+
+def _apply_b(F: Colligation, w: np.ndarray, n: int) -> np.ndarray:
+    """(I_n (x) B) w for w with rows (a, i, u) and n*k1 columns."""
+    return (F.B @ w.reshape(n, F.I * F.m, n * F.k1)).reshape(n * F.k2, n * F.k1)
 
 
 def _check_resolvent_admissible(F: Colligation, y: np.ndarray, G: np.ndarray) -> None:
@@ -253,47 +261,43 @@ def _check_resolvent_admissible(F: Colligation, y: np.ndarray, G: np.ndarray) ->
 
 def eval_colligation(F: Colligation, y) -> np.ndarray:
     """Linear-fractional value of the colligation at an nI x nJ block point."""
-    a, n = _split_point(F, y)
-    if F.m == 0 or F.k1 == 0 or F.k2 == 0:
-        return ampliate(n, F.A)
-    y_m = _with_states(a, F.I, F.J, F.m)
-    d_amp = ampliate(n, F.D)
-    G = d_amp @ y_m
-    _check_resolvent_admissible(F, a, G)
-    K = np.eye(G.shape[0], dtype=np.complex128) - G
+    y4 = _point_blocks(F, y)
+    n, N = y4.shape[1], y4.shape[1] * F.J * F.m
+    # G = (I_n (x) D) Y_M, rows (a, j, u) and columns (b, j', v)
+    G = np.einsum("juiv,iakb->ajubkv", _d4(F), y4, optimize=True).reshape(N, N)
+    _check_resolvent_admissible(F, y4.reshape(F.I * n, F.J * n), G)
+    K = -G
+    K[np.diag_indices(N)] += 1.0
     sv = np.linalg.svd(K, compute_uv=False)
-    if sv[-1] == 0.0 or 1.0 / sv[-1] > RESOLVENT_NORM_CAP:
+    if sv.size and (sv[-1] == 0.0 or 1.0 / sv[-1] > RESOLVENT_NORM_CAP):
         raise DomainError(
             "point outside the domain of convergence: resolvent norm exceeds "
             f"{RESOLVENT_NORM_CAP:.0e}"
         )
-    R = np.linalg.solve(K, ampliate(n, F.C))
-    return ampliate(n, F.A) + ampliate(n, F.B) @ (y_m @ R)
+    R = np.linalg.solve(K, ampliate(n, F.C)).reshape(n, F.J, F.m, n * F.k1)
+    w = np.einsum("iajb,bjuc->aiuc", y4, R, optimize=True)  # Y_M R
+    return ampliate(n, F.A) + _apply_b(F, w, n)
 
 
 def homog_series(F: Colligation, y):
     """Yield (k, P_k(y)) for k = 0, 1, 2, ... lazily.
 
     P_0 is the ampliated constant block and
-    P_k(y) = B_amp  y_M (D_amp y_M)^(k-1) C_amp.  The generator never checks
+    P_k(y) = (I_n (x) B) L^(k-1) Y_M (I_n (x) C) with the loop operator
+    L = Y_M (I_n (x) D), formed once.  The generator never checks
     convergence; callers own the stopping rule.
     """
-    a, n = _split_point(F, y)
+    y4 = _point_blocks(F, y)
+    n, N = y4.shape[1], y4.shape[1] * F.I * F.m
     yield 0, ampliate(n, F.A)
-    if F.m == 0 or F.k1 == 0 or F.k2 == 0:
-        zero = np.zeros((n * F.k2, n * F.k1), dtype=np.complex128)
-        k = 1
-        while True:  # every higher term vanishes
-            yield k, zero
-            k += 1
-    y_m = _with_states(a, F.I, F.J, F.m)
-    b_amp = ampliate(n, F.B)
-    d_amp = ampliate(n, F.D)
-    w = y_m @ ampliate(n, F.C)
+    # L has rows (a, i, u) and columns (b, i', v); w = Y_M (I_n (x) C) has
+    # rows (a, i, u) and columns (b, q).
+    L = np.einsum("iajb,juxv->aiubxv", y4, _d4(F), optimize=True).reshape(N, N)
+    w = np.einsum("iajb,juq->aiubq", y4, _c3(F), optimize=True).reshape(N, n * F.k1)
     k = 1
     while True:
-        yield k, b_amp @ w
-        w = y_m @ (d_amp @ w)
+        yield k, _apply_b(F, w, n)
+        w = L @ w
         k += 1
 
 
@@ -324,7 +328,9 @@ def homog_extract_dft(F: Colligation, y, k: int, n_angles: int) -> np.ndarray:
     """
     if n_angles <= k:
         raise DomainError(f"need more angles than the degree: {n_angles} <= {k}")
-    a, n = _split_point(F, y)
+    y4 = _point_blocks(F, y)
+    n = y4.shape[1]
+    a = y4.reshape(F.I * n, F.J * n)
     acc = np.zeros((n * F.k2, n * F.k1), dtype=np.complex128)
     for j in range(n_angles):
         theta = 2.0 * math.pi * j / n_angles
@@ -334,18 +340,6 @@ def homog_extract_dft(F: Colligation, y, k: int, n_angles: int) -> np.ndarray:
 
 
 # --- combinations ----------------------------------------------------------------
-
-
-def _b3(F: Colligation) -> np.ndarray:
-    return F.B.reshape(F.k2, F.I, F.m)
-
-
-def _c3(F: Colligation) -> np.ndarray:
-    return F.C.reshape(F.J, F.m, F.k1)
-
-
-def _d4(F: Colligation) -> np.ndarray:
-    return F.D.reshape(F.J, F.m, F.I, F.m)
 
 
 def _require_same_shape(F: Colligation, G: Colligation) -> None:
@@ -459,48 +453,41 @@ def poly_to_colligation(P: PolyMatrix | FreePoly, I: int, J: int) -> Colligation
 def symbolic_terms(F: Colligation, max_k: int) -> list[PolyMatrix]:
     """Homogeneous terms P_0..P_max_k as polynomial matrices in the slot letters.
 
-    Enumerates all (I*J)^k words per degree, so this is only meant for small
-    degrees; for compiled polynomial colligations it recovers the source
-    polynomial's graded pieces exactly.
+    The letter of slot (i, j) is r = i*J + j + 1 (0-based i, j), and the word
+    r_1 ... r_k has coefficient B_(i1) D_(j1, i2) ... D_(j(k-1), ik) C_(jk),
+    read off the slot views.  Enumerates all (I*J)^k words per degree, so
+    this is only meant for small degrees; for compiled polynomial
+    colligations it recovers the source polynomial's graded pieces exactly.
     """
-    I, J, m, k1, k2 = F.I, F.J, F.m, F.k1, F.k2
+    I, J, k1, k2 = F.I, F.J, F.k1, F.k2
+    b3, c3, d4 = _b3(F), _c3(F), _d4(F)
     d = I * J
     out: list[PolyMatrix] = []
     const = [[FreePoly.constant(F.A[a, b], d) for b in range(k1)] for a in range(k2)]
     out.append(PolyMatrix(const))
-    if max_k == 0:
-        return out
-    if m == 0:
-        zero_grid = [[FreePoly.zero(d) for _ in range(k1)] for _ in range(k2)]
-        for _ in range(1, max_k + 1):
-            out.append(PolyMatrix(zero_grid))
-        return out
-
-    def pick(x: np.ndarray, i: int, j: int) -> np.ndarray:
-        # (E_ij (x) I_m) @ x for x stacked as J blocks of m rows
-        y = np.zeros((I * m, x.shape[1]), dtype=np.complex128)
-        y[i * m : (i + 1) * m] = x[j * m : (j + 1) * m]
-        return y
 
     for k in range(1, max_k + 1):
         grids = [[FreePoly.zero(d) for _ in range(k1)] for _ in range(k2)]
-        # Depth-first over words; suffix chains shared via recursion stack.
-        def walk(depth: int, suffix: np.ndarray, word: tuple[int, ...]):
-            if depth == 0:
-                coeffs = F.B @ suffix
+
+        # Depth-first over words, growing them leftwards so that suffix
+        # products are shared: tail = D_(j1, i2) ... C_(jk) for the current
+        # word, whose first letter sits in block row i.
+        def walk(word: tuple[int, ...], i: int, tail: np.ndarray):
+            if len(word) == k:
+                coeffs = b3[:, i, :] @ tail
                 for a in range(k2):
                     for b in range(k1):
                         c = coeffs[a, b]
                         if c != 0:
                             grids[a][b] = grids[a][b] + FreePoly.monomial(word, d, c)
                 return
-            nxt = F.D @ suffix if depth < k else suffix
-            for i in range(I):
+            for i_new in range(I):
                 for j in range(J):
-                    letter = i * J + j + 1
-                    walk(depth - 1, pick(nxt, i, j), (letter,) + word)
+                    walk((i_new * J + j + 1,) + word, i_new, d4[j, :, i, :] @ tail)
 
-        walk(k, F.C, ())
+        for i in range(I):
+            for j in range(J):
+                walk((i * J + j + 1,), i, c3[j])
         out.append(PolyMatrix(grids))
     return out
 
@@ -574,9 +561,7 @@ def xfirst_to_blocks(value, n: int, k2: int, k1: int) -> np.ndarray:
     a = as_array(value)
     if a.shape != (n * k2, n * k1):
         raise ShapeError(f"value is {a.shape[0]}x{a.shape[1]}, expected {n * k2}x{n * k1}")
-    pr = commutation_permutation(n, k2)
-    pc = commutation_permutation(n, k1)
-    return a[np.ix_(pr, pc)]
+    return a.reshape(n, k2, n, k1).transpose(1, 0, 3, 2).reshape(n * k2, n * k1)
 
 
 def blocks_to_xfirst(value, n: int, k2: int, k1: int) -> np.ndarray:
@@ -584,9 +569,7 @@ def blocks_to_xfirst(value, n: int, k2: int, k1: int) -> np.ndarray:
     a = as_array(value)
     if a.shape != (n * k2, n * k1):
         raise ShapeError(f"value is {a.shape[0]}x{a.shape[1]}, expected {n * k2}x{n * k1}")
-    pr = commutation_permutation(k2, n)
-    pc = commutation_permutation(k1, n)
-    return a[np.ix_(pr, pc)]
+    return a.reshape(k2, n, k1, n).transpose(1, 0, 3, 2).reshape(n * k2, n * k1)
 
 
 def xfirst_direct_sum(u, v, k2: int, k1: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 import freecalc
 from freecalc.freepoly import FreePoly, diag_delta, row_delta
 from freecalc.matrix_core import MatrixTuple, random_tuple
-from freecalc.realization import eval_colligation, random_isometric
+from freecalc.realization import Colligation, eval_colligation, random_isometric
 from freecalc.serialize import decode_matrix, dumps_canonical, encode
 
 
@@ -116,6 +116,36 @@ def test_calc_job_roundtrip(tmp_path):
     assert rep["ok"] is True
     assert rep["t"] == pytest.approx(0.5, rel=1e-9)
     assert rep["tail_bound"] <= 1e-10
+
+
+def test_calc_heuristic_divergence_is_a_domain_error(tmp_path):
+    # D = 3 at t = 0.9/0.95: the loop has spectral radius above 1, so the
+    # heuristic series overflows; that must be an input error, not warnings.
+    F = Colligation([[0.0]], [[1.0]], [[1.0]], [[3.0]], 1, 1)
+    job = {"F": encode(F), "delta": encode(row_delta(1)), "T": encode(MatrixTuple([[[0.9]]]))}
+    path = _write(tmp_path, "job.json", job)
+    res = run_cli("calc", "--job", path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: series diverged at degree ")
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("calc", "--job", "{job}", "--out", "{dir}"),
+    ("validate", "{job}", "--out", "{dir}"),
+    ("calc", "--job", "{job}", "--tol", "inf"),
+])
+def test_bad_output_path_or_tolerance_is_an_input_error(tmp_path, argv):
+    job = {
+        "F": encode(random_isometric(1, 1, 2, 1, 1, 5)),
+        "delta": encode(row_delta(1)),
+        "T": encode(random_tuple(2, 1, 0.5, 6)),
+    }
+    names = {"job": _write(tmp_path, "job.json", job), "dir": str(tmp_path)}
+    res = run_cli(*(arg.format(**names) for arg in argv))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
 
 
 def test_calc_series_cap_exits_2_with_partial_report(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,8 @@ def test_params_validation():
         CalcParams(s=1.5)
     with pytest.raises(DomainError):
         CalcParams(tol=0.0)
+    with pytest.raises(DomainError):
+        CalcParams(tol=math.inf)
     with pytest.raises(DomainError):
         CalcParams(max_terms=0)
     CalcParams(s=1.0)  # the boundary scale is allowed

@@ -5,7 +5,6 @@ from freecalc.errors import DomainError, ShapeError
 from freecalc.matrix_core import (
     MatrixTuple,
     ampliate,
-    commutation_permutation,
     compress,
     condition_number,
     cyclic_shift,
@@ -141,17 +140,6 @@ def test_condition_number():
     assert condition_number(np.eye(4)) == pytest.approx(1.0)
     assert condition_number(np.diag([2.0, 0.5])) == pytest.approx(4.0)
     assert condition_number(np.zeros((2, 2))) == np.inf
-
-
-def test_commutation_permutation_swaps_tensor_factors():
-    p, q = 3, 4
-    perm = commutation_permutation(p, q)
-    a = random_matrix(p, p, task_rng(1, 1))
-    b = random_matrix(q, q, task_rng(1, 2))
-    assert np.allclose(np.kron(a, b)[np.ix_(perm, perm)], np.kron(b, a))
-    # inverse direction comes from swapping the factor sizes
-    inv = commutation_permutation(q, p)
-    assert np.array_equal(np.arange(p * q), perm[inv])
 
 
 def test_random_tuple_hits_target_norm():

@@ -5,6 +5,7 @@ import pytest
 
 from freecalc.errors import DomainError, ShapeError
 from freecalc.freepoly import FreePoly, PolyMatrix, e_lambda
+from freecalc.funcalc import CalcParams, sharp
 from freecalc.matrix_core import (
     MatrixTuple,
     ampliate,
@@ -144,6 +145,50 @@ def test_defect_identity_adjoint_form():
         assert np.linalg.eigvalsh((rhs + rhs.conj().T) / 2).min() >= -1e-9
 
 
+def test_kernel_matches_dense_kronecker_oracle():
+    # I != J, k1 != k2, m >= 2, n >= 2: every index of the factored layout differs
+    for I, J, m, k1, k2, n in ((2, 3, 2, 1, 2, 2), (3, 2, 2, 1, 3, 2), (1, 2, 3, 2, 1, 3)):
+        F = random_isometric(I, J, m, k1, k2, 70 + I)
+        y = _ball_point(n, I, J, 0.8, 71 + I)
+        ym = _states_oracle(y, I, J, m)
+        bamp, camp, damp = (ampliate(n, X) for X in (F.B, F.C, F.D))
+        wants = [ampliate(n, F.A)]
+        w = ym @ camp
+        for _ in range(6):
+            wants.append(bamp @ w)
+            w = ym @ (damp @ w)
+        for (k, term), want in zip(homog_series(F, y), wants):
+            assert term.shape == (n * k2, n * k1)
+            assert np.abs(term - want).max() <= 1e-12
+        closed = ampliate(n, F.A) + bamp @ ym @ np.linalg.solve(
+            np.eye(n * J * m) - damp @ ym, camp)
+        assert np.abs(eval_colligation(F, y) - closed).max() <= 1e-12
+
+
+def test_empty_dimensions_flow_through_every_route():
+    I, J, m, n = 1, 2, 2, 2
+    rng = task_rng(72, 0)
+    delta = e_lambda(I, J)
+    T = random_tuple(n, 2, 0.5, 73)
+    y = delta.eval(T)
+    models = [
+        constant_colligation(np.array([[2.0, 1.0]]), I, J),  # m = 0
+        Colligation(np.zeros((0, 2)), np.zeros((0, I * m)), random_matrix(J * m, 2, rng),
+                    0.1 * random_matrix(J * m, I * m, rng), I, J),  # k2 = 0
+        Colligation(np.zeros((2, 0)), random_matrix(2, I * m, rng), np.zeros((J * m, 0)),
+                    0.1 * random_matrix(J * m, I * m, rng), I, J),  # k1 = 0
+    ]
+    for F in models:
+        shape = (n * F.k2, n * F.k1)
+        assert np.array_equal(eval_colligation(F, y), ampliate(n, F.A))
+        for k, term in islice(homog_series(F, y), 5):
+            assert term.shape == shape
+            if k:
+                assert np.array_equal(term, np.zeros(shape))
+        rep = sharp(F, delta, T, CalcParams(s=1.0))
+        assert rep.value.shape == shape and rep.ok
+
+
 def test_homogeneous_terms_bounded_by_radius_powers():
     F = random_isometric(2, 2, 2, 1, 1, 5)
     t = 0.6
@@ -247,16 +292,17 @@ def test_compiled_matrix_polynomial_and_shuffles():
     p12 = FreePoly(d, {(2, 1): -1.0})
     p21 = FreePoly.zero(d)
     p22 = FreePoly(d, {(2,): 2.0})
-    P = PolyMatrix([[p11, p12], [p21, p22]])
-    F = poly_to_colligation(P, 1, 2)
     x = random_tuple(3, d, 0.8, 77)
     delta = e_lambda(1, 2)
-    val = eval_colligation(F, delta.eval(x))  # point-first
-    grid = xfirst_to_blocks(val, x.n, F.k2, F.k1)  # now a k2 x k1 grid of n x n
-    assert np.allclose(grid, P.eval(x), atol=1e-10)
-    assert np.allclose(blocks_to_xfirst(grid, x.n, F.k2, F.k1), val)
-    with pytest.raises(ShapeError):
-        xfirst_to_blocks(val[:-1], x.n, F.k2, F.k1)
+    # square values, and k2 = 1 != k1 = 3
+    for P in (PolyMatrix([[p11, p12], [p21, p22]]), PolyMatrix([[p11, p12, p22]])):
+        F = poly_to_colligation(P, 1, 2)
+        val = eval_colligation(F, delta.eval(x))  # point-first
+        grid = xfirst_to_blocks(val, x.n, F.k2, F.k1)  # now a k2 x k1 grid of n x n
+        assert np.allclose(grid, P.eval(x), atol=1e-10)
+        assert np.array_equal(blocks_to_xfirst(grid, x.n, F.k2, F.k1), val)
+        with pytest.raises(ShapeError):
+            xfirst_to_blocks(val[:-1], x.n, F.k2, F.k1)
 
 
 def test_symbolic_terms_recover_graded_pieces():
