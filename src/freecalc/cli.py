@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 input or usage error, 2 a check/certificate failed.
 Reports are canonical JSON (sorted keys), so identical inputs and seeds yield
-byte-identical output regardless of --jobs.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def cmd_supnorm(args) -> int:
     objective = _load_poly_or_matrix(args.poly)
     delta = _load_poly_or_matrix(args.delta)
     cfg = _sample_config(args)
-    rep = sup_norm_estimate(objective, delta, cfg, jobs=args.jobs)
+    rep = sup_norm_estimate(objective, delta, cfg)
     if args.format == "csv":
         _emit(_spectral_csv(rep), args.out)
     else:
@@ -168,7 +168,7 @@ def cmd_spectral_check(args) -> int:
             )
         family.append(PolyMatrix.from_poly(member))
     cfg = _sample_config(args)
-    rep = k_spectral_check(delta, T, args.k, family, cfg, jobs=args.jobs)
+    rep = k_spectral_check(delta, T, args.k, family, cfg)
     _emit(dumps_canonical(encode(rep)), args.out)
     return 0 if rep.ok else 2
 
@@ -211,8 +211,6 @@ def cmd_experiment(args) -> int:
                     "free polynomial"
                 )
             options["g"] = g
-        if args.name == "gap":
-            options.setdefault("jobs", args.jobs)
         report = run_experiment(args.name, args.seed, options)
     _emit(dumps_canonical(report), args.out)
     return 0 if report["ok"] else 2
@@ -256,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $FREECALC_SEED or 0)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads; results are identical to serial")
         if sampling:
             p.add_argument("--levels", help="comma-separated matrix sizes, e.g. 1,2,3")
             p.add_argument("--trials", type=int, help="trials per level")
@@ -330,6 +326,9 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
 
 

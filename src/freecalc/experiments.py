@@ -32,6 +32,7 @@ from .matrix_core import (
 from .realization import random_isometric, xfirst_to_blocks
 from .serialize import encode
 from .spectral import (
+    MAX_LEVEL,
     SampleConfig,
     compression_check,
     family_monomials,
@@ -46,6 +47,19 @@ EXPERIMENT_NAMES = ("gap", "rowball", "polydisc", "commutator", "lens", "custom"
 
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def _require(lo: int, hi: float, **options) -> None:
+    """Option values lie in lo..hi, checked before anything is allocated.
+
+    Matrix sizes lie in 1..MAX_LEVEL.  Sample counts behind a check are at
+    least 1, since a check over no samples would pass on no evidence.  A
+    tuple value lists several values and must not be empty.
+    """
+    for name, value in options.items():
+        values = value if isinstance(value, tuple) else (value,)
+        if not values or not all(lo <= v <= hi for v in values):
+            raise DomainError(f"option {name} = {value!r} lies outside {lo}..{hi}")
 
 
 def _report(name: str, seed: int, config: dict, results: dict, checks: list[dict]) -> dict:
@@ -73,7 +87,6 @@ def run_gap(
     min_admissible: int = 10_000,
     shift_size: int = 40,
     compress_to: int = 20,
-    jobs: int = 1,
 ) -> dict:
     """Supremum of ||x y - 1|| over the gap domain, plus the compression blow-up.
 
@@ -83,6 +96,7 @@ def run_gap(
     half exhibits the circulant shift pair: inside the domain at full size,
     yet its corner compression tears through the domain wall.
     """
+    _require(1, MAX_LEVEL, shift_size=shift_size, compress_to=compress_to)
     delta = gap_delta(eps)
     p = FreePoly.letter(1, 2) * FreePoly.letter(2, 2) - 1
     proposal = gap_domain_proposal(eps)
@@ -90,14 +104,14 @@ def run_gap(
     mass_cfg = SampleConfig(
         levels=levels, trials_per_level=trials_per_level, ascent_steps=0, seed=seed
     )
-    mass = sup_norm_estimate(p, delta, mass_cfg, proposal=proposal, jobs=jobs)
+    mass = sup_norm_estimate(p, delta, mass_cfg, proposal=proposal)
     refine_cfg = SampleConfig(
         levels=levels,
         trials_per_level=refine_trials,
         ascent_steps=ascent_steps,
         seed=seed + 1,
     )
-    refine = sup_norm_estimate(p, delta, refine_cfg, proposal=proposal, jobs=jobs)
+    refine = sup_norm_estimate(p, delta, refine_cfg, proposal=proposal)
 
     candidates = [r for r in (mass.estimate, refine.estimate) if r is not None]
     estimate = max(candidates) if candidates else None
@@ -172,8 +186,8 @@ def run_rowball(
     isometric model at a point with ||delta(T)|| = target_t and record its
     certificate set (contractivity and the geometric series envelope).
     """
-    if level < 1:
-        raise DomainError(f"the test point needs level >= 1, got {level}")
+    _require(1, MAX_LEVEL, level=level)
+    _require(1, np.inf, identity_trials=identity_trials)
     delta = row_delta(d)
     worst_rel = 0.0
     for i in range(identity_trials):
@@ -243,8 +257,8 @@ def run_polydisc(
     family as far as sampling can tell (no violations of
     ||P(T)|| <= sup ||P(x)||).
     """
-    if level < 1:
-        raise DomainError(f"the test point needs level >= 1, got {level}")
+    _require(1, MAX_LEVEL, level=level)
+    _require(1, np.inf, identity_trials=identity_trials, spectral_trials=spectral_trials)
     delta = diag_delta(d)
     worst = 0.0
     for i in range(identity_trials):
@@ -334,6 +348,9 @@ def run_commutator(
     domain of q as possibly empty, and evaluates q at a supplied (or default
     truncated-ladder) tuple, reporting its distance from the ideal value 1/2.
     """
+    _require(1, MAX_LEVEL, levels=levels, osc_size=osc_size)
+    _require(1, np.inf, trials_per_level=trials_per_level, eigen_checks=eigen_checks,
+             emptiness_trials=emptiness_trials)
     d = 2
     x1 = FreePoly.letter(1, d)
     x2 = FreePoly.letter(2, d)
@@ -463,6 +480,7 @@ def run_lens(
     roundoff, and the value obeys the l1 coefficient bound since both
     arguments are strict contractions.
     """
+    _require(1, MAX_LEVEL, size=size)
     g = g if g is not None else default_lens_poly()
     if g.d != 2:
         raise DomainError("the lens polynomial must use exactly 2 letters")

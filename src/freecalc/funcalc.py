@@ -124,7 +124,8 @@ def _terms_for_tolerance(t: float, tol: float) -> int:
     """Smallest N with t^(N+1)/(1-t) <= tol (N >= 0)."""
     if t == 0.0:
         return 0
-    n = math.ceil(math.log(tol * (1.0 - t)) / math.log(t) - 1.0)
+    # log(tol) + log1p(-t), not log(tol * (1 - t)): the product can underflow to 0
+    n = math.ceil((math.log(tol) + math.log1p(-t)) / math.log(t) - 1.0)
     n = max(0, n)
     while tail_bound(t, n) > tol:  # guard against floating rounding at the edge
         n += 1
@@ -353,7 +354,6 @@ def welldef_check(
     cfg: SampleConfig | None = None,
     *,
     proposal=None,
-    jobs: int = 1,
 ) -> WelldefReport:
     """Do two models that agree on the domain also agree at T?
 
@@ -375,7 +375,7 @@ def welldef_check(
     s = _scaled_point(delta, T, params)[2]
     scaled = delta.scale(1.0 / s)
     cfg = cfg or SampleConfig(levels=(1, 2, 3), trials_per_level=80)
-    points = sample_admissible(scaled, cfg, proposal=proposal, jobs=jobs)
+    points = sample_admissible(scaled, cfg, proposal=proposal)
     if not points:
         raise DomainError(
             "empty sample set: no admissible tuples found for the scaled domain, "

@@ -91,8 +91,8 @@ class MatrixTuple:
         return len(self._coords)
 
     def __add__(self, other: "MatrixTuple") -> "MatrixTuple":
-        # Entrywise sum, used by the samplers for perturbations.  This is not
-        # the block direct sum; see direct_sum() for that.
+        # Entrywise sum.  This is not the block direct sum; see direct_sum()
+        # for that.
         if not isinstance(other, MatrixTuple):
             return NotImplemented
         if other.d != self.d or other.n != self.n:

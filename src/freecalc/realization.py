@@ -61,7 +61,6 @@ __all__ = [
 ISOMETRY_TOL = 1e-8
 RESOLVENT_NORM_CAP = 1e12
 _SPECTRAL_SLACK = 1e-10
-_NILPOTENCY_SCAN_CAP = 128
 
 
 class Colligation:
@@ -101,8 +100,12 @@ class Colligation:
         self._A, self._B, self._C, self._D = A, B, C, D
         self._I, self._J, self._m = I, J, m
         v = np.block([[A, B], [C, D]])
-        gram = v.conj().T @ v - np.eye(v.shape[1])
-        self._defect = op_norm(gram) if gram.size else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = v.conj().T @ v - np.eye(v.shape[1])
+        try:
+            self._defect = op_norm(gram)
+        except DomainError:  # the blocks are finite, so V*V left double range
+            raise DomainError("the isometry defect overflowed") from None
         self._nilpotent_index = nilpotent_index
         self._nilpotency_checked = nilpotent_index is not None
 
@@ -187,19 +190,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
-    """Nilpotency index of the state-transition graph of D, or None."""
-    if m == 0:
-        return 0
-    if m > _NILPOTENCY_SCAN_CAP:
-        return None
+    """Nilpotency index of the state-transition graph of D, or None.
+
+    The index is the number of states on the longest path, found by peeling
+    the graph layer by layer (Kahn): each layer is the states that feed no
+    remaining state.  A graph that stops shrinking has a cycle.
+    """
     d4 = D.reshape(J, m, I, m)
-    adj = (np.abs(d4).max(axis=(0, 2)) > 0.0)  # state -> state reachability
-    reach = adj.copy()
-    for q in range(1, m + 1):
-        if not reach.any():
-            return q
-        reach = reach @ adj
-    return None
+    adj = np.any(d4 != 0, axis=(0, 2))  # adj[u, v]: D carries state v into state u
+    feeds = adj.sum(axis=0)  # per state, how many remaining states it feeds
+    alive = np.ones(m, dtype=bool)
+    layers = 0
+    while alive.any():
+        layer = alive & (feeds == 0)
+        if not layer.any():
+            return None
+        alive &= ~layer
+        feeds -= adj[layer].sum(axis=0)
+        layers += 1
+    return layers
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -314,7 +323,8 @@ def dft_points_for(k: int, t: float, tol: float) -> int:
         raise DomainError("tol must be positive")
     if t == 0.0:
         return k + 1
-    extra = math.ceil(math.log(tol * (1.0 - t)) / math.log(t))
+    # log(tol) + log1p(-t), not log(tol * (1 - t)): the product can underflow to 0
+    extra = math.ceil((math.log(tol) + math.log1p(-t)) / math.log(t))
     return max(k + 1, k + extra)
 
 

@@ -10,8 +10,7 @@ the true supremum.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +63,13 @@ class SampleConfig:
             raise ShapeError("ascent_steps must be >= 0")
         if not 0 < self.margin < 1:
             raise DomainError("margin must lie in (0, 1)")
-        if self.step_size <= 0:
-            raise DomainError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise DomainError("step_size must be finite and positive")
         if not self.norm_targets:
             raise ShapeError("need at least one norm target")
+        for target in self.norm_targets:
+            if not 0 < target < math.inf:
+                raise DomainError(f"norm target {target} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -164,22 +166,6 @@ def gap_domain_proposal(eps: float):
     return propose
 
 
-def _run_tasks(fn, tasks, jobs: int):
-    """Run fn over the tasks in order, on at most `jobs` threads.
-
-    The pool starts a thread per submitted task until it reaches its worker
-    count, so that count is capped by the CPU count and the number of tasks:
-    a huge `jobs` must not start thousands of threads.
-    """
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers <= 1:
-        return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: fn(*t), tasks))
-
-
 def _in_domain(delta: PolyMatrix, x: MatrixTuple, cfg: SampleConfig) -> tuple[float, bool]:
     """The membership test: ||delta(x)|| and whether it is <= 1 - margin."""
     norm = op_norm(delta.eval(x))
@@ -208,12 +194,12 @@ def _ascend(
     step = cfg.step_size
     rejections = 0
     converged = False
-    n, d = start.n, start.d
     for _ in range(cfg.ascent_steps):
-        pert = MatrixTuple([random_matrix(n, n, rng) for _ in range(d)])
+        pert = [random_matrix(*a.shape, rng) for a in start.coords]
         accepted = False
         for shrink in (1.0, 0.5, 0.25, 0.125):
-            cand = cur + (step * shrink) * pert
+            c = complex(step * shrink)
+            cand = MatrixTuple([a + c * p for a, p in zip(cur.coords, pert)])
             cand_norm, inside = _in_domain(delta, cand, cfg)
             if inside:
                 cand_val = op_norm(objective.eval(cand))
@@ -269,18 +255,6 @@ def _climb(
     return TrialOutcome(level, trial, True, best_val, best_x, best_norm, converged)
 
 
-def _run_trial(
-    objective: PolyMatrix,
-    delta: PolyMatrix,
-    cfg: SampleConfig,
-    level: int,
-    trial: int,
-    proposal,
-) -> TrialOutcome:
-    x, rng = _propose(delta, cfg, level, trial, proposal)
-    return _climb(objective, delta, cfg, x, level, trial, rng)
-
-
 def sup_norm_estimate(
     objective,
     delta,
@@ -288,15 +262,14 @@ def sup_norm_estimate(
     *,
     proposal=None,
     extra_candidates: tuple[MatrixTuple, ...] = (),
-    jobs: int = 1,
 ) -> SpectralReport:
     """Lower-bound the supremum of ||objective(x)|| over the sublevel domain.
 
     Samples `cfg.trials_per_level` proposals at every level in `cfg.levels`,
-    keeps those with ||delta(x)|| <= 1 - margin, and hill-climbs each.  The
-    result merges deterministically (fixed task order, strict improvement),
-    so the same config and seed reproduce the same report byte for byte and
-    `jobs` only changes wall time.
+    keeps those with ||delta(x)|| <= 1 - margin, and hill-climbs each.  Every
+    trial draws from its own task-keyed generator and the merge keeps the
+    first strict improvement, so the same config and seed reproduce the same
+    report byte for byte.
     """
     objective = PolyMatrix.from_poly(objective)
     delta = PolyMatrix.from_poly(delta)
@@ -307,18 +280,15 @@ def sup_norm_estimate(
     cfg = cfg or SampleConfig()
     proposal = proposal or default_proposal(delta.d)
 
-    tasks = [
-        (objective, delta, cfg, level, trial, proposal)
-        for level in cfg.levels
-        for trial in range(cfg.trials_per_level)
-    ]
-    outcomes = _run_tasks(_run_trial, tasks, jobs)
+    outcomes = []
+    for level in cfg.levels:
+        for trial in range(cfg.trials_per_level):
+            x, rng = _propose(delta, cfg, level, trial, proposal)
+            outcomes.append(_climb(objective, delta, cfg, x, level, trial, rng))
     # An explicitly supplied tuple is a trial tagged with trial = -1 - index.
-    extra_tasks = [
-        (objective, delta, cfg, x, x.n, -1 - idx, task_rng(cfg.seed, 0x0E, idx))
-        for idx, x in enumerate(extra_candidates)
-    ]
-    outcomes.extend(_run_tasks(_climb, extra_tasks, jobs))
+    for idx, x in enumerate(extra_candidates):
+        rng = task_rng(cfg.seed, 0x0E, idx)
+        outcomes.append(_climb(objective, delta, cfg, x, x.n, -1 - idx, rng))
 
     best: TrialOutcome | None = None
     admissible = 0
@@ -373,20 +343,18 @@ def sample_admissible(
     cfg: SampleConfig | None = None,
     *,
     proposal=None,
-    jobs: int = 1,
 ) -> list[MatrixTuple]:
     """Collect proposal tuples with ||delta(x)|| <= 1 - margin (no ascent)."""
     delta = PolyMatrix.from_poly(delta)
     cfg = cfg or SampleConfig()
     proposal = proposal or default_proposal(delta.d)
-
-    def probe(level: int, trial: int):
-        x, _ = _propose(delta, cfg, level, trial, proposal)
-        return x if _in_domain(delta, x, cfg)[1] else None
-
-    tasks = [(level, trial) for level in cfg.levels for trial in range(cfg.trials_per_level)]
-    hits = _run_tasks(probe, tasks, jobs)
-    return [x for x in hits if x is not None]
+    hits = []
+    for level in cfg.levels:
+        for trial in range(cfg.trials_per_level):
+            x, _ = _propose(delta, cfg, level, trial, proposal)
+            if _in_domain(delta, x, cfg)[1]:
+                hits.append(x)
+    return hits
 
 
 def _describe(p: PolyMatrix) -> str:
@@ -403,7 +371,6 @@ def k_spectral_check(
     cfg: SampleConfig | None = None,
     *,
     proposal=None,
-    jobs: int = 1,
 ) -> SpectralReport:
     """Test ||P(T)|| <= K * sup_domain ||P(x)|| for every P in the family.
 
@@ -415,8 +382,8 @@ def k_spectral_check(
     """
     delta = PolyMatrix.from_poly(delta)
     cfg = cfg or SampleConfig()
-    if K <= 0:
-        raise DomainError("the spectral constant K must be positive")
+    if not 0 < K < math.inf:
+        raise DomainError(f"the spectral constant K must be finite and positive, got {K}")
     t_norm, t_inside = _in_domain(delta, T, cfg)
     extras = (T,) if t_inside else ()
 
@@ -425,9 +392,7 @@ def k_spectral_check(
     skipped = 0
     for idx, member in enumerate(family):
         p = PolyMatrix.from_poly(member)
-        rep = sup_norm_estimate(
-            p, delta, cfg, proposal=proposal, extra_candidates=extras, jobs=jobs
-        )
+        rep = sup_norm_estimate(p, delta, cfg, proposal=proposal, extra_candidates=extras)
         lhs = op_norm(p.eval(T))
         if rep.estimate is None:
             skipped += 1

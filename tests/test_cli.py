@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import freecalc
+from freecalc import cli
 from freecalc.freepoly import FreePoly, diag_delta, row_delta
 from freecalc.matrix_core import MatrixTuple, random_tuple
 from freecalc.realization import Colligation, eval_colligation, random_isometric
@@ -116,6 +117,10 @@ def test_calc_job_roundtrip(tmp_path):
     assert rep["ok"] is True
     assert rep["t"] == pytest.approx(0.5, rel=1e-9)
     assert rep["tail_bound"] <= 1e-10
+    # tol * (1 - t) underflows to 0 at the smallest subnormal tolerance
+    tiny = run_cli("calc", "--job", str(path), "--tol", "5e-324")
+    assert tiny.returncode == 0, tiny.stderr
+    assert json.loads(tiny.stdout)["ok"] is True
 
 
 def test_calc_heuristic_divergence_is_a_domain_error(tmp_path):
@@ -175,9 +180,8 @@ def test_supnorm_json_and_determinism(tmp_path):
             "--levels", "1,2", "--trials", "10", "--ascent", "5", "--seed", "3")
     a = run_cli(*argv)
     b = run_cli(*argv)
-    c = run_cli(*argv, "--jobs", "3")
     assert a.returncode == 0
-    assert a.stdout == b.stdout == c.stdout  # byte-identical reruns
+    assert a.stdout == b.stdout  # byte-identical reruns
     rep = json.loads(a.stdout)
     assert rep["kind"] == "sup_norm"
     assert rep["estimate"] <= 0.999 + 1e-9
@@ -230,6 +234,18 @@ def test_spectral_check_flags_violation(tmp_path):
     assert rep["violations"][0]["lhs"] == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("k", ["0", "nan", "inf"])
+def test_spectral_check_rejects_bad_k(tmp_path, k):
+    dpath = _write(tmp_path, "delta.json", row_delta(1))
+    tpath = _write(tmp_path, "tuple.json", random_tuple(1, 1, 0.4, 8))
+    fpath = tmp_path / "family.json"
+    fpath.write_text(json.dumps([encode(FreePoly.letter(1, 1))]), encoding="utf-8")
+    res = run_cli("spectral-check", "--delta", dpath, "--tuple", tpath,
+                  "--family", str(fpath), "--levels", "1", "--trials", "5", "--k", k)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "spectral constant K" in res.stderr
+
+
 def test_spectral_check_rejects_empty_family(tmp_path):
     dpath = _write(tmp_path, "delta.json", row_delta(1))
     tpath = _write(tmp_path, "tuple.json", random_tuple(1, 1, 0.4, 8))
@@ -265,8 +281,7 @@ def test_seedless_commands_ignore_seed_env(tmp_path):
         bad_env = run_cli(*argv, env_extra={"FREECALC_SEED": "abc"})
         assert clean.returncode == 0
         assert (bad_env.returncode, bad_env.stdout) == (0, clean.stdout)
-    for flag in ("--seed", "--jobs"):
-        assert run_cli("calc", "--job", path, flag, "1").returncode == 1
+    assert run_cli("calc", "--job", path, "--seed", "1").returncode == 1
 
 
 def test_experiment_rejects_bad_seed_env():
@@ -313,14 +328,38 @@ def test_usage_error_exits_1_not_2():
     ("experiment", "gap", "-p", "foo=1"),
     ("experiment", "rowball", "-p", 'd="x"'),
     ("experiment", "lens", "-p", "size=0"),
-    ("experiment", "gap", "--jobs", "0"),
+    ("experiment", "gap", "--jobs", "2"),
     ("experiment", "rowball", "-p", "level=0"),
     ("experiment", "rowball", "-p", "level=-1"),
     ("experiment", "polydisc", "-p", "level=0"),
+    ("experiment", "gap", "-p", "jobs=2"),
+    ("experiment", "commutator", "-p", "levels=[-1]"),
+    ("experiment", "gap", "-p", "shift_size=-1"),
+    ("experiment", "commutator", "-p", "trials_per_level=0"),
+    ("experiment", "lens", "-p", "size=100000000"),
+    ("experiment", "commutator", "-p", "osc_size=100000"),
+    ("experiment", "rowball", "-p", "level=100000"),
+    ("experiment", "gap", "-p", "shift_size=100000"),
+    ("experiment", "gap", "-p", "compress_to=0"),
+    ("experiment", "commutator", "-p", "levels=[]"),
+    ("experiment", "rowball", "-p", "identity_trials=0"),
+    ("experiment", "polydisc", "-p", "identity_trials=0"),
+    ("experiment", "polydisc", "-p", "spectral_trials=0"),
+    ("experiment", "commutator", "-p", "eigen_checks=0"),
+    ("experiment", "commutator", "-p", "emptiness_trials=0"),
 ])
 def test_bad_experiment_options_are_input_errors(argv):
     res = run_cli(*argv)
     assert res.returncode == 1
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_memory_exhaustion_is_an_input_error(monkeypatch, capsys):
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 PiB")
+
+    monkeypatch.setattr(cli, "run_experiment", exhaust)
+    assert cli.main(["experiment", "rowball"]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 PiB\n"
 

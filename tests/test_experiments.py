@@ -18,7 +18,7 @@ from freecalc.matrix_core import MatrixTuple, op_norm
 from freecalc.serialize import dumps_canonical
 
 
-def _small_gap(seed=0, jobs=1):
+def _small_gap(seed=0):
     return run_gap(
         seed=seed,
         levels=(2, 3),
@@ -26,7 +26,6 @@ def _small_gap(seed=0, jobs=1):
         refine_trials=10,
         ascent_steps=20,
         min_admissible=40,
-        jobs=jobs,
     )
 
 
@@ -43,8 +42,7 @@ def test_report_envelope_shape():
 def test_reports_are_byte_deterministic():
     a = dumps_canonical(_small_gap(seed=3))
     b = dumps_canonical(_small_gap(seed=3))
-    c = dumps_canonical(_small_gap(seed=3, jobs=3))
-    assert a == b == c
+    assert a == b
     assert dumps_canonical(_small_gap(seed=4)) != a
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from freecalc.errors import DomainError, ShapeError
-from freecalc.freepoly import FreePoly, PolyMatrix, e_lambda
-from freecalc.funcalc import CalcParams, sharp
+from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, e_lambda
+from freecalc.funcalc import CalcParams, compile_polynomial, sharp
 from freecalc.matrix_core import (
     MatrixTuple,
     ampliate,
@@ -36,6 +36,7 @@ from freecalc.realization import (
     xfirst_direct_sum,
     xfirst_to_blocks,
 )
+from freecalc.serialize import decode_colligation, encode
 
 
 def _mobius(theta: float) -> Colligation:
@@ -88,6 +89,9 @@ def test_colligation_shape_validation_and_fields():
         Colligation(np.eye(2), np.zeros((3, 1)), np.zeros((1, 2)), np.zeros((1, 1)), 1, 1)
     with pytest.raises(DomainError):
         Colligation([[np.nan]], np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1, 1)
+    # finite entries whose Gram product overflows
+    with pytest.raises(DomainError, match="isometry defect overflowed"):
+        Colligation([[1e308]], np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1, 1)
 
 
 def test_blocks_are_read_only():
@@ -239,6 +243,8 @@ def test_dft_points_for_edges():
         dft_points_for(2, 1.0, 1e-10)
     with pytest.raises(DomainError):
         dft_points_for(2, 0.5, 0.0)
+    # tol * (1 - t) underflows to 0 here; the count must still come out exact
+    assert dft_points_for(2, 0.5, 5e-324) == 1077
     F = identity_colligation()
     with pytest.raises(DomainError):
         homog_extract_dft(F, np.array([[0.5]]), 3, 3)
@@ -370,6 +376,18 @@ def test_nilpotency_detection():
     assert loop.nilpotent_index is None
     p = FreePoly(2, {(1, 2, 1): 1.0})
     assert poly_to_colligation(p, 1, 2).nilpotent_index == 3
+
+
+def test_decoded_large_model_finds_its_nilpotency():
+    # (x1 + x2)^5 compiles to 160 states; the decoded copy must read the
+    # index off the state graph alone, or sharp falls back to a heuristic
+    # stop and the two evaluation paths disagree
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    F = compile_polynomial((x1 + x2) ** 5, diag_delta(2))
+    G = decode_colligation(encode(F))
+    assert G.m == 160 and G.nilpotent_index == 5
+    T = MatrixTuple([0.6 * np.eye(2), 0.3 * np.eye(2)])
+    assert sharp(G, diag_delta(2), T, CalcParams()).ok
 
 
 def test_outside_domain_raises():

@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freecalc.errors import ValidationError
+from freecalc.errors import FreecalcError, ValidationError
 from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, gap_delta
 from freecalc.funcalc import CalcParams, sharp
 from freecalc.matrix_core import MatrixTuple, random_matrix, random_tuple, task_rng
@@ -282,3 +284,65 @@ def test_mixed_alphabets_rejected_in_polymatrix():
     good["entries"][0][0]["d"] = 3
     with pytest.raises(ValidationError, match="alphabet"):
         decode_polymatrix(good)
+
+
+def _nodes(v, path=()):
+    """Every (path, node) pair of a JSON tree, the root included."""
+    yield path, v
+    items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+_VALID_DOCUMENTS = [
+    encode(np.array([[1.0, 2j], [0.5, -1.0]])),
+    encode(random_tuple(2, 2, 0.5, 1)),
+    encode(FreePoly(2, {(1, 2): 1.0, (): 0.5j})),
+    encode(diag_delta(2)),
+    encode(random_isometric(1, 1, 1, 1, 1, 0)),
+    {
+        "F": encode(random_isometric(2, 2, 1, 1, 1, 6)),
+        "delta": encode(diag_delta(2)),
+        "T": encode(random_tuple(1, 2, 0.6, 7)),
+        "params": {"s": 1.0, "tol": 1e-10, "max_terms": 50},
+    },
+]
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([0, -1, 2**31, 1e308, -1e308, 5e-324]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_decode_or_raise_freecalc_errors(data):
+    # one valid document of each kind, then one node replaced or one key
+    # dropped or added; anything but a FreecalcError is a decoder bug
+    doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCUMENTS)))
+    nodes = list(_nodes(doc))
+    op = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if op == "replace":
+        path, _ = data.draw(st.sampled_from([(p, v) for p, v in nodes if p]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(_JSON_LEAVES)
+    else:
+        _, target = data.draw(
+            st.sampled_from([(p, v) for p, v in nodes if isinstance(v, dict) and v])
+        )
+        if op == "drop":
+            del target[data.draw(st.sampled_from(sorted(target)))]
+        else:
+            target[data.draw(st.text(max_size=6))] = data.draw(_JSON_LEAVES)
+    try:
+        decode_any(doc)
+    except FreecalcError:
+        pass

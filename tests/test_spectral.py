@@ -4,7 +4,6 @@ import pytest
 from freecalc.errors import CheckFailure, DomainError, ShapeError
 from freecalc.freepoly import FreePoly, PolyMatrix, gap_delta, row_delta
 from freecalc.matrix_core import MatrixTuple, cyclic_shift, op_norm
-from freecalc import spectral
 from freecalc.spectral import (
     SampleConfig,
     compress_tuple,
@@ -32,10 +31,14 @@ def test_config_validation():
         SampleConfig(levels=(65,))
     with pytest.raises(DomainError):
         SampleConfig(margin=0.0)
-    with pytest.raises(DomainError):
-        SampleConfig(step_size=0.0)
+    for step in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            SampleConfig(step_size=step)
     with pytest.raises(ShapeError):
         SampleConfig(norm_targets=())
+    for target in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            SampleConfig(norm_targets=(0.5, target))
 
 
 def test_constant_objective_estimate_is_exact():
@@ -74,44 +77,9 @@ def test_reports_are_deterministic_and_job_count_invariant():
     delta = row_delta(2)
     a = sup_norm_estimate(p, delta, cfg)
     b = sup_norm_estimate(p, delta, cfg)
-    c = sup_norm_estimate(p, delta, cfg, jobs=3)
-    assert a.estimate == b.estimate == c.estimate
-    assert a.witness == b.witness == c.witness
-    assert a.per_level == b.per_level == c.per_level
-
-
-def test_jobs_are_capped_by_cpus_and_tasks(monkeypatch):
-    # the fake pool records its worker count and runs the tasks serially, so
-    # no thread starts however large jobs is
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(spectral, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 4)
-    few = SampleConfig(levels=(1,), trials_per_level=3, ascent_steps=2)
-    many = SampleConfig(levels=(1, 2), trials_per_level=10, ascent_steps=2)
-    assert sup_norm_estimate(X1, row_delta(1), few, jobs=10_000) == \
-        sup_norm_estimate(X1, row_delta(1), few)
-    sup_norm_estimate(X1, row_delta(1), many, jobs=10_000)
-    assert workers == [3, 4]  # min(jobs, cpus, tasks)
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_jobs_below_one_rejected(jobs):
-    with pytest.raises(DomainError, match="jobs"):
-        sup_norm_estimate(X1, row_delta(1), SampleConfig(levels=(1,)), jobs=jobs)
+    assert a.estimate == b.estimate
+    assert a.witness == b.witness
+    assert a.per_level == b.per_level
 
 
 def test_per_level_summaries_are_coherent():
@@ -203,8 +171,9 @@ def test_k_spectral_flags_outside_tuple():
     assert v.rhs <= 1.0
     assert v.status in ("confirmed", "potential")
     assert any("outside the sampled domain" in n for n in rep.notes)
-    with pytest.raises(DomainError):
-        k_spectral_check(row_delta(1), T, 0.0, [X1], cfg)
+    for K in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            k_spectral_check(row_delta(1), T, K, [X1], cfg)
 
 
 def test_sigma_cc_no_witness_when_dominated():
