@@ -44,6 +44,11 @@ from .version import VERSION
 
 EXPERIMENT_NAMES = ("gap", "rowball", "polydisc", "commutator", "lens", "custom")
 
+# Most monomials the polydisc spectral probe may take: every word of length
+# <= 6 over 3 letters.  Each member runs a full sup-norm estimate, and that
+# family alone takes about 77 s at the default trial counts.
+MAX_FAMILY = 1093
+
 
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
@@ -60,6 +65,18 @@ def _require(lo: int, hi: float, **options) -> None:
         values = value if isinstance(value, tuple) else (value,)
         if not values or not all(lo <= v <= hi for v in values):
             raise DomainError(f"option {name} = {value!r} lies outside {lo}..{hi}")
+
+
+def _family_size(d: int, max_len: int) -> int:
+    """Number of words of length <= max_len over d >= 1 letters, counted only
+    until it passes MAX_FAMILY, so a huge max_len costs nothing."""
+    size, words = 0, 1
+    for _ in range(max_len + 1):
+        size += words
+        if size > MAX_FAMILY:
+            break
+        words *= d
+    return size
 
 
 def _report(name: str, seed: int, config: dict, results: dict, checks: list[dict]) -> dict:
@@ -258,7 +275,14 @@ def run_polydisc(
     ||P(T)|| <= sup ||P(x)||).
     """
     _require(1, MAX_LEVEL, level=level)
-    _require(1, np.inf, identity_trials=identity_trials, spectral_trials=spectral_trials)
+    _require(1, np.inf, d=d, identity_trials=identity_trials,
+             spectral_trials=spectral_trials)
+    _require(0, np.inf, family_max_len=family_max_len)
+    if _family_size(d, family_max_len) > MAX_FAMILY:
+        raise DomainError(
+            f"options d = {d}, family_max_len = {family_max_len} ask for more than "
+            f"{MAX_FAMILY} monomials (all words of length <= {family_max_len})"
+        )
     delta = diag_delta(d)
     worst = 0.0
     for i in range(identity_trials):

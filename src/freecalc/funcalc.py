@@ -36,6 +36,7 @@ _AGREE_SLACK = 1e-9
 _CONTRACTIVE_SLACK = 1e-8
 _GEOMETRIC_SLACK = 1e-6
 _TERM_BOUND_SLACK = 1e-8
+_SCREEN_MARGIN = 1e-10
 
 _PATH_GRID = 101
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -132,6 +133,20 @@ def _terms_for_tolerance(t: float, tol: float) -> int:
     return n
 
 
+def _term_excess(worst: float, term: np.ndarray, tk: float) -> float:
+    """max(worst, ||term|| - tk) for worst >= 0, with the SVD only when needed.
+
+    ||term|| <= ||term||_F, so a term whose Frobenius norm clears tk cannot
+    raise worst and its exact norm is skipped.  The screen asks for a
+    relative margin below tk, so that a term whose norm lies within rounding
+    of tk still gets its exact norm: the result is the float that the SVD
+    of every term would give.
+    """
+    if math.sqrt(np.vdot(term, term).real) <= tk * (1.0 - _SCREEN_MARGIN):
+        return worst
+    return max(worst, op_norm(term) - tk)
+
+
 def _check_shapes(F: Colligation, delta: PolyMatrix, T: MatrixTuple) -> None:
     if delta.d != T.d:
         raise ShapeError(f"delta uses {delta.d} letters but the tuple has {T.d}")
@@ -201,7 +216,10 @@ def sharp(
                 "series stopped heuristically"
             )
 
-    term_norms: list[float] = []
+    # Isometric data at t < 1 bounds every degree-k term by t^k; the
+    # homogeneous_term_bound certificate records the worst excess over that.
+    bound_terms = F.isometric_certified and t < 1.0
+    worst_excess = 0.0
     series_value = None
     terms_used = 0  # top homogeneous degree included in the partial sum
     quiet_streak = 0
@@ -209,18 +227,22 @@ def sharp(
     # that as a DomainError, so numpy's overflow warnings are silenced here.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, term in homog_series(F, y):
-            series_value = term.copy() if series_value is None else series_value + term
+            if series_value is None:
+                series_value = term.copy()
+            else:
+                series_value += term
             if not np.isfinite(series_value).all():
                 raise DomainError(
                     f"series diverged at degree {k}: the partial sum is no longer finite"
                 )
-            term_norm = op_norm(term)
-            term_norms.append(term_norm)
+            if bound_terms and k:
+                worst_excess = _term_excess(worst_excess, term, t**k)
             terms_used = k
             if stop_at is not None:
                 if k >= stop_at:
                     break
             else:
+                term_norm = op_norm(term)
                 scale_ref = max(1.0, float(op_norm(series_value)))
                 if term_norm <= params.tol * scale_ref:
                     quiet_streak += 1
@@ -303,16 +325,11 @@ def sharp(
                 detail="partial sums stay under the geometric envelope",
             )
         )
-        worst = 0.0
-        for k, nk in enumerate(term_norms):
-            if k == 0:
-                continue
-            worst = max(worst, nk - t**k)
         certs.append(
             Certificate(
                 name="homogeneous_term_bound",
-                passed=worst <= _TERM_BOUND_SLACK,
-                lhs=worst,
+                passed=worst_excess <= _TERM_BOUND_SLACK,
+                lhs=worst_excess,
                 rhs=_TERM_BOUND_SLACK,
                 detail="every degree-k term has norm at most t^k",
             )

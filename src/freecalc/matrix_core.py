@@ -90,15 +90,6 @@ class MatrixTuple:
         """Number of coordinates."""
         return len(self._coords)
 
-    def __add__(self, other: "MatrixTuple") -> "MatrixTuple":
-        # Entrywise sum.  This is not the block direct sum; see direct_sum()
-        # for that.
-        if not isinstance(other, MatrixTuple):
-            return NotImplemented
-        if other.d != self.d or other.n != self.n:
-            raise ShapeError("can only add tuples of equal size and coordinate count")
-        return MatrixTuple(a + b for a, b in zip(self._coords, other._coords))
-
     def __mul__(self, c) -> "MatrixTuple":
         c = complex(c)
         return MatrixTuple(c * a for a in self._coords)

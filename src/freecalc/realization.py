@@ -19,6 +19,15 @@ Y_M (I_n (x) D) once and takes one product per term.  Only I_n (x) A (the
 constant part of a value) and I_n (x) C (the right-hand side of the one
 linear solve, the size of its solution) are formed.
 
+The closed form is guarded: K must be invertible with ||K^-1|| at most
+RESOLVENT_NORM_CAP, and a loop that is neither nilpotent nor an isometric
+contraction must have spectral radius below 1.  Both are settled by a bound
+first.  Since ||G|| <= ||D|| ||Y|| = g, a loop of nilpotency index nu has
+||K^-1|| <= sum_(k<nu) g^k, any loop with g < 1 has ||K^-1|| <= 1/(1 - g),
+and rho(G) <= g.  The SVD of K runs only when that bound exceeds the cap,
+and eigvals(G) only when g does not clear 1 - _SPECTRAL_SLACK, so both
+decompositions are taken exactly when the bound cannot settle the check.
+
 Values are (n*k2) x (n*k1) matrices in outer-point-first ordering: an n x n
 grid of k2 x k1 blocks, so a scalar-valued colligation (k1 = k2 = 1) returns
 a plain n x n matrix.  When V is an isometry and ||Y|| < 1 the Neumann series
@@ -61,6 +70,9 @@ __all__ = [
 ISOMETRY_TOL = 1e-8
 RESOLVENT_NORM_CAP = 1e12
 _SPECTRAL_SLACK = 1e-10
+# Largest loop dimension N an evaluation allocates: every N x N complex matrix
+# (G, K, its LU factor, the series loop L) takes 16 N^2 bytes, 64 MiB here.
+MAX_LOOP_DIM = 2048
 
 
 class Colligation:
@@ -74,7 +86,7 @@ class Colligation:
     """
 
     __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_defect",
-                 "_nilpotent_index", "_nilpotency_checked")
+                 "_nilpotent_index", "_nilpotency_checked", "_D_norm")
 
     def __init__(self, A, B, C, D, I: int, J: int,
                  nilpotent_index: int | None = None):
@@ -108,6 +120,7 @@ class Colligation:
             raise DomainError("the isometry defect overflowed") from None
         self._nilpotent_index = nilpotent_index
         self._nilpotency_checked = nilpotent_index is not None
+        self._D_norm: float | None = None
 
     # --- fields -------------------------------------------------------------
 
@@ -168,6 +181,13 @@ class Colligation:
             self._nilpotent_index = _graph_nilpotency(self._D, self._I, self._J, self._m)
             self._nilpotency_checked = True
         return self._nilpotent_index
+
+    @property
+    def D_norm(self) -> float:
+        """Operator norm of D, computed once: the loop gain per unit of ||Y||."""
+        if self._D_norm is None:
+            self._D_norm = op_norm(self._D)
+        return self._D_norm
 
     def __repr__(self):
         return (f"Colligation(k1={self.k1}, k2={self.k2}, I={self._I}, "
@@ -252,37 +272,71 @@ def _apply_b(F: Colligation, w: np.ndarray, n: int) -> np.ndarray:
     return (F.B @ w.reshape(n, F.I * F.m, n * F.k1)).reshape(n * F.k2, n * F.k1)
 
 
-def _check_resolvent_admissible(F: Colligation, y: np.ndarray, G: np.ndarray) -> None:
-    """Guard the Neumann inversion: isometric + strict contraction is enough,
-    a nilpotent loop is always fine, otherwise the spectral radius decides."""
-    if F.isometric_certified and op_norm(y) < 1.0:
-        return
-    if F.nilpotent_index is not None:
-        return
-    if G.size == 0:
-        return
-    rho = float(np.abs(np.linalg.eigvals(G)).max())
-    if rho >= 1.0 - _SPECTRAL_SLACK:
+def _check_loop_dim(F: Colligation, n: int, slots: int, side: str) -> int:
+    """The loop dimension N = n * slots * m, refused above MAX_LOOP_DIM before
+    any N x N matrix is allocated."""
+    N = n * slots * F.m
+    if N > MAX_LOOP_DIM:
         raise DomainError(
-            f"point outside the domain of convergence: loop spectral radius {rho:.6f}"
+            f"loop too large: n={n}, {side}={slots}, m={F.m} give N={N} states, "
+            f"{16 * N * N} bytes per N x N matrix; at most N={MAX_LOOP_DIM} is allowed"
         )
+    return N
 
 
-def eval_colligation(F: Colligation, y) -> np.ndarray:
-    """Linear-fractional value of the colligation at an nI x nJ block point."""
-    y4 = _point_blocks(F, y)
-    n, N = y4.shape[1], y4.shape[1] * F.J * F.m
-    # G = (I_n (x) D) Y_M, rows (a, j, u) and columns (b, j', v)
-    G = np.einsum("juiv,iakb->ajubkv", _d4(F), y4, optimize=True).reshape(N, N)
-    _check_resolvent_admissible(F, y4.reshape(F.I * n, F.J * n), G)
-    K = -G
-    K[np.diag_indices(N)] += 1.0
+def _resolvent_bound(g: float, nilpotent_index: int | None) -> float:
+    """Upper bound on ||K^-1|| for K = I - G with ||G|| <= g."""
+    if nilpotent_index is not None:  # K^-1 = sum_(k<nu) G^k
+        total, power = 0.0, 1.0
+        for _ in range(nilpotent_index):
+            total += power
+            power *= g
+        return total
+    if g < 1.0:  # Neumann series
+        return 1.0 / (1.0 - g)
+    return math.inf
+
+
+def _check_resolvent_admissible(F: Colligation, y: np.ndarray, G: np.ndarray,
+                                K: np.ndarray) -> None:
+    """Guard the Neumann inversion of K = I - G.
+
+    The spectral radius must stay below 1 unless the data is isometric with
+    ||y|| < 1 or the loop is nilpotent, and ||K^-1|| must stay at most
+    RESOLVENT_NORM_CAP.  With g = ||D|| ||y|| >= ||G|| >= rho(G), eigvals(G)
+    runs only when g >= 1 - _SPECTRAL_SLACK, and the SVD of K only when
+    _resolvent_bound(g) exceeds the cap: a decomposition is taken only where
+    the bound cannot settle the check, so the verdict is the decomposition's.
+    """
+    y_norm = op_norm(y)
+    g = F.D_norm * y_norm
+    spectral = not (F.isometric_certified and y_norm < 1.0) and F.nilpotent_index is None
+    if spectral and G.size and not g < 1.0 - _SPECTRAL_SLACK:
+        rho = float(np.abs(np.linalg.eigvals(G)).max())
+        if rho >= 1.0 - _SPECTRAL_SLACK:
+            raise DomainError(
+                f"point outside the domain of convergence: loop spectral radius {rho:.6f}"
+            )
+    if _resolvent_bound(g, F.nilpotent_index) <= RESOLVENT_NORM_CAP:
+        return
     sv = np.linalg.svd(K, compute_uv=False)
     if sv.size and (sv[-1] == 0.0 or 1.0 / sv[-1] > RESOLVENT_NORM_CAP):
         raise DomainError(
             "point outside the domain of convergence: resolvent norm exceeds "
             f"{RESOLVENT_NORM_CAP:.0e}"
         )
+
+
+def eval_colligation(F: Colligation, y) -> np.ndarray:
+    """Linear-fractional value of the colligation at an nI x nJ block point."""
+    y4 = _point_blocks(F, y)
+    n = y4.shape[1]
+    N = _check_loop_dim(F, n, F.J, "J")
+    # G = (I_n (x) D) Y_M, rows (a, j, u) and columns (b, j', v)
+    G = np.einsum("juiv,iakb->ajubkv", _d4(F), y4, optimize=True).reshape(N, N)
+    K = -G
+    K[np.diag_indices(N)] += 1.0
+    _check_resolvent_admissible(F, y4.reshape(F.I * n, F.J * n), G, K)
     R = np.linalg.solve(K, ampliate(n, F.C)).reshape(n, F.J, F.m, n * F.k1)
     w = np.einsum("iajb,bjuc->aiuc", y4, R, optimize=True)  # Y_M R
     return ampliate(n, F.A) + _apply_b(F, w, n)
@@ -297,7 +351,8 @@ def homog_series(F: Colligation, y):
     convergence; callers own the stopping rule.
     """
     y4 = _point_blocks(F, y)
-    n, N = y4.shape[1], y4.shape[1] * F.I * F.m
+    n = y4.shape[1]
+    N = _check_loop_dim(F, n, F.I, "I")
     yield 0, ampliate(n, F.A)
     # L has rows (a, i, u) and columns (b, i', v); w = Y_M (I_n (x) C) has
     # rows (a, i, u) and columns (b, q).

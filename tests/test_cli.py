@@ -345,6 +345,8 @@ def test_usage_error_exits_1_not_2():
     ("experiment", "rowball", "-p", "identity_trials=0"),
     ("experiment", "polydisc", "-p", "identity_trials=0"),
     ("experiment", "polydisc", "-p", "spectral_trials=0"),
+    ("experiment", "polydisc", "-p", "family_max_len=12"),
+    ("experiment", "polydisc", "-p", "family_max_len=-1"),
     ("experiment", "commutator", "-p", "eigen_checks=0"),
     ("experiment", "commutator", "-p", "emptiness_trials=0"),
 ])

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from freecalc.funcalc import (
     tail_bound,
     welldef_check,
 )
-from freecalc.matrix_core import MatrixTuple, op_norm, random_tuple, task_rng
+from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, random_tuple, task_rng
 from freecalc.realization import (
+    homog_series,
     identity_colligation,
     multiply_colligations,
     random_isometric,
@@ -98,6 +100,39 @@ def test_sharp_geometric_mode_invariants():
             "series_norm_geometric", "homogeneous_term_bound"} <= names
     assert rep.ok
     assert rep.closed_form_agreement <= 1e-9
+
+
+def _isometric_job(delta, n, m, t, seed):
+    """Random isometric model and a tuple whose automatically scaled norm is t."""
+    rng = task_rng(seed, 0)
+    F = random_isometric(delta.I, delta.J, m, 1, 1, rng)
+    coords = [random_matrix(n, n, rng) for _ in range(delta.d)]
+    # the automatic scale s = (t0 + 1)/2 maps t0 = t/(2 - t) to t
+    scale = (t / (2.0 - t)) / op_norm(delta.eval(MatrixTuple(coords)))
+    return F, MatrixTuple([c * scale for c in coords])
+
+
+def test_homogeneous_term_bound_is_exact_under_the_frobenius_screen():
+    jobs = [
+        (*_isometric_job(row_delta(3), 8, 4, 0.6, 1), row_delta(3)),
+        (*_isometric_job(row_delta(3), 24, 4, 0.96, 2), row_delta(3)),
+        (*_isometric_job(diag_delta(2), 12, 3, 0.8, 3), diag_delta(2)),
+        # z -> (1 + 1e-9) z is still certified isometric, and at a scalar point
+        # ||P_1|| exceeds t: the screen must decline and the lhs be positive
+        (scale_colligation(identity_colligation(), 1.0 + 1e-9),
+         MatrixTuple([[[0.4 + 0.3j]]]), PolyMatrix([[FreePoly.letter(1, 1)]])),
+    ]
+    for F, T, delta in jobs:
+        rep = sharp(F, delta, T)
+        point = delta.eval(T)
+        y, t = point / rep.s, op_norm(point) / rep.s
+        assert t == rep.t
+        worst = 0.0
+        for k, term in islice(homog_series(F, y), 1, rep.terms_used + 1):
+            worst = max(worst, op_norm(term) - t**k)
+        cert = {c.name: c for c in rep.certificates}["homogeneous_term_bound"]
+        assert cert.lhs == worst and cert.passed
+    assert worst > 0.0
 
 
 def test_sharp_automatic_scale_splits_the_gap():

@@ -78,10 +78,6 @@ def test_matrix_tuple_validation():
 def test_matrix_tuple_arithmetic_is_entrywise():
     rng = task_rng(5, 0)
     x = MatrixTuple([random_matrix(3, 3, rng) for _ in range(2)])
-    y = MatrixTuple([random_matrix(3, 3, rng) for _ in range(2)])
-    z = x + y
-    for c, a, b in zip(z.coords, x.coords, y.coords):
-        assert np.allclose(c, a + b)
     w = 2.5 * x
     assert np.allclose(w.coords[1], 2.5 * x.coords[1])
 

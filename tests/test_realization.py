@@ -17,7 +17,10 @@ from freecalc.matrix_core import (
     task_rng,
 )
 from freecalc.realization import (
+    MAX_LOOP_DIM,
+    RESOLVENT_NORM_CAP,
     Colligation,
+    _resolvent_bound,
     add_colligations,
     blocks_to_xfirst,
     constant_colligation,
@@ -399,6 +402,69 @@ def test_outside_domain_raises():
     F = poly_to_colligation(p, 1, 1)
     big = np.array([[50.0]])
     assert np.allclose(eval_colligation(F, big), [[2500.0]])
+    # x^3 at y = a*I has ||K^-1|| ~ a^2: the bound 1 + a + a^2 settles a = 10,
+    # and at a = 1e7 it exceeds the cap, so the SVD of K runs and refuses
+    cube = poly_to_colligation(FreePoly(1, {(1, 1, 1): 1.0}), 1, 1)
+    assert np.allclose(eval_colligation(cube, 10.0 * np.eye(2)), 1000.0 * np.eye(2))
+    assert _resolvent_bound(cube.D_norm * 1e7, cube.nilpotent_index) > RESOLVENT_NORM_CAP
+    with pytest.raises(DomainError, match="resolvent norm exceeds"):
+        eval_colligation(cube, 1e7 * np.eye(2))
+
+
+def _decomposition_guard_raises(F: Colligation, y: np.ndarray, G: np.ndarray) -> bool:
+    """The resolvent guard by decompositions alone, on the dense loop matrix G:
+    eigvals(G) unless the data is isometric with ||y|| < 1 or the loop is
+    nilpotent, then the SVD of K = I - G against RESOLVENT_NORM_CAP."""
+    if (not (F.isometric_certified and op_norm(y) < 1.0)
+            and F.nilpotent_index is None and G.size):
+        if np.abs(np.linalg.eigvals(G)).max() >= 1.0 - 1e-10:
+            return True
+    sv = np.linalg.svd(np.eye(G.shape[0]) - G, compute_uv=False)
+    return bool(sv.size and (sv[-1] == 0.0 or 1.0 / sv[-1] > RESOLVENT_NORM_CAP))
+
+
+def test_resolvent_guard_matches_decomposition_oracle():
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    models = []
+    for seed in range(3):
+        iso = random_isometric(2, 2, 2, 1, 1, 80 + seed)
+        models.append(iso)
+        # a sum of isometric models is neither isometric nor nilpotent
+        models.append(add_colligations(iso, random_isometric(2, 2, 1, 1, 1, 90 + seed)))
+    for p in ((x1 + x2) ** 3, x1 * x2 * x1 - 2.0 * x2 + 0.5):
+        models.append(compile_polynomial(p, diag_delta(2)))
+    raised = kept = 0
+    for idx, F in enumerate(models):
+        for r in (0.3, 0.8, 0.99, 1.2, 2.5):
+            y = _ball_point(2, F.I, F.J, r, 100 + idx)
+            n, ym = 2, _states_oracle(y, F.I, F.J, F.m)
+            G = ampliate(n, F.D) @ ym
+            K = np.eye(G.shape[0]) - G
+            exact = 1.0 / np.linalg.svd(K, compute_uv=False)[-1]
+            bound = _resolvent_bound(F.D_norm * op_norm(y), F.nilpotent_index)
+            assert bound >= exact * (1.0 - 1e-9)
+            if _decomposition_guard_raises(F, y, G):
+                with pytest.raises(DomainError):
+                    eval_colligation(F, y)
+                raised += 1
+                continue
+            got = eval_colligation(F, y)
+            closed = ampliate(n, F.A) + ampliate(n, F.B) @ ym @ np.linalg.solve(
+                K, ampliate(n, F.C))
+            assert np.abs(got - closed).max() <= 1e-10 * max(1.0, np.abs(closed).max())
+            kept += 1
+    assert raised and kept  # both verdicts occur
+
+
+def test_loop_dimension_is_capped_before_allocation():
+    n, m = 100, 100  # N = n * m = 10000 > MAX_LOOP_DIM; D is zero, so cheap
+    assert n * m > MAX_LOOP_DIM
+    F = Colligation([[0.0]], np.ones((1, m)), np.ones((m, 1)), np.zeros((m, m)), 1, 1)
+    y = np.eye(n)
+    for run in (lambda: eval_colligation(F, y), lambda: next(homog_series(F, y))):
+        with pytest.raises(DomainError, match=r"n=100, [IJ]=1, m=100 give N=10000 states, "
+                                              r"1600000000 bytes"):
+            run()
 
 
 def test_point_shape_mismatch_raises():
