@@ -29,7 +29,7 @@ from .matrix_core import (
     shift_matrix,
     task_rng,
 )
-from .realization import random_isometric, xfirst_to_blocks
+from .realization import MAX_LOOP_DIM, random_isometric, xfirst_to_blocks
 from .serialize import encode
 from .spectral import (
     MAX_LEVEL,
@@ -48,6 +48,13 @@ EXPERIMENT_NAMES = ("gap", "rowball", "polydisc", "commutator", "lens", "custom"
 # <= 6 over 3 letters.  Each member runs a full sup-norm estimate, and that
 # family alone takes about 77 s at the default trial counts.
 MAX_FAMILY = 1093
+# Most polydisc coordinates.  The identity check forms (n*d) x (n*d) matrices
+# and the calc step a loop of N = 2*level*d states.  A family_max_len = 0 run
+# (whose family does not bound d) at the default trial counts took 1.3, 2.6,
+# 7.7, 31 and 144 s for d = 8, 16, 32, 64 and 128 on 2 CPUs with one BLAS
+# thread.  32 is also the largest d that the default family_max_len = 2
+# admits under MAX_FAMILY.
+MAX_POLYDISC_D = 32
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -275,13 +282,18 @@ def run_polydisc(
     ||P(T)|| <= sup ||P(x)||).
     """
     _require(1, MAX_LEVEL, level=level)
-    _require(1, np.inf, d=d, identity_trials=identity_trials,
-             spectral_trials=spectral_trials)
+    _require(1, MAX_POLYDISC_D, d=d)
+    _require(1, np.inf, identity_trials=identity_trials, spectral_trials=spectral_trials)
     _require(0, np.inf, family_max_len=family_max_len)
     if _family_size(d, family_max_len) > MAX_FAMILY:
         raise DomainError(
             f"options d = {d}, family_max_len = {family_max_len} ask for more than "
             f"{MAX_FAMILY} monomials (all words of length <= {family_max_len})"
+        )
+    if 2 * level * d > MAX_LOOP_DIM:  # the calc step's model has m = 2 on d x d slots
+        raise DomainError(
+            f"options d = {d}, level = {level} give the calc step a loop of "
+            f"{2 * level * d} states; at most {MAX_LOOP_DIM} are allowed"
         )
     delta = diag_delta(d)
     worst = 0.0

@@ -13,9 +13,10 @@ function
 where Y_M is Y with the auxiliary space M tensored into each block slot.
 Y_M and I_n (x) B, I_n (x) D are applied in factored form, never formed:
 every route contracts one (block, point) view of Y against the slot views
-of B, C and D.  The closed form builds G = (I_n (x) D) Y_M and K = I - G on
-the n*J*m state space; the series builds the n*I*m loop operator
-Y_M (I_n (x) D) once and takes one product per term.  Only I_n (x) A (the
+of B, C and D.  The closed form writes G = (I_n (x) D) Y_M straight into its
+N x N layout on the N = n*J*m state space and turns it into K = I - G in
+place; the series builds the n*I*m loop operator Y_M (I_n (x) D) once and
+takes one product per term.  Only I_n (x) A (the
 constant part of a value) and I_n (x) C (the right-hand side of the one
 linear solve, the size of its solution) are formed.
 
@@ -27,6 +28,12 @@ first.  Since ||G|| <= ||D|| ||Y|| = g, a loop of nilpotency index nu has
 and rho(G) <= g.  The SVD of K runs only when that bound exceeds the cap,
 and eigvals(G) only when g does not clear 1 - _SPECTRAL_SLACK, so both
 decompositions are taken exactly when the bound cannot settle the check.
+
+Polynomials compile (poly_to_colligation) to a deterministic automaton that
+reads each word right to left and has no two states with the same tag
+letter and the same future: C and D hold only 0/1, the coefficients sit in
+B, and D is nilpotent with index equal to the degree, so the series is a
+finite exact sum at any point.  (x1 + x2)^k takes 2k states.
 
 Values are (n*k2) x (n*k1) matrices in outer-point-first ordering: an n x n
 grid of k2 x k1 blocks, so a scalar-valued colligation (k1 = k2 = 1) returns
@@ -43,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .freepoly import FreePoly, PolyMatrix
+from .freepoly import FreePoly, PolyMatrix, Word
 from .matrix_core import ampliate, as_array, op_norm, random_matrix, rng_from
 
 __all__ = [
@@ -71,7 +78,8 @@ ISOMETRY_TOL = 1e-8
 RESOLVENT_NORM_CAP = 1e12
 _SPECTRAL_SLACK = 1e-10
 # Largest loop dimension N an evaluation allocates: every N x N complex matrix
-# (G, K, its LU factor, the series loop L) takes 16 N^2 bytes, 64 MiB here.
+# (G, which becomes K in place, its LU factor, the series loop L) takes
+# 16 N^2 bytes, 64 MiB here.
 MAX_LOOP_DIM = 2048
 
 
@@ -297,9 +305,9 @@ def _resolvent_bound(g: float, nilpotent_index: int | None) -> float:
     return math.inf
 
 
-def _check_resolvent_admissible(F: Colligation, y: np.ndarray, G: np.ndarray,
-                                K: np.ndarray) -> None:
-    """Guard the Neumann inversion of K = I - G.
+def _resolvent_matrix(F: Colligation, y: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Guard the Neumann inversion of K = I - G, and return K formed in place
+    over G (G is consumed).
 
     The spectral radius must stay below 1 unless the data is isometric with
     ||y|| < 1 or the loop is nilpotent, and ||K^-1|| must stay at most
@@ -317,14 +325,17 @@ def _check_resolvent_admissible(F: Colligation, y: np.ndarray, G: np.ndarray,
             raise DomainError(
                 f"point outside the domain of convergence: loop spectral radius {rho:.6f}"
             )
+    K = np.negative(G, out=G)
+    K[np.diag_indices(K.shape[0])] += 1.0
     if _resolvent_bound(g, F.nilpotent_index) <= RESOLVENT_NORM_CAP:
-        return
+        return K
     sv = np.linalg.svd(K, compute_uv=False)
     if sv.size and (sv[-1] == 0.0 or 1.0 / sv[-1] > RESOLVENT_NORM_CAP):
         raise DomainError(
             "point outside the domain of convergence: resolvent norm exceeds "
             f"{RESOLVENT_NORM_CAP:.0e}"
         )
+    return K
 
 
 def eval_colligation(F: Colligation, y) -> np.ndarray:
@@ -332,11 +343,12 @@ def eval_colligation(F: Colligation, y) -> np.ndarray:
     y4 = _point_blocks(F, y)
     n = y4.shape[1]
     N = _check_loop_dim(F, n, F.J, "J")
-    # G = (I_n (x) D) Y_M, rows (a, j, u) and columns (b, j', v)
-    G = np.einsum("juiv,iakb->ajubkv", _d4(F), y4, optimize=True).reshape(N, N)
-    K = -G
-    K[np.diag_indices(N)] += 1.0
-    _check_resolvent_admissible(F, y4.reshape(F.I * n, F.J * n), G, K)
+    # G = (I_n (x) D) Y_M, rows (a, j, u) and columns (b, j', v), written
+    # straight into its N x N layout
+    G = np.empty((N, N), dtype=np.complex128)
+    np.einsum("juiv,iakb->ajubkv", _d4(F), y4, optimize=True,
+              out=G.reshape(n, F.J, F.m, n, F.J, F.m))
+    K = _resolvent_matrix(F, y4.reshape(F.I * n, F.J * n), G)
     R = np.linalg.solve(K, ampliate(n, F.C)).reshape(n, F.J, F.m, n * F.k1)
     w = np.einsum("iajb,bjuc->aiuc", y4, R, optimize=True)  # Y_M R
     return ampliate(n, F.A) + _apply_b(F, w, n)
@@ -478,40 +490,72 @@ def poly_to_colligation(P: PolyMatrix | FreePoly, I: int, J: int) -> Colligation
     """Compile a polynomial matrix into a colligation over the I x J arrangement.
 
     Letters are identified with block slots by r = (i-1)*J + j, so evaluating
-    the result at the assembled coordinate point reproduces the polynomial:
-    one chain of auxiliary states per word, consumed right to left.  D is
-    nilpotent with index at most the degree, making the expansion finite and
-    exact.
+    the result at the assembled coordinate point reproduces the polynomial.
+    Words are read right to left by a deterministic automaton, built in two
+    exact passes:
+
+    1. Suffix trie.  A state is a pair (column beta, nonempty suffix s) of a
+       word of some entry (alpha, beta), tagged by its first letter s[0]: it
+       reads in at J-slot jj(s[0]) and out at I-slot ii(s[0]).  C feeds the
+       one-letter suffixes, D carries s to a.s whenever that is a state too,
+       and B reads c from state (beta, w) for each term c.w of (alpha, beta).
+    2. Merge.  From the longest suffix down, each state gets the signature
+       (tag letter, its B readouts, its successor class per letter); states
+       with equal signatures become one.  This is the minimisation of a
+       deterministic weighted automaton: every class keeps at most one
+       successor per letter, so each (beta, word) still has exactly one
+       path and the function is unchanged in exact arithmetic.  (A
+       numerical Hankel-rank reduction can go further when futures are
+       linearly dependent without being equal.)
+
+    C and D hold only 0/1 entries and the coefficients sit in B alone, so
+    symbolic_terms recovers the graded pieces exactly.  D moves each state
+    to one of smaller height (the longest word left to read), so the state
+    graph is acyclic with nilpotency index equal to the degree, making the
+    expansion finite and exact.  (x1 + x2)^k compiles to 2k states.
     """
     P = PolyMatrix.from_poly(P)
     if P.d != I * J:
         raise ShapeError(f"polynomial has d={P.d} letters, arrangement needs {I * J}")
     k2, k1 = P.I, P.J
     A = np.zeros((k2, k1), dtype=np.complex128)
-    words: list[tuple[int, int, tuple[int, ...], complex]] = []
+    # Pass 1: per trie state (beta, s), its B readouts {alpha: c} and the
+    # letters a for which a.s is a state.
+    reads: dict[tuple[int, Word], dict[int, complex]] = {}
+    grows: dict[tuple[int, Word], set[int]] = {}
     for alpha in range(k2):
         for beta in range(k1):
             for w, coeff in P.entry(alpha, beta).sorted_terms():
                 if not w:
                     A[alpha, beta] = coeff
-                else:
-                    words.append((alpha, beta, w, coeff))
-    m = sum(len(w) for _, _, w, _ in words)
+                    continue
+                for p in range(len(w)):
+                    reads.setdefault((beta, w[p:]), {})
+                    grows.setdefault((beta, w[p:]), set())
+                    if p:
+                        grows[(beta, w[p:])].add(w[p - 1])
+                reads[(beta, w)][alpha] = coeff
+    # Pass 2: longest suffixes first, so every successor is classed already.
+    cls: dict[tuple[int, Word], int] = {}
+    classes: dict[tuple, int] = {}
+    for key in sorted(reads, key=lambda bs: (-len(bs[1]), bs)):
+        beta, s = key
+        nexts = tuple((a, cls[(beta, (a,) + s)]) for a in sorted(grows[key]))
+        sig = (s[0], tuple(sorted(reads[key].items())), nexts)
+        cls[key] = classes.setdefault(sig, len(classes))
+    m = len(classes)
     B = np.zeros((k2, I * m), dtype=np.complex128)
     C = np.zeros((J * m, k1), dtype=np.complex128)
     D = np.zeros((J * m, I * m), dtype=np.complex128)
-    base = 0
-    for alpha, beta, w, coeff in words:
-        q = len(w)
-        ii = [(r - 1) // J for r in w]  # 0-based block row per letter
-        jj = [(r - 1) % J for r in w]  # 0-based block column per letter
-        sid = lambda p: base + p - 1  # state for position p (1-based)
-        C[jj[q - 1] * m + sid(q), beta] = 1.0
-        for p in range(q, 1, -1):
-            D[jj[p - 2] * m + sid(p - 1), ii[p - 1] * m + sid(p)] = 1.0
-        B[alpha, ii[0] * m + sid(1)] = coeff
-        base += q
-    deg = max((len(w) for _, _, w, _ in words), default=0)
+    for (beta, s), u in cls.items():  # merged states write equal entries
+        i, j = divmod(s[0] - 1, J)
+        if len(s) == 1:
+            C[j * m + u, beta] = 1.0
+        for alpha, coeff in reads[(beta, s)].items():
+            B[alpha, i * m + u] = coeff
+        for a in grows[(beta, s)]:
+            D[(a - 1) % J * m + cls[(beta, (a,) + s)], i * m + u] = 1.0
+    deg = max((len(s) for _, s in cls), default=0)
     return Colligation(A, B, C, D, I, J, nilpotent_index=deg)
 
 

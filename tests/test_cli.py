@@ -349,6 +349,7 @@ def test_usage_error_exits_1_not_2():
     ("experiment", "polydisc", "-p", "family_max_len=-1"),
     ("experiment", "commutator", "-p", "eigen_checks=0"),
     ("experiment", "commutator", "-p", "emptiness_trials=0"),
+    ("experiment", "polydisc", "-p", "d=100000", "-p", "family_max_len=0"),
 ])
 def test_bad_experiment_options_are_input_errors(argv):
     res = run_cli(*argv)

@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from freecalc.realization import (
     MAX_LOOP_DIM,
     RESOLVENT_NORM_CAP,
     Colligation,
+    _graph_nilpotency,
     _resolvent_bound,
     add_colligations,
     blocks_to_xfirst,
@@ -278,21 +279,79 @@ def test_combination_shape_mismatches():
         multiply_colligations(K, F)
 
 
+def _random_poly_matrix(rng, k2: int, k1: int, d: int) -> PolyMatrix:
+    """Seeded k2 x k1 polynomial matrix built so that the compile has work to
+    do: words drawn with all their suffixes from a small shared pool, so
+    suffixes are shared across entries and columns, and coefficients from a
+    small set, so that states with equal futures occur and merge.  Entry
+    (0, 0) is constant-only and the last entry is zero."""
+    pool = [tuple(int(a) for a in rng.integers(1, d + 1, size=q)) for q in (1, 2, 3, 4, 4)]
+    coeffs = (1.0, -0.5, 2.0j, 0.25 - 1.0j)
+    rows = []
+    for alpha in range(k2):
+        row = []
+        for beta in range(k1):
+            terms = {(): coeffs[int(rng.integers(len(coeffs)))]}
+            for w in (pool[int(i)] for i in rng.choice(len(pool), size=3, replace=False)):
+                terms[w[int(rng.integers(len(w))):]] = coeffs[int(rng.integers(len(coeffs)))]
+                terms[w] = coeffs[int(rng.integers(len(coeffs)))]
+            row.append(FreePoly(d, terms))
+        rows.append(row)
+    rows[0][0] = FreePoly.constant(1.5, d)
+    if k2 * k1 > 1:
+        rows[-1][-1] = FreePoly.zero(d)
+    return PolyMatrix(rows)
+
+
 def test_compiled_polynomial_reproduces_values():
-    d = 4
+    # every compile is checked against the polynomial by value, by its exact
+    # graded pieces, by its size and by its nilpotency index
+    I, J = 2, 2
+    d = I * J
+    delta = e_lambda(I, J)
     rng = task_rng(0, 0xC0)
-    for trial in range(6):
-        terms = {}
-        for _ in range(5):
-            w = tuple(int(rng.integers(1, d + 1)) for _ in range(int(rng.integers(0, 4))))
-            terms[w] = complex(rng.standard_normal(), rng.standard_normal())
-        p = FreePoly(d, terms)
-        F = poly_to_colligation(p, 2, 2)
-        assert F.nilpotent_index == p.degree()
+    merged = False
+    for trial, (k2, k1) in enumerate(((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3)) * 2):
+        P = _random_poly_matrix(rng, k2, k1, d)
+        F = poly_to_colligation(P, I, J)
+        deg = max(P.max_degree(), 0)
+        words = [(b, w) for row in P.entries for b, p in enumerate(row)
+                 for w, _ in p.sorted_terms()]
+        assert F.m <= sum(len(w) for _, w in words)
+        merged |= F.m < len({(b, w[q:]) for b, w in words for q in range(len(w))})
+        assert F.nilpotent_index == _graph_nilpotency(F.D, I, J, F.m) == deg
+        assert set(np.unique(np.concatenate([F.C.ravel(), F.D.ravel()]))) <= {0.0, 1.0}
+        for k, piece in enumerate(symbolic_terms(F, deg)):
+            assert piece == P.map(lambda p: p.homogeneous_part(k))
         x = random_tuple(3, d, 0.9, 500 + trial)
-        delta = e_lambda(2, 2)
-        got = eval_colligation(F, delta.eval(x))
-        assert np.allclose(got, p.eval(x), atol=1e-10)
+        got = xfirst_to_blocks(eval_colligation(F, delta.eval(x)), x.n, k2, k1)
+        assert np.abs(got - P.eval(x)).max() <= 1e-10
+    assert merged  # some compile merged trie states with equal futures
+
+
+def test_compiled_sum_of_powers_has_two_states_per_degree():
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    for k in range(1, 9):
+        F = compile_polynomial((x1 + x2) ** k, diag_delta(2))
+        assert F.m == 2 * k and F.nilpotent_index == k
+
+
+def test_compiled_high_powers_evaluate_under_the_loop_cap():
+    # (x1 + x2)^6 at n = 6 and (x1 + x2)^8 at n = 8 fit the loop cap, and
+    # both routes of sharp agree within tol itself, not just its slack
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    delta = diag_delta(2)
+    for k, n in ((6, 6), (8, 8)):
+        P = (x1 + x2) ** k
+        T = MatrixTuple([c * (1.5 / op_norm(c)) for c in
+                         (random_matrix(n, n, task_rng(k, j)) for j in range(2))])
+        params = CalcParams()
+        rep = sharp(compile_polynomial(P, delta), delta, T, params)
+        assert rep.ok
+        agree = {c.name: c for c in rep.certificates}["two_path_agreement"]
+        assert agree.lhs <= params.tol
+        want = P.eval(T)
+        assert op_norm(rep.value - want) <= 1e-10 * op_norm(want)
 
 
 def test_compiled_matrix_polynomial_and_shuffles():
@@ -382,13 +441,15 @@ def test_nilpotency_detection():
 
 
 def test_decoded_large_model_finds_its_nilpotency():
-    # (x1 + x2)^5 compiles to 160 states; the decoded copy must read the
-    # index off the state graph alone, or sharp falls back to a heuristic
-    # stop and the two evaluation paths disagree
-    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
-    F = compile_polynomial((x1 + x2) ** 5, diag_delta(2))
+    # all 128 two-letter words of length 7 with distinct coefficients: no two
+    # trie states have equal futures, so the model keeps all 254 of them; the
+    # decoded copy must read the index off the state graph alone, or sharp
+    # falls back to a heuristic stop and the two evaluation paths disagree
+    words = product((1, 2), repeat=7)
+    p = FreePoly(2, {w: 1.0 + q / 128 for q, w in enumerate(words)})
+    F = compile_polynomial(p, diag_delta(2))
     G = decode_colligation(encode(F))
-    assert G.m == 160 and G.nilpotent_index == 5
+    assert G.m == 254 and G.nilpotent_index == 7
     T = MatrixTuple([0.6 * np.eye(2), 0.3 * np.eye(2)])
     assert sharp(G, diag_delta(2), T, CalcParams()).ok
 
