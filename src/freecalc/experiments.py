@@ -29,7 +29,7 @@ from .matrix_core import (
     shift_matrix,
     task_rng,
 )
-from .realization import MAX_LOOP_DIM, random_isometric, xfirst_to_blocks
+from .realization import _check_loop_dim, random_isometric, xfirst_to_blocks
 from .serialize import encode
 from .spectral import (
     MAX_LEVEL,
@@ -49,7 +49,7 @@ EXPERIMENT_NAMES = ("gap", "rowball", "polydisc", "commutator", "lens", "custom"
 # family alone takes about 77 s at the default trial counts.
 MAX_FAMILY = 1093
 # Most polydisc coordinates.  The identity check forms (n*d) x (n*d) matrices
-# and the calc step a loop of N = 2*level*d states.  A family_max_len = 0 run
+# and the calc step's loop grows with level*d.  A family_max_len = 0 run
 # (whose family does not bound d) at the default trial counts took 1.3, 2.6,
 # 7.7, 31 and 144 s for d = 8, 16, 32, 64 and 128 on 2 CPUs with one BLAS
 # thread.  32 is also the largest d that the default family_max_len = 2
@@ -290,11 +290,8 @@ def run_polydisc(
             f"options d = {d}, family_max_len = {family_max_len} ask for more than "
             f"{MAX_FAMILY} monomials (all words of length <= {family_max_len})"
         )
-    if 2 * level * d > MAX_LOOP_DIM:  # the calc step's model has m = 2 on d x d slots
-        raise DomainError(
-            f"options d = {d}, level = {level} give the calc step a loop of "
-            f"{2 * level * d} states; at most {MAX_LOOP_DIM} are allowed"
-        )
+    F = random_isometric(d, d, 2, 2, 2, task_rng(seed, 0x22))
+    _check_loop_dim(F, level, F.J, "J")  # the calc step's loop, before any sampling
     delta = diag_delta(d)
     worst = 0.0
     for i in range(identity_trials):
@@ -315,7 +312,6 @@ def run_polydisc(
     )
     ks = k_spectral_check(delta, T, 1.0, family_monomials(d, family_max_len), cfg)
 
-    F = random_isometric(d, d, 2, 2, 2, task_rng(seed, 0x22))
     rep = sharp(F, delta, T, CalcParams())
 
     checks = [

@@ -65,8 +65,8 @@ def test_polydisc_passes():
     rep = run_polydisc(seed=0, d=2, identity_trials=10, level=2,
                        family_max_len=1, spectral_trials=20)
     assert rep["ok"], [c for c in rep["checks"] if not c["passed"]]
-    # the calc step's loop, 2 * level * d states, is checked before sampling
-    with pytest.raises(DomainError, match="calc step"):
+    # the calc step's loop is checked before sampling
+    with pytest.raises(DomainError, match="loop too large"):
         run_polydisc(d=32, level=64, family_max_len=0)
 
 
