@@ -56,13 +56,10 @@ from .matrix_core import (
 from .realization import (
     Colligation,
     add_colligations,
-    constant_colligation,
-    coordinate_colligation,
     dft_points_for,
     eval_colligation,
     homog_extract_dft,
     homog_series,
-    identity_colligation,
     multiply_colligations,
     poly_to_colligation,
     random_isometric,
@@ -70,7 +67,6 @@ from .realization import (
     state_space_conjugate,
     symbolic_terms,
     xfirst_to_blocks,
-    blocks_to_xfirst,
 )
 from .spectral import (
     CompressionReport,
@@ -101,12 +97,10 @@ __all__ = [
     "MatrixTuple", "ampliate", "compress", "cyclic_shift",
     "direct_sum", "op_norm", "random_matrix", "random_tuple", "rng_from",
     "shift_matrix", "similarity", "task_rng",
-    "Colligation", "add_colligations", "constant_colligation",
-    "coordinate_colligation", "dft_points_for", "eval_colligation",
-    "homog_extract_dft", "homog_series", "identity_colligation",
-    "multiply_colligations", "poly_to_colligation", "random_isometric",
-    "scale_colligation", "state_space_conjugate", "symbolic_terms",
-    "xfirst_to_blocks", "blocks_to_xfirst",
+    "Colligation", "add_colligations", "dft_points_for", "eval_colligation",
+    "homog_extract_dft", "homog_series", "multiply_colligations",
+    "poly_to_colligation", "random_isometric", "scale_colligation",
+    "state_space_conjugate", "symbolic_terms", "xfirst_to_blocks",
     "CompressionReport", "SampleConfig", "SpectralReport", "Violation",
     "compress_tuple", "compression_check", "family_matrix_polys",
     "family_monomials", "family_random", "gap_domain_proposal",

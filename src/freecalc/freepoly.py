@@ -221,13 +221,16 @@ class FreePoly:
         for h in images:
             if h.d != d_new:
                 raise ShapeError("substitution images live over different alphabets")
-        out = FreePoly.zero(d_new)
+        # One dict for the whole sum: adding FreePolys would rebuild and
+        # re-check every accumulated word once per term.
+        out: dict[Word, complex] = {}
         for w, c in self.sorted_terms():
             term = FreePoly.constant(c, d_new)
             for ell in w:
                 term = term * images[ell - 1]
-            out = out + term
-        return out
+            for u, v in term._terms.items():
+                out[u] = out.get(u, 0j) + v
+        return FreePoly(d_new, out)
 
     def scale_letters(self, s: complex) -> "FreePoly":
         """Substitute x^j -> s * x^j for every letter (coefficients scale by s^|word|)."""

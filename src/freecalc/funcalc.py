@@ -25,6 +25,7 @@ from .freepoly import (
 from .matrix_core import MatrixTuple, op_norm
 from .realization import (
     Colligation,
+    _terms_for_tolerance,
     eval_colligation,
     homog_series,
     poly_to_colligation,
@@ -119,18 +120,6 @@ def _scaled_point(
     t0 = op_norm(point)
     s = params.s if params.s is not None else default_scale(t0)
     return point / s, t0 / s, s
-
-
-def _terms_for_tolerance(t: float, tol: float) -> int:
-    """Smallest N with t^(N+1)/(1-t) <= tol (N >= 0)."""
-    if t == 0.0:
-        return 0
-    # log(tol) + log1p(-t), not log(tol * (1 - t)): the product can underflow to 0
-    n = math.ceil((math.log(tol) + math.log1p(-t)) / math.log(t) - 1.0)
-    n = max(0, n)
-    while tail_bound(t, n) > tol:  # guard against floating rounding at the edge
-        n += 1
-    return n
 
 
 def _term_excess(worst: float, term: np.ndarray, tk: float) -> float:

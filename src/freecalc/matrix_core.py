@@ -22,7 +22,6 @@ __all__ = [
     "direct_sum",
     "ampliate",
     "similarity",
-    "condition_number",
     "rng_from",
     "task_rng",
     "random_matrix",
@@ -143,14 +142,6 @@ def ampliate(n: int, a) -> np.ndarray:
     if n < 0:
         raise ShapeError("ampliation size must be nonnegative")
     return np.kron(np.eye(n, dtype=np.complex128), as_array(a))
-
-
-def condition_number(s) -> float:
-    """2-norm condition number (inf for a numerically singular matrix)."""
-    sv = np.linalg.svd(as_array(s), compute_uv=False)
-    if sv.size == 0 or sv[-1] == 0.0:
-        return math.inf
-    return float(sv[0] / sv[-1])
 
 
 def similarity(s, x: MatrixTuple) -> MatrixTuple:

@@ -33,7 +33,12 @@ Polynomials compile (poly_to_colligation) to a deterministic automaton that
 reads each word right to left and has no two states with the same tag
 letter and the same future: C and D hold only 0/1, the coefficients sit in
 B, and D is nilpotent with index equal to the degree, so the series is a
-finite exact sum at any point.  (x1 + x2)^k takes 2k states.
+finite exact sum at any point.  (x1 + x2)^k takes 2k states.  Constants and
+single coordinates are compiled like any other polynomial.
+
+Every model certifies its own nilpotency: the index is the longest path in
+the state-transition graph of D, computed when the colligation is built and
+never passed in, so no caller can claim a finite loop that D does not have.
 
 Values are (n*k2) x (n*k1) matrices in outer-point-first ordering: an n x n
 grid of k2 x k1 blocks, so a scalar-valued colligation (k1 = k2 = 1) returns
@@ -66,11 +71,7 @@ __all__ = [
     "symbolic_terms",
     "random_isometric",
     "state_space_conjugate",
-    "constant_colligation",
-    "coordinate_colligation",
-    "identity_colligation",
     "xfirst_to_blocks",
-    "blocks_to_xfirst",
     "xfirst_direct_sum",
 ]
 
@@ -90,14 +91,14 @@ class Colligation:
     Columns of B and rows of C/D are ordered copy-major: slot (i, state) maps
     to index i*m + state.  ``isometric_certified`` is computed, not trusted:
     it is True exactly when the assembled block [A B; C D] satisfies
-    ||V*V - I|| <= ISOMETRY_TOL.
+    ||V*V - I|| <= ISOMETRY_TOL.  ``nilpotent_index`` is computed from D at
+    construction, never passed.
     """
 
     __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_defect",
-                 "_nilpotent_index", "_nilpotency_checked", "_D_norm")
+                 "_nilpotent_index", "_D_norm")
 
-    def __init__(self, A, B, C, D, I: int, J: int,
-                 nilpotent_index: int | None = None):
+    def __init__(self, A, B, C, D, I: int, J: int):
         if I < 1 or J < 1:
             raise ShapeError("block shape (I, J) must be positive")
         A = _frozen(np.array(as_array(A), copy=True))
@@ -126,8 +127,7 @@ class Colligation:
             self._defect = op_norm(gram)
         except DomainError:  # the blocks are finite, so V*V left double range
             raise DomainError("the isometry defect overflowed") from None
-        self._nilpotent_index = nilpotent_index
-        self._nilpotency_checked = nilpotent_index is not None
+        self._nilpotent_index = _graph_nilpotency(D, I, J, m)
         self._D_norm: float | None = None
 
     # --- fields -------------------------------------------------------------
@@ -180,14 +180,10 @@ class Colligation:
     def nilpotent_index(self) -> int | None:
         """Smallest q with (D Y_M)^q = 0 for every Y, or None if there is none.
 
-        Detected from the state-transition graph of D: the loop D -> Y -> D
-        can only follow its edges, so an acyclic graph makes every such loop
-        nilpotent regardless of Y.  Compiled polynomial colligations set this
-        at construction; anything else gets a one-time scan.
+        Computed from D at construction, never passed: the loop D -> Y -> D
+        can only follow the edges of D's state-transition graph, so an
+        acyclic graph makes every such loop nilpotent regardless of Y.
         """
-        if not self._nilpotency_checked:
-            self._nilpotent_index = _graph_nilpotency(self._D, self._I, self._J, self._m)
-            self._nilpotency_checked = True
         return self._nilpotent_index
 
     @property
@@ -222,21 +218,26 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
 
     The index is the number of states on the longest path, found by peeling
     the graph layer by layer (Kahn): each layer is the states that feed no
-    remaining state.  A graph that stops shrinking has a cycle.
+    remaining state.  A graph that stops shrinking has a cycle.  The peeling
+    runs in Python, one adjacency row per peeled state: at the state counts
+    of compiled polynomials, per-layer numpy calls would cost more.
     """
-    d4 = D.reshape(J, m, I, m)
-    adj = np.any(d4 != 0, axis=(0, 2))  # adj[u, v]: D carries state v into state u
-    feeds = adj.sum(axis=0)  # per state, how many remaining states it feeds
-    alive = np.ones(m, dtype=bool)
-    layers = 0
-    while alive.any():
-        layer = alive & (feeds == 0)
-        if not layer.any():
-            return None
-        alive &= ~layer
-        feeds -= adj[layer].sum(axis=0)
+    adj = np.any(D.reshape(J, m, I, m) != 0, axis=(0, 2))  # adj[u, v]: D carries v into u
+    feeds = adj.sum(axis=0).tolist()  # per state, how many remaining states it feeds
+    layer = [v for v in range(m) if not feeds[v]]
+    layers = peeled = 0
+    while layer:
         layers += 1
-    return layers
+        peeled += len(layer)
+        nxt = []
+        for u in layer:
+            for v, edge in enumerate(adj[u].tolist()):
+                if edge:
+                    feeds[v] -= 1
+                    if not feeds[v]:
+                        nxt.append(v)
+        layer = nxt
+    return layers if peeled == m else None
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -377,22 +378,33 @@ def homog_series(F: Colligation, y):
         k += 1
 
 
+def _terms_for_tolerance(t: float, tol: float) -> int:
+    """Smallest N >= 0 with t^(N+1)/(1-t) <= tol, for 0 <= t < 1.
+
+    When every degree-k term is at most t^k, that is the tail after degree
+    N: sharp sums degrees 0..N, and dft_points_for takes k + 1 + N angles.
+    """
+    if t == 0.0:
+        return 0
+    # log(tol) + log1p(-t), not log(tol * (1 - t)): the product can underflow to 0
+    n = max(0, math.ceil((math.log(tol) + math.log1p(-t)) / math.log(t) - 1.0))
+    while t ** (n + 1) / (1.0 - t) > tol:  # guard against floating rounding at the edge
+        n += 1
+    return n
+
+
 def dft_points_for(k: int, t: float, tol: float) -> int:
     """Smallest certified angle count for degree-k extraction at radius t.
 
     For an isometric colligation the aliasing error of an N-point average is
-    below t^(N-k)/(1-t), so N >= k + ceil(log(tol*(1-t))/log t) pushes it
-    under tol.  Requires t < 1.
+    below t^(N-k)/(1-t), so N = k + 1 + _terms_for_tolerance(t, tol) pushes
+    it under tol.  Requires t < 1.
     """
     if not 0.0 <= t < 1.0:
         raise DomainError("certified extraction needs a point with norm below 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if t == 0.0:
-        return k + 1
-    # log(tol) + log1p(-t), not log(tol * (1 - t)): the product can underflow to 0
-    extra = math.ceil((math.log(tol) + math.log1p(-t)) / math.log(t))
-    return max(k + 1, k + extra)
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
+    return k + 1 + _terms_for_tolerance(t, tol)
 
 
 def homog_extract_dft(F: Colligation, y, k: int, n_angles: int) -> np.ndarray:
@@ -444,11 +456,7 @@ def add_colligations(F: Colligation, G: Colligation) -> Colligation:
     D = np.zeros((F.J, m, F.I, m), dtype=np.complex128)
     D[:, : F.m, :, : F.m] = _d4(F)
     D[:, F.m :, :, F.m :] = _d4(G)
-    ni = None
-    if F.nilpotent_index is not None and G.nilpotent_index is not None:
-        ni = max(F.nilpotent_index, G.nilpotent_index)
-    return Colligation(A, B, C, D.reshape(F.J * m, F.I * m), F.I, F.J,
-                       nilpotent_index=ni)
+    return Colligation(A, B, C, D.reshape(F.J * m, F.I * m), F.I, F.J)
 
 
 def multiply_colligations(F: Colligation, G: Colligation) -> Colligation:
@@ -469,18 +477,13 @@ def multiply_colligations(F: Colligation, G: Colligation) -> Colligation:
     D[:, : F.m, :, : F.m] = _d4(F)
     D[:, F.m :, :, F.m :] = _d4(G)
     D[:, : F.m, :, F.m :] = cross
-    ni = None
-    if F.nilpotent_index is not None and G.nilpotent_index is not None:
-        ni = F.nilpotent_index + G.nilpotent_index
-    return Colligation(A, B, C, D.reshape(F.J * m, F.I * m), F.I, F.J,
-                       nilpotent_index=ni)
+    return Colligation(A, B, C, D.reshape(F.J * m, F.I * m), F.I, F.J)
 
 
 def scale_colligation(F: Colligation, c: complex) -> Colligation:
     """Colligation of c * F(Y)."""
     c = complex(c)
-    return Colligation(c * F.A, c * F.B, F.C, F.D, F.I, F.J,
-                       nilpotent_index=F.nilpotent_index)
+    return Colligation(c * F.A, c * F.B, F.C, F.D, F.I, F.J)
 
 
 # --- compiling polynomials ----------------------------------------------------
@@ -555,8 +558,7 @@ def poly_to_colligation(P: PolyMatrix | FreePoly, I: int, J: int) -> Colligation
             B[alpha, i * m + u] = coeff
         for a in grows[(beta, s)]:
             D[(a - 1) % J * m + cls[(beta, (a,) + s)], i * m + u] = 1.0
-    deg = max((len(s) for _, s in cls), default=0)
-    return Colligation(A, B, C, D, I, J, nilpotent_index=deg)
+    return Colligation(A, B, C, D, I, J)
 
 
 def symbolic_terms(F: Colligation, max_k: int) -> list[PolyMatrix]:
@@ -625,7 +627,8 @@ def state_space_conjugate(F: Colligation, w) -> Colligation:
     """Equivalent colligation with the auxiliary space conjugated by w.
 
     Evaluations are unchanged for every point; a unitary w preserves the
-    isometry certificate, a general invertible w usually destroys it.
+    isometry certificate, a general invertible w usually destroys it.  The
+    nilpotency index is read off the conjugated D, so a dense w can lose it.
     """
     a = as_array(w)
     if a.shape != (F.m, F.m):
@@ -633,33 +636,7 @@ def state_space_conjugate(F: Colligation, w) -> Colligation:
     wi = np.linalg.inv(a)
     blow_i = np.kron(np.eye(F.I), a)
     blow_j = np.kron(np.eye(F.J), wi)
-    return Colligation(F.A, F.B @ blow_i, blow_j @ F.C, blow_j @ F.D @ blow_i,
-                       F.I, F.J, nilpotent_index=F.nilpotent_index)
-
-
-def constant_colligation(a, I: int, J: int) -> Colligation:
-    """Colligation of the constant function Y -> I_n (x) A."""
-    a = as_array(a)
-    k2, k1 = a.shape
-    return Colligation(a, np.zeros((k2, 0)), np.zeros((0, k1)), np.zeros((0, 0)),
-                       I, J, nilpotent_index=0)
-
-
-def coordinate_colligation(i: int, j: int, I: int, J: int) -> Colligation:
-    """Colligation extracting the (i, j) block of the point (1-based indices)."""
-    if not (1 <= i <= I and 1 <= j <= J):
-        raise ShapeError(f"slot ({i},{j}) outside a {I}x{J} grid")
-    b = np.zeros((1, I), dtype=np.complex128)
-    b[0, i - 1] = 1.0
-    c = np.zeros((J, 1), dtype=np.complex128)
-    c[j - 1, 0] = 1.0
-    return Colligation(np.zeros((1, 1)), b, c, np.zeros((J, I)), I, J,
-                       nilpotent_index=1)
-
-
-def identity_colligation() -> Colligation:
-    """The scalar identity function z -> z (I = J = m = k1 = k2 = 1)."""
-    return Colligation([[0.0]], [[1.0]], [[1.0]], [[0.0]], 1, 1, nilpotent_index=1)
+    return Colligation(F.A, F.B @ blow_i, blow_j @ F.C, blow_j @ F.D @ blow_i, F.I, F.J)
 
 
 # --- ordering helpers -----------------------------------------------------------
@@ -671,14 +648,6 @@ def xfirst_to_blocks(value, n: int, k2: int, k1: int) -> np.ndarray:
     if a.shape != (n * k2, n * k1):
         raise ShapeError(f"value is {a.shape[0]}x{a.shape[1]}, expected {n * k2}x{n * k1}")
     return a.reshape(n, k2, n, k1).transpose(1, 0, 3, 2).reshape(n * k2, n * k1)
-
-
-def blocks_to_xfirst(value, n: int, k2: int, k1: int) -> np.ndarray:
-    """Inverse of xfirst_to_blocks."""
-    a = as_array(value)
-    if a.shape != (n * k2, n * k1):
-        raise ShapeError(f"value is {a.shape[0]}x{a.shape[1]}, expected {n * k2}x{n * k1}")
-    return a.reshape(k2, n, k1, n).transpose(1, 0, 3, 2).reshape(n * k2, n * k1)
 
 
 def xfirst_direct_sum(u, v, k2: int, k1: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .matrix_core import (
     compress,
     op_norm,
     random_matrix,
+    random_tuple,
     task_rng,
 )
 
@@ -130,12 +131,7 @@ def default_proposal(d: int):
     """Gaussian tuples, cycling through the configured norm targets."""
 
     def propose(level: int, trial: int, rng: np.random.Generator, cfg: SampleConfig) -> MatrixTuple:
-        target = cfg.norm_targets[trial % len(cfg.norm_targets)]
-        coords = [random_matrix(level, level, rng) for _ in range(d)]
-        worst = max(op_norm(c) for c in coords)
-        if worst > 0:
-            coords = [c * (target / worst) for c in coords]
-        return MatrixTuple(coords)
+        return random_tuple(level, d, cfg.norm_targets[trial % len(cfg.norm_targets)], rng)
 
     return propose
 

@@ -110,6 +110,16 @@ def test_substitute_matches_numeric_composition():
         x = _point(100 + k)
         y = MatrixTuple([h1.eval(x), h2.eval(x)])
         assert np.allclose(composed.eval(x), p.eval(y), atol=1e-10)
+    # many terms whose images share words: equal to the term-by-term sum
+    images = [h1, h2]
+    q = (FreePoly.letter(1, D) - 2.0 * FreePoly.letter(2, D) + 0.5) ** 5
+    want = FreePoly.zero(D)
+    for w, c in q.sorted_terms():
+        term = FreePoly.constant(c, D)
+        for ell in w:
+            term = term * images[ell - 1]
+        want = want + term
+    assert len(q) > 50 and q.substitute(images) == want
     del rng
 
 

@@ -29,8 +29,8 @@ from freecalc.funcalc import (
 from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, random_tuple, task_rng
 from freecalc.realization import (
     homog_series,
-    identity_colligation,
     multiply_colligations,
+    poly_to_colligation,
     random_isometric,
     scale_colligation,
     state_space_conjugate,
@@ -75,7 +75,7 @@ def test_params_validation():
 
 
 def test_sharp_identity_is_exact():
-    F = identity_colligation()
+    F = poly_to_colligation(FreePoly.letter(1, 1), 1, 1)
     delta = row_delta(1)
     T = random_tuple(4, 1, 0.6, 1)
     rep = sharp(F, delta, T, CalcParams(s=1.0))
@@ -119,7 +119,7 @@ def test_homogeneous_term_bound_is_exact_under_the_frobenius_screen():
         (*_isometric_job(diag_delta(2), 12, 3, 0.8, 3), diag_delta(2)),
         # z -> (1 + 1e-9) z is still certified isometric, and at a scalar point
         # ||P_1|| exceeds t: the screen must decline and the lhs be positive
-        (scale_colligation(identity_colligation(), 1.0 + 1e-9),
+        (scale_colligation(poly_to_colligation(FreePoly.letter(1, 1), 1, 1), 1.0 + 1e-9),
          MatrixTuple([[[0.4 + 0.3j]]]), PolyMatrix([[FreePoly.letter(1, 1)]])),
     ]
     for F, T, delta in jobs:

@@ -6,7 +6,6 @@ from freecalc.matrix_core import (
     MatrixTuple,
     ampliate,
     compress,
-    condition_number,
     cyclic_shift,
     direct_sum,
     op_norm,
@@ -130,12 +129,6 @@ def test_similarity_rejects_singular():
     x = MatrixTuple([np.eye(2, dtype=np.complex128)])
     with pytest.raises(DomainError):
         similarity(np.array([[1.0, 0.0], [0.0, 0.0]]), x)
-
-
-def test_condition_number():
-    assert condition_number(np.eye(4)) == pytest.approx(1.0)
-    assert condition_number(np.diag([2.0, 0.5])) == pytest.approx(4.0)
-    assert condition_number(np.zeros((2, 2))) == np.inf
 
 
 def test_random_tuple_hits_target_norm():

@@ -1,10 +1,11 @@
+import math
 from itertools import islice, product
 
 import numpy as np
 import pytest
 
 from freecalc.errors import DomainError, ShapeError
-from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, e_lambda
+from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, e_lambda, row_delta
 from freecalc.funcalc import CalcParams, compile_polynomial, sharp
 from freecalc.matrix_core import (
     MatrixTuple,
@@ -23,14 +24,10 @@ from freecalc.realization import (
     _graph_nilpotency,
     _resolvent_bound,
     add_colligations,
-    blocks_to_xfirst,
-    constant_colligation,
-    coordinate_colligation,
     dft_points_for,
     eval_colligation,
     homog_extract_dft,
     homog_series,
-    identity_colligation,
     multiply_colligations,
     poly_to_colligation,
     random_isometric,
@@ -48,6 +45,12 @@ def _mobius(theta: float) -> Colligation:
     a, b = np.cos(theta), -np.sin(theta)
     c, d = np.sin(theta), np.cos(theta)
     return Colligation([[a]], [[b]], [[c]], [[d]], 1, 1)
+
+
+def _constant_model(a, I: int, J: int) -> Colligation:
+    """The compile of the constant polynomial matrix a over an I x J grid."""
+    rows = [[FreePoly.constant(c, I * J) for c in row] for row in np.atleast_2d(a)]
+    return poly_to_colligation(PolyMatrix(rows), I, J)
 
 
 def _ball_point(n: int, I: int, J: int, t: float, seed: int) -> np.ndarray:
@@ -107,19 +110,24 @@ def test_blocks_are_read_only():
 def test_builders_evaluate_as_expected():
     n, I, J = 3, 2, 2
     y = _ball_point(n, I, J, 0.9, 7)
-    ident = identity_colligation()
+    ident = poly_to_colligation(FreePoly.letter(1, 1), 1, 1)
     z = _ball_point(n, 1, 1, 0.5, 8)
     assert np.allclose(eval_colligation(ident, z), z)
-    const = constant_colligation(np.array([[2.0, 1.0]]), I, J)
+    const = _constant_model([[2.0, 1.0]], I, J)
+    assert const.m == 0 and const.nilpotent_index == 0
     got = eval_colligation(const, y)
     assert np.allclose(got, ampliate(n, np.array([[2.0, 1.0]])))
     for i in range(1, I + 1):
         for j in range(1, J + 1):
-            coord = coordinate_colligation(i, j, I, J)
+            coord = poly_to_colligation(FreePoly.letter((i - 1) * J + j, I * J), I, J)
+            # one state, read in at slot j and out at slot i, and no loop
+            assert coord.m == 1 and coord.nilpotent_index == 1 and not coord.D.any()
+            assert np.array_equal(coord.B, np.eye(I)[[i - 1]])
+            assert np.array_equal(coord.C, np.eye(J)[:, [j - 1]])
             got = eval_colligation(coord, y)
             assert np.allclose(got, y[(i - 1) * n : i * n, (j - 1) * n : j * n])
-    with pytest.raises(ShapeError):
-        coordinate_colligation(3, 1, 2, 2)
+    with pytest.raises(ShapeError):  # a letter beyond the 2 x 2 grid
+        poly_to_colligation(FreePoly.letter(5, 5), I, J)
 
 
 def test_isometric_construction_and_contractivity():
@@ -180,7 +188,7 @@ def test_empty_dimensions_flow_through_every_route():
     T = random_tuple(n, 2, 0.5, 73)
     y = delta.eval(T)
     models = [
-        constant_colligation(np.array([[2.0, 1.0]]), I, J),  # m = 0
+        _constant_model([[2.0, 1.0]], I, J),  # m = 0
         Colligation(np.zeros((0, 2)), np.zeros((0, I * m)), random_matrix(J * m, 2, rng),
                     0.1 * random_matrix(J * m, I * m, rng), I, J),  # k2 = 0
         Colligation(np.zeros((2, 0)), random_matrix(2, I * m, rng), np.zeros((J * m, 0)),
@@ -247,9 +255,15 @@ def test_dft_points_for_edges():
         dft_points_for(2, 1.0, 1e-10)
     with pytest.raises(DomainError):
         dft_points_for(2, 0.5, 0.0)
+    with pytest.raises(DomainError):
+        dft_points_for(2, 0.5, math.inf)
     # tol * (1 - t) underflows to 0 here; the count must still come out exact
     assert dft_points_for(2, 0.5, 5e-324) == 1077
-    F = identity_colligation()
+    # the log formula alone rounds to 40 angles here, where t^33/(1-t) > tol
+    t, tol = 0.2788231406800987, 6.883496656123023e-19
+    assert t ** 33 / (1.0 - t) > tol
+    assert dft_points_for(7, t, tol) == 41 and t ** 34 / (1.0 - t) <= tol
+    F = poly_to_colligation(FreePoly.letter(1, 1), 1, 1)
     with pytest.raises(DomainError):
         homog_extract_dft(F, np.array([[0.5]]), 3, 3)
 
@@ -368,7 +382,6 @@ def test_compiled_matrix_polynomial_and_shuffles():
         val = eval_colligation(F, delta.eval(x))  # point-first
         grid = xfirst_to_blocks(val, x.n, F.k2, F.k1)  # now a k2 x k1 grid of n x n
         assert np.allclose(grid, P.eval(x), atol=1e-10)
-        assert np.array_equal(blocks_to_xfirst(grid, x.n, F.k2, F.k1), val)
         with pytest.raises(ShapeError):
             xfirst_to_blocks(val[:-1], x.n, F.k2, F.k1)
 
@@ -381,7 +394,7 @@ def test_symbolic_terms_recover_graded_pieces():
     for k, piece in enumerate(pieces):
         assert piece.entry(0, 0) == p.homogeneous_part(k)
     # a constant colligation has nothing above degree zero
-    const = constant_colligation(np.array([[3.0]]), 1, 1)
+    const = _constant_model([[3.0]], 1, 1)
     pieces = symbolic_terms(const, 2)
     assert pieces[0].entry(0, 0) == FreePoly.constant(3.0, 1)
     assert pieces[1].entry(0, 0).is_zero() and pieces[2].entry(0, 0).is_zero()
@@ -431,13 +444,39 @@ def test_state_space_conjugation_preserves_values():
 
 
 def test_nilpotency_detection():
-    assert identity_colligation().nilpotent_index == 1
-    assert constant_colligation(np.eye(2), 1, 1).nilpotent_index == 0
+    assert poly_to_colligation(FreePoly.letter(1, 1), 1, 1).nilpotent_index == 1
+    assert _constant_model(np.eye(2), 1, 1).nilpotent_index == 0
     # a self-loop in the state graph defeats every nilpotency certificate
     loop = Colligation([[0.0]], [[1.0]], [[1.0]], [[0.9]], 1, 1)
     assert loop.nilpotent_index is None
     p = FreePoly(2, {(1, 2, 1): 1.0})
     assert poly_to_colligation(p, 1, 2).nilpotent_index == 3
+
+
+def test_nilpotency_index_is_computed_never_passed():
+    # z / (1 - z) is not nilpotent, and no caller can claim that it is: its
+    # evaluation at z = 1 meets the spectral guard, and sharp certifies no
+    # finite tail for it
+    with pytest.raises(TypeError):
+        Colligation([[0.0]], [[1.0]], [[1.0]], [[1.0]], 1, 1, nilpotent_index=1)
+    geometric = Colligation([[0.0]], [[1.0]], [[1.0]], [[1.0]], 1, 1)
+    with pytest.raises(DomainError, match="spectral radius"):
+        eval_colligation(geometric, np.array([[1.0]]))
+    rep = sharp(geometric, row_delta(1), MatrixTuple([[[0.5]]]), CalcParams(s=1.0))
+    assert rep.tail_bound is None
+    assert "truncation_tail" not in {c.name for c in rep.certificates}
+    # combinations and conjugations: the longest path of the new D graph
+    F = poly_to_colligation(FreePoly(2, {(1, 2, 1): 1.0}), 1, 2)
+    G = poly_to_colligation(FreePoly(2, {(2, 2): 1.0, (1,): 2.0}), 1, 2)
+    assert add_colligations(F, G).nilpotent_index == 3
+    assert multiply_colligations(F, G).nilpotent_index == 5
+    assert scale_colligation(F, 2.0).nilpotent_index == 3
+    assert add_colligations(F, random_isometric(1, 2, 1, 1, 1, 7)).nilpotent_index is None
+    # a state permutation keeps the graph acyclic; a dense conjugator does not
+    perm = np.eye(F.m)[::-1]
+    assert state_space_conjugate(F, perm).nilpotent_index == 3
+    dense = np.eye(F.m) + 0.5 * random_matrix(F.m, F.m, task_rng(58, 0))
+    assert state_space_conjugate(F, dense).nilpotent_index is None
 
 
 def test_decoded_large_model_finds_its_nilpotency():

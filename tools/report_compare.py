@@ -1,0 +1,130 @@
+"""Byte-compare freecalc reports between a parent tree and this tree.
+
+    python3 tools/report_compare.py PARENT_TREE
+
+PARENT_TREE is a checkout with its own ``src/`` (for instance made with
+``git archive``).  In each tree the script runs, with that tree's ``src`` on
+``PYTHONPATH``,
+
+* ``freecalc experiment NAME --seed 0`` for every experiment but ``custom``;
+* ``freecalc calc --job J`` on two stock jobs that it writes once, with this
+  tree's freecalc, and hands to both trees: a random isometric model on
+  ``row_delta(3)`` at n = 8, m = 4, and the compile of ``(x1 + x2)^4`` on
+  ``diag_delta(2)`` at n = 6.
+
+For each report it prints ``identical`` when the bytes match, and otherwise
+``differs`` with the largest relative difference between matching floats
+(or where the structure differs).  The exit code is 0 when every report is
+identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+def write_jobs(workdir: Path) -> dict[str, Path]:
+    """The two stock calc jobs, written with this tree's freecalc."""
+    from freecalc.freepoly import FreePoly, diag_delta, row_delta
+    from freecalc.funcalc import compile_polynomial
+    from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, task_rng
+    from freecalc.realization import random_isometric
+    from freecalc.serialize import dumps_canonical, encode
+
+    rng = task_rng(0, 0xCA1C)
+    delta = row_delta(3)
+    coords = [random_matrix(8, 8, rng) for _ in range(delta.d)]
+    scale = 0.6 / op_norm(delta.eval(MatrixTuple(coords)))
+    isometric = {"F": random_isometric(delta.I, delta.J, 4, 1, 1, rng), "delta": delta,
+                 "T": MatrixTuple([c * scale for c in coords])}
+    delta = diag_delta(2)
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    coords = [random_matrix(6, 6, rng) for _ in range(2)]
+    compiled = {"F": compile_polynomial((x1 + x2) ** 4, delta), "delta": delta,
+                "T": MatrixTuple([c * (1.5 / op_norm(c)) for c in coords])}
+    paths = {}
+    for name, job in (("calc-isometric", isometric), ("calc-compiled", compiled)):
+        paths[name] = workdir / f"{name}.job.json"
+        paths[name].write_text(dumps_canonical({k: encode(v) for k, v in job.items()}),
+                               encoding="utf-8")
+    return paths
+
+
+def experiment_names() -> list[str]:
+    from freecalc.experiments import EXPERIMENT_NAMES
+
+    return [name for name in EXPERIMENT_NAMES if name != "custom"]
+
+
+def run_report(tree: Path, argv: list[str], out: Path) -> tuple[int, bytes | None]:
+    """Exit code and report bytes of ``freecalc ARGV --out OUT`` in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("FREECALC_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "freecalc", *argv, "--out", str(out)],
+                          cwd=out.parent, env=env, capture_output=True, check=False)
+    return proc.returncode, out.read_bytes() if out.exists() else None
+
+
+def max_rel_diff(a, b) -> float:
+    """Largest relative difference between matching floats; inf where the
+    structure or a non-float value differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max((max_rel_diff(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf
+        return max((max_rel_diff(x, y) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0
+        return abs(a - b) / max(abs(a), abs(b))
+    return 0.0 if a == b and type(a) is type(b) else math.inf
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or args[0].startswith("-"):
+        sys.exit("usage: python3 tools/report_compare.py PARENT_TREE")
+    parent = Path(args[0]).resolve()
+    if not (parent / "src" / "freecalc" / "__init__.py").is_file():
+        sys.exit(f"error: no freecalc sources under {parent / 'src'}")
+    trees = {"parent": parent, "change": HERE}
+    sys.path.insert(0, str(HERE / "src"))  # jobs and experiment names come from this tree
+    all_same = True
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        reports = {name: ["experiment", name, "--seed", "0"] for name in experiment_names()}
+        for name, path in write_jobs(workdir).items():
+            reports[name] = ["calc", "--job", str(path)]
+        for name, argv_ in reports.items():
+            results = {}
+            for side, tree in trees.items():
+                side_dir = workdir / side
+                side_dir.mkdir(exist_ok=True)
+                results[side] = run_report(tree, argv_, side_dir / f"{name}.json")
+            (p_code, p_raw), (c_code, c_raw) = results["parent"], results["change"]
+            if p_raw is None or c_raw is None:
+                verdict = f"differs: no report (exit {p_code} parent, {c_code} change)"
+            elif p_raw == c_raw and p_code == c_code:
+                verdict = "identical"
+            else:
+                rel = max_rel_diff(json.loads(p_raw), json.loads(c_raw))
+                verdict = (f"differs: exit {p_code} parent, {c_code} change, "
+                           f"max relative float difference {rel:.3g}")
+            all_same &= verdict == "identical"
+            print(f"{name}: {verdict}", flush=True)
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
