@@ -37,6 +37,16 @@ def _canon_key(word: Word) -> tuple[int, Word]:
     return (len(word), word)
 
 
+def _concat_product(left: dict[Word, complex], right: dict[Word, complex]) -> dict[Word, complex]:
+    """Product of two word -> coefficient maps by concatenation, without zero terms."""
+    out: dict[Word, complex] = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            w = w1 + w2
+            out[w] = out.get(w, 0j) + c1 * c2
+    return {w: c for w, c in out.items() if c != 0}
+
+
 class FreePoly:
     """An immutable free polynomial in ``d`` noncommuting letters.
 
@@ -160,12 +170,7 @@ class FreePoly:
         if not isinstance(other, FreePoly):
             return NotImplemented
         self._require_same_d(other)
-        out: dict[Word, complex] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0j) + c1 * c2
-        return FreePoly(self._d, out)
+        return FreePoly(self._d, _concat_product(self._terms, other._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -221,14 +226,14 @@ class FreePoly:
         for h in images:
             if h.d != d_new:
                 raise ShapeError("substitution images live over different alphabets")
-        # One dict for the whole sum: adding FreePolys would rebuild and
-        # re-check every accumulated word once per term.
+        # Terms are built and summed as plain dicts: FreePoly arithmetic would
+        # rebuild and re-check every word once per letter and per term.
         out: dict[Word, complex] = {}
         for w, c in self.sorted_terms():
-            term = FreePoly.constant(c, d_new)
+            term = {(): c}
             for ell in w:
-                term = term * images[ell - 1]
-            for u, v in term._terms.items():
+                term = _concat_product(term, images[ell - 1]._terms)
+            for u, v in term.items():
                 out[u] = out.get(u, 0j) + v
         return FreePoly(d_new, out)
 
@@ -240,26 +245,8 @@ class FreePoly:
     # --- evaluation -----------------------------------------------------------
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
-        """Evaluate at a matrix point; the empty word contributes c * I_n.
-
-        Terms are accumulated in canonical order so results are bitwise
-        reproducible run to run.
-        """
-        if x.d != self._d:
-            raise ShapeError(
-                f"point has {x.d} coordinates, polynomial has {self._d} letters"
-            )
-        n = x.n
-        acc = np.zeros((n, n), dtype=np.complex128)
-        for w, c in self.sorted_terms():
-            if not w:
-                acc += c * np.eye(n, dtype=np.complex128)
-                continue
-            m = x.coords[w[0] - 1]
-            for ell in w[1:]:
-                m = m @ x.coords[ell - 1]
-            acc += c * m
-        return acc
+        """Evaluate at a matrix point: the 1x1 case of ``PolyMatrix.eval``."""
+        return PolyMatrix.from_poly(self).eval(x)
 
 
 class PolyMatrix:
@@ -330,12 +317,35 @@ class PolyMatrix:
         return all(p.constant_term == 0 for row in self._rows for p in row)
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
-        """Assembled nI x nJ block evaluation at a level-n point."""
-        n = x.n
-        out = np.empty((self.I, n, self.J, n), dtype=np.complex128)
+        """Assembled nI x nJ block evaluation at a level-n point.
+
+        Every distinct word prefix is multiplied once, left to right, for all
+        entries.  Each entry sums its terms in canonical order (the empty word
+        gives c * I_n), so results are bitwise reproducible run to run.
+        """
+        if x.d != self._d:
+            raise ShapeError(
+                f"point has {x.d} coordinates, polynomial has {self._d} letters"
+            )
+        n, coords = x.n, x.coords
+        products: dict[Word, np.ndarray] = {}
+        out = np.zeros((self.I, n, self.J, n), dtype=np.complex128)
         for i, row in enumerate(self._rows):
             for j, p in enumerate(row):
-                out[i, :, j, :] = p.eval(x)
+                if p.is_zero():
+                    continue
+                acc = out[i, :, j, :]
+                for w, c in p.sorted_terms():
+                    if not w:
+                        acc += c * np.eye(n, dtype=np.complex128)
+                        continue
+                    m = coords[w[0] - 1]
+                    for k in range(2, len(w) + 1):
+                        prod = products.get(w[:k])
+                        if prod is None:
+                            prod = products[w[:k]] = m @ coords[w[k - 1] - 1]
+                        m = prod
+                    acc += c * m
         return out.reshape(self.I * n, self.J * n)
 
     def __eq__(self, other):

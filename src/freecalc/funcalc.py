@@ -11,7 +11,7 @@ be re-checked from the numbers alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,13 +66,16 @@ class CalcParams:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A single named inequality check: lhs <= rhs, with the verdict stored."""
+    """A single named inequality check: lhs <= rhs, with its verdict computed."""
 
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     lhs: float
     rhs: float
     detail: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.lhs <= self.rhs))
 
 
 @dataclass(frozen=True)
@@ -276,7 +279,6 @@ def sharp(
         certs.append(
             Certificate(
                 name="two_path_agreement",
-                passed=agreement <= params.tol + _AGREE_SLACK,
                 lhs=agreement,
                 rhs=params.tol + _AGREE_SLACK,
                 detail="series sum vs closed linear-fractional value",
@@ -286,7 +288,6 @@ def sharp(
         certs.append(
             Certificate(
                 name="truncation_tail",
-                passed=certified_tail <= params.tol,
                 lhs=certified_tail,
                 rhs=params.tol,
                 detail=f"stopping rule: {mode}",
@@ -297,7 +298,6 @@ def sharp(
         certs.append(
             Certificate(
                 name="contractive",
-                passed=value_norm <= 1.0 + _CONTRACTIVE_SLACK,
                 lhs=value_norm,
                 rhs=1.0 + _CONTRACTIVE_SLACK,
                 detail="isometric data keeps values in the unit ball",
@@ -308,7 +308,6 @@ def sharp(
         certs.append(
             Certificate(
                 name="series_norm_geometric",
-                passed=series_norm <= geo,
                 lhs=series_norm,
                 rhs=geo,
                 detail="partial sums stay under the geometric envelope",
@@ -317,7 +316,6 @@ def sharp(
         certs.append(
             Certificate(
                 name="homogeneous_term_bound",
-                passed=worst_excess <= _TERM_BOUND_SLACK,
                 lhs=worst_excess,
                 rhs=_TERM_BOUND_SLACK,
                 detail="every degree-k term has norm at most t^k",

@@ -48,61 +48,55 @@ def as_array(m) -> np.ndarray:
 class MatrixTuple:
     """A point of the matrix universe: ``d`` square complex matrices of one size.
 
-    Coordinate access is 0-based through ``coords``; the letter ``x^j`` of a
-    free polynomial (1-based) evaluates to ``coords[j-1]``.
+    The coordinates are one read-only ``(d, n, n)`` array copied from the
+    input.  Coordinate access is 0-based through ``coords``; the letter
+    ``x^j`` of a free polynomial (1-based) evaluates to ``coords[j-1]``.
     """
 
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Iterable):
-        mats = []
-        for k, c in enumerate(coords):
-            a = np.array(c, dtype=np.complex128, copy=True)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ShapeError(f"coordinate {k} is not a square matrix")
-            if a.shape[0] == 0:
-                raise ShapeError(f"coordinate {k} is 0x0; a level is at least 1")
-            _check_finite(a, f"coordinate {k}")
-            a.setflags(write=False)
-            mats.append(a)
-        if not mats:
-            raise ShapeError("a MatrixTuple needs at least one coordinate")
-        n = mats[0].shape[0]
-        for k, a in enumerate(mats):
-            if a.shape[0] != n:
-                raise ShapeError(
-                    f"coordinate {k} is {a.shape[0]}x{a.shape[1]}, expected {n}x{n}"
-                )
-        self._coords = tuple(mats)
+        try:
+            stack = np.array(list(coords), dtype=np.complex128)
+        except ValueError as exc:
+            raise ShapeError(f"coordinates do not form a (d, n, n) array: {exc}") from None
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+            raise ShapeError(
+                "a MatrixTuple needs at least one square matrix, all n x n with "
+                f"n >= 1; got coordinates of shape {stack.shape}"
+            )
+        _check_finite(stack, "coordinate")
+        stack.setflags(write=False)
+        self._coords = stack
 
     @property
-    def coords(self) -> tuple[np.ndarray, ...]:
+    def coords(self) -> np.ndarray:
+        """The read-only ``(d, n, n)`` stack of coordinates."""
         return self._coords
 
     @property
     def n(self) -> int:
         """Matrix size (the level of the point)."""
-        return self._coords[0].shape[0]
+        return self._coords.shape[1]
 
     @property
     def d(self) -> int:
         """Number of coordinates."""
-        return len(self._coords)
+        return self._coords.shape[0]
 
     def __mul__(self, c) -> "MatrixTuple":
-        c = complex(c)
-        return MatrixTuple(c * a for a in self._coords)
+        return MatrixTuple(complex(c) * self._coords)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, MatrixTuple):
             return NotImplemented
-        return (self.d == other.d and self.n == other.n
-                and all(np.array_equal(a, b) for a, b in zip(self._coords, other._coords)))
+        return np.array_equal(self._coords, other._coords)
 
     def __hash__(self):
-        return hash(tuple(a.tobytes() for a in self._coords))
+        # Adding 0 turns -0.0 into 0.0, which __eq__ treats as equal.
+        return hash((self._coords + 0).tobytes())
 
     def __repr__(self):
         return f"MatrixTuple(d={self.d}, n={self.n})"
@@ -128,13 +122,10 @@ def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
         raise ShapeError(
             f"incompatible tuples: {x.d} coordinates vs {y.d}"
         )
-    coords = []
-    for a, b in zip(x.coords, y.coords):
-        c = np.zeros((x.n + y.n, x.n + y.n), dtype=np.complex128)
-        c[: x.n, : x.n] = a
-        c[x.n :, x.n :] = b
-        coords.append(c)
-    return MatrixTuple(coords)
+    stack = np.zeros((x.d, x.n + y.n, x.n + y.n), dtype=np.complex128)
+    stack[:, : x.n, : x.n] = x.coords
+    stack[:, x.n :, x.n :] = y.coords
+    return MatrixTuple(stack)
 
 
 def ampliate(n: int, a) -> np.ndarray:
@@ -213,9 +204,8 @@ def random_tuple(n: int, d: int, target_norm: float, seed) -> MatrixTuple:
     if target_norm <= 0:
         raise DomainError("target_norm must be positive")
     rng = rng_from(seed)
-    coords = [random_matrix(n, n, rng) for _ in range(d)]
-    peak = max(op_norm(c) for c in coords)
+    stack = np.array([random_matrix(n, n, rng) for _ in range(d)])
+    peak = max(op_norm(c) for c in stack)
     if peak == 0.0:
         raise DomainError("degenerate random draw; cannot rescale zero tuple")
-    scale = target_norm / peak
-    return MatrixTuple(scale * c for c in coords)
+    return MatrixTuple((target_norm / peak) * stack)

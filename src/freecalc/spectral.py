@@ -191,11 +191,10 @@ def _ascend(
     rejections = 0
     converged = False
     for _ in range(cfg.ascent_steps):
-        pert = [random_matrix(*a.shape, rng) for a in start.coords]
+        pert = np.array([random_matrix(*a.shape, rng) for a in start.coords])
         accepted = False
         for shrink in (1.0, 0.5, 0.25, 0.125):
-            c = complex(step * shrink)
-            cand = MatrixTuple([a + c * p for a, p in zip(cur.coords, pert)])
+            cand = MatrixTuple(cur.coords + complex(step * shrink) * pert)
             cand_norm, inside = _in_domain(delta, cand, cfg)
             if inside:
                 cand_val = op_norm(objective.eval(cand))

@@ -127,6 +127,68 @@ def test_eval_rejects_wrong_alphabet():
     p = FreePoly.letter(1, 3)
     with pytest.raises(ShapeError):
         p.eval(_point(0))
+    # The letter count is checked even where no entry has a word to evaluate.
+    zero = FreePoly.zero(2)
+    x3 = random_tuple(2, 3, 0.5, 0)
+    with pytest.raises(ShapeError, match="3 coordinates"):
+        PolyMatrix([[zero, zero], [zero, zero]]).eval(x3)
+    with pytest.raises(ShapeError):
+        zero.eval(x3)
+
+
+def _per_word_eval(delta: PolyMatrix, x: MatrixTuple) -> np.ndarray:
+    """Reference: every entry and every word multiplied out from scratch."""
+    n = x.n
+    blocks = []
+    for row in delta.entries:
+        blocks.append([])
+        for p in row:
+            acc = np.zeros((n, n), dtype=np.complex128)
+            for w, c in p.sorted_terms():
+                if not w:
+                    acc += c * np.eye(n, dtype=np.complex128)
+                    continue
+                m = x.coords[w[0] - 1]
+                for ell in w[1:]:
+                    m = m @ x.coords[ell - 1]
+                acc += c * m
+            blocks[-1].append(acc)
+    return np.block(blocks)
+
+
+def _random_poly_matrix(rng, I: int, J: int, d: int) -> PolyMatrix:
+    """Seeded entries: about a third zero, the rest with constants and shared prefixes."""
+    stems = [tuple(int(ell) for ell in rng.integers(1, d + 1, size=3)) for _ in range(2)]
+    rows = []
+    for _ in range(I):
+        row = []
+        for _ in range(J):
+            terms = {}
+            if rng.uniform() > 1 / 3:
+                for _ in range(int(rng.integers(1, 7))):
+                    stem = stems[int(rng.integers(0, 2))][: int(rng.integers(0, 4))]
+                    tail = rng.integers(1, d + 1, size=int(rng.integers(0, 3)))
+                    word = stem + tuple(int(ell) for ell in tail)
+                    terms[word] = complex(rng.standard_normal(), rng.standard_normal())
+            row.append(FreePoly(d, terms))
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+def test_polymatrix_eval_is_bitwise_the_per_word_sum():
+    rng = task_rng(9, 1)
+    for I, J, n in ((1, 1, 1), (1, 1, 3), (2, 3, 2), (3, 2, 4), (3, 3, 3)):
+        for _ in range(4):
+            delta = _random_poly_matrix(rng, I, J, 3)
+            x = random_tuple(n, 3, 0.9, rng)
+            got = delta.eval(x)
+            assert got.shape == (I * n, J * n)
+            assert got.tobytes() == _per_word_eval(delta, x).tobytes()
+            p = delta.entry(0, 0)
+            assert p.eval(x).tobytes() == _per_word_eval(PolyMatrix.from_poly(p), x).tobytes()
+    for delta in (gap_delta(0.1), diag_delta(3), lens_delta()):
+        x = random_tuple(3, delta.d, 0.9, 5)
+        assert delta.eval(x).tobytes() == _per_word_eval(delta, x).tobytes()
 
 
 def test_polymatrix_eval_is_blockwise():

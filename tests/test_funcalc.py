@@ -17,6 +17,7 @@ from freecalc.freepoly import (
 from freecalc.funcalc import (
     CalcParams,
     CalcReport,
+    Certificate,
     compile_polynomial,
     default_scale,
     derive_witnesses,
@@ -72,6 +73,14 @@ def test_params_validation():
     with pytest.raises(DomainError):
         CalcParams(max_terms=0)
     CalcParams(s=1.0)  # the boundary scale is allowed
+
+
+def test_certificate_verdict_is_computed_from_its_numbers():
+    assert Certificate("c", lhs=1.0, rhs=1.0).passed
+    assert not Certificate("c", lhs=1.0 + 1e-15, rhs=1.0).passed
+    assert not Certificate("c", lhs=math.nan, rhs=1.0).passed
+    with pytest.raises(TypeError):
+        Certificate("c", passed=True, lhs=2.0, rhs=1.0)
 
 
 def test_sharp_identity_is_exact():

@@ -72,6 +72,36 @@ def test_matrix_tuple_validation():
         MatrixTuple([np.array([[np.nan]])])
     with pytest.raises(ShapeError):
         MatrixTuple([np.zeros((0, 0))])
+    with pytest.raises(ShapeError):
+        MatrixTuple(np.zeros((2, 0, 0)))
+    with pytest.raises(ShapeError):
+        MatrixTuple([])
+    with pytest.raises(ShapeError):
+        MatrixTuple([[[1.0, 2.0], [3.0]]])
+    with pytest.raises(DomainError):
+        MatrixTuple([np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]])])
+
+
+def test_matrix_tuple_is_one_read_only_copy():
+    a = np.eye(2)
+    stack = np.stack([a, 2 * a])
+    x = MatrixTuple([a, 2 * a])
+    y = MatrixTuple(stack)
+    z = MatrixTuple(c for c in stack)
+    a[0, 0] = 7.0
+    stack[:] = 0.0
+    assert x == y == z and x.coords[0, 0, 0] == 1.0 and y.coords[1, 0, 0] == 2.0
+    assert isinstance(x.coords, np.ndarray)
+    assert x.coords.shape == (2, 2, 2) and x.coords.dtype == np.complex128
+    assert not x.coords.flags.writeable and not x.coords[0].flags.writeable
+    with pytest.raises(ValueError):
+        x.coords[0, 0, 0] = 3.0
+    first, second = x.coords
+    assert np.array_equal(first, np.eye(2)) and np.array_equal(second, 2 * np.eye(2))
+    assert hash(x) == hash(y)
+    signed = MatrixTuple([[[-0.0, 1.0], [0.0, 1.0]]])
+    assert signed == MatrixTuple([[[0.0, 1.0], [0.0, 1.0]]])
+    assert hash(signed) == hash(MatrixTuple([[[0.0, 1.0], [0.0, 1.0]]]))
 
 
 def test_matrix_tuple_arithmetic_is_entrywise():
