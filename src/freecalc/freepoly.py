@@ -50,8 +50,9 @@ def _concat_product(left: dict[Word, complex], right: dict[Word, complex]) -> di
 class FreePoly:
     """An immutable free polynomial in ``d`` noncommuting letters.
 
-    Terms live in a word -> coefficient map; words are tuples of 1-based
-    letter indices and the empty word is the constant term.  Zero
+    Terms live in a word -> coefficient map, stored in canonical order;
+    words are tuples of 1-based letter indices and the empty word is the
+    constant term.  Zero
     coefficients are never stored, so structural equality is semantic
     equality.
     """
@@ -75,7 +76,7 @@ class FreePoly:
                 else:
                     clean.pop(word, None)
         self._d = d
-        self._terms = clean
+        self._terms = dict(sorted(clean.items(), key=lambda kv: _canon_key(kv[0])))
 
     # --- constructors -----------------------------------------------------
 
@@ -108,7 +109,7 @@ class FreePoly:
 
     def sorted_terms(self) -> list[tuple[Word, complex]]:
         """Terms in canonical order: by word length, then lexicographically."""
-        return sorted(self._terms.items(), key=lambda kv: _canon_key(kv[0]))
+        return list(self._terms.items())
 
     def coeff(self, word: Iterable[int]) -> complex:
         return self._terms.get(tuple(word), 0j)

@@ -33,7 +33,7 @@ SINGULAR_RTOL = 1e-12
 
 
 def _check_finite(a: np.ndarray, what: str = "matrix") -> None:
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise DomainError(f"{what} entries must be finite (found NaN or Inf)")
 
 

@@ -116,7 +116,7 @@ class Colligation:
         if D.shape != (J * m, I * m):
             raise ShapeError(f"D is {D.shape[0]}x{D.shape[1]}, expected {J * m}x{I * m}")
         for name, a in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if a.size and not np.all(np.isfinite(a)):
+            if a.size and not np.isfinite(a).all():
                 raise DomainError(f"block {name} has non-finite entries")
         self._A, self._B, self._C, self._D = A, B, C, D
         self._I, self._J, self._m = I, J, m

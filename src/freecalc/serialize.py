@@ -36,7 +36,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ValidationError
-from .freepoly import FreePoly, PolyMatrix
+from .freepoly import FreePoly, PolyMatrix, _canon_key
 from .funcalc import CalcParams
 from .matrix_core import MatrixTuple, as_array
 from .realization import Colligation
@@ -269,7 +269,7 @@ def decode_poly(v, path: str = "$") -> FreePoly:
             raise ValidationError(f"duplicate word {list(word)}", f"{tp}.word")
         seen[word] = coeff
         order.append(word)
-    canon = sorted(order, key=lambda w: (len(w), w))
+    canon = sorted(order, key=_canon_key)
     if order != canon:
         raise ValidationError(
             "terms not in canonical (length, lexicographic) order", f"{path}.terms"

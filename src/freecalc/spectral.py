@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -71,19 +72,6 @@ class SampleConfig:
         for target in self.norm_targets:
             if not 0 < target < math.inf:
                 raise DomainError(f"norm target {target} must be finite and positive")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One proposal: whether it landed in the domain and how high it climbed."""
-
-    level: int
-    trial: int
-    admissible: bool
-    value: float = float("-inf")
-    witness: MatrixTuple | None = None
-    domain_norm: float = float("nan")
-    converged: bool = False
 
 
 @dataclass(frozen=True)
@@ -172,12 +160,12 @@ def _ascend(
     objective: PolyMatrix,
     delta: PolyMatrix,
     start: MatrixTuple,
-    start_value: float,
     start_norm: float,
     rng: np.random.Generator,
     cfg: SampleConfig,
 ) -> tuple[MatrixTuple, float, float, bool]:
-    """Projected random hill-climb inside the sublevel set.
+    """Projected random hill-climb inside the sublevel set from an admissible
+    start: (witness, value, ||delta(witness)||, converged).
 
     Each step draws one Gaussian perturbation tuple; if the full step leaves
     the domain it is shrunk a few times toward the current point before being
@@ -185,6 +173,7 @@ def _ascend(
     draw per step regardless of acceptance, so runs with more steps extend
     runs with fewer steps instead of diverging from them.
     """
+    start_value = op_norm(objective.eval(start))
     best_x, best_val, best_norm = start, start_value, start_norm
     cur, cur_val = start, start_value
     step = cfg.step_size
@@ -217,37 +206,31 @@ def _ascend(
     return best_x, best_val, best_norm, converged
 
 
-def _propose(
-    delta: PolyMatrix, cfg: SampleConfig, level: int, trial: int, proposal
-) -> tuple[MatrixTuple, np.random.Generator]:
-    """Draw the proposal for one (level, trial) task from its own generator."""
-    rng = task_rng(cfg.seed, level, trial)
-    x = proposal(level, trial, rng, cfg)
-    if x.d != delta.d:
-        raise ShapeError(
-            f"proposal returned a tuple in {x.d} letters, domain uses {delta.d}"
-        )
-    return x, rng
+def _draws(delta: PolyMatrix, cfg: SampleConfig, proposal):
+    """The sampler's one stream of draws, in (level, trial) order.
+
+    Each task draws its proposal from its own ``task_rng(cfg.seed, level,
+    trial)`` and is tested for membership once.  The stream yields
+    ``(level, trial, x, ||delta(x)||, inside, rng)``, with ``rng`` in the
+    state the proposal left, ready for an ascent from x.
+    """
+    proposal = proposal or default_proposal(delta.d)
+    for level in cfg.levels:
+        for trial in range(cfg.trials_per_level):
+            rng = task_rng(cfg.seed, level, trial)
+            x = proposal(level, trial, rng, cfg)
+            if x.d != delta.d:
+                raise ShapeError(
+                    f"proposal returned a tuple in {x.d} letters, domain uses {delta.d}"
+                )
+            yield (level, trial, x, *_in_domain(delta, x, cfg), rng)
 
 
-def _climb(
-    objective: PolyMatrix,
-    delta: PolyMatrix,
-    cfg: SampleConfig,
-    x: MatrixTuple,
-    level: int,
-    trial: int,
-    rng: np.random.Generator,
-) -> TrialOutcome:
-    """Test x for membership; if it is admissible, hill-climb from it."""
-    domain_norm, inside = _in_domain(delta, x, cfg)
-    if not inside:
-        return TrialOutcome(level, trial, False)
-    value = op_norm(objective.eval(x))
-    best_x, best_val, best_norm, converged = _ascend(
-        objective, delta, x, value, domain_norm, rng, cfg
-    )
-    return TrialOutcome(level, trial, True, best_val, best_x, best_norm, converged)
+def _objective(p, delta: PolyMatrix) -> PolyMatrix:
+    p = PolyMatrix.from_poly(p)
+    if p.d != delta.d:
+        raise ShapeError(f"objective uses {p.d} letters but the domain map uses {delta.d}")
+    return p
 
 
 def sup_norm_estimate(
@@ -266,49 +249,28 @@ def sup_norm_estimate(
     first strict improvement, so the same config and seed reproduce the same
     report byte for byte.
     """
-    objective = PolyMatrix.from_poly(objective)
     delta = PolyMatrix.from_poly(delta)
-    if objective.d != delta.d:
-        raise ShapeError(
-            f"objective uses {objective.d} letters but the domain map uses {delta.d}"
-        )
+    objective = _objective(objective, delta)
     cfg = cfg or SampleConfig()
-    proposal = proposal or default_proposal(delta.d)
-
-    outcomes = []
-    for level in cfg.levels:
-        for trial in range(cfg.trials_per_level):
-            x, rng = _propose(delta, cfg, level, trial, proposal)
-            outcomes.append(_climb(objective, delta, cfg, x, level, trial, rng))
-    # An explicitly supplied tuple is a trial tagged with trial = -1 - index.
-    for idx, x in enumerate(extra_candidates):
-        rng = task_rng(cfg.seed, 0x0E, idx)
-        outcomes.append(_climb(objective, delta, cfg, x, x.n, -1 - idx, rng))
-
-    best: TrialOutcome | None = None
-    admissible = 0
-    per_level: dict[int, list[TrialOutcome]] = {}
-    for out in outcomes:
-        if out.admissible:
-            admissible += 1
-            if best is None or out.value > best.value:
-                best = out
-        per_level.setdefault(out.level, []).append(out)
-
-    summaries = []
-    for level in sorted(per_level):
-        outs = per_level[level]
-        adm = [o for o in outs if o.admissible]
-        top = max(adm, key=lambda o: o.value) if adm else None
-        summaries.append(
-            LevelSummary(
-                level=level,
-                trials=len(outs),
-                admissible=len(adm),
-                best_value=top.value if top else None,
-                best_trial=top.trial if top else None,
-            )
-        )
+    # An explicitly supplied tuple is a trial tagged with trial = -1 - index,
+    # climbed after every sampled trial.
+    extras = (
+        (x.n, -1 - idx, x, *_in_domain(delta, x, cfg), task_rng(cfg.seed, 0x0E, idx))
+        for idx, x in enumerate(extra_candidates)
+    )
+    best = None  # the winner's (value, witness, level, trial, domain norm, converged)
+    tallies: dict[int, list] = {}  # level -> [trials, admissible, best value, best trial]
+    for level, trial, x, norm, inside, rng in chain(_draws(delta, cfg, proposal), extras):
+        tally = tallies.setdefault(level, [0, 0, None, None])
+        tally[0] += 1
+        if not inside:
+            continue
+        tally[1] += 1
+        witness, value, norm, converged = _ascend(objective, delta, x, norm, rng, cfg)
+        if tally[2] is None or value > tally[2]:
+            tally[2:] = value, trial
+        if best is None or value > best[0]:
+            best = (value, witness, level, trial, norm, converged)
 
     notes = []
     if best is None:
@@ -317,17 +279,18 @@ def sup_norm_estimate(
             "for the proposal distribution at these levels"
         )
     notes.append("estimate is a sampled lower bound for the supremum")
+    value, witness, level, trial, norm, converged = best or (None,) * 5 + (False,)
     return SpectralReport(
         kind="sup_norm",
-        estimate=best.value if best else None,
-        witness=best.witness if best else None,
-        witness_level=best.level if best else None,
-        witness_trial=best.trial if best else None,
-        witness_domain_norm=best.domain_norm if best else None,
-        ascent_converged=bool(best.converged) if best else False,
-        trials=len(outcomes),
-        admissible=admissible,
-        per_level=tuple(summaries),
+        estimate=value,
+        witness=witness,
+        witness_level=level,
+        witness_trial=trial,
+        witness_domain_norm=norm,
+        ascent_converged=converged,
+        trials=sum(t[0] for t in tallies.values()),
+        admissible=sum(t[1] for t in tallies.values()),
+        per_level=tuple(LevelSummary(level, *tallies[level]) for level in sorted(tallies)),
         config=cfg,
         notes=tuple(notes),
     )
@@ -341,15 +304,8 @@ def sample_admissible(
 ) -> list[MatrixTuple]:
     """Collect proposal tuples with ||delta(x)|| <= 1 - margin (no ascent)."""
     delta = PolyMatrix.from_poly(delta)
-    cfg = cfg or SampleConfig()
-    proposal = proposal or default_proposal(delta.d)
-    hits = []
-    for level in cfg.levels:
-        for trial in range(cfg.trials_per_level):
-            x, _ = _propose(delta, cfg, level, trial, proposal)
-            if _in_domain(delta, x, cfg)[1]:
-                hits.append(x)
-    return hits
+    draws = _draws(delta, cfg or SampleConfig(), proposal)
+    return [x for _, _, x, _, inside, _ in draws if inside]
 
 
 def _describe(p: PolyMatrix) -> str:
@@ -374,25 +330,39 @@ def k_spectral_check(
     Violations are graded "confirmed" when the winning ascent converged and
     "potential" otherwise.  If T itself lies in the domain it is fed in as a
     candidate, which makes the K = 1 inequality hold by construction.
+
+    Every member climbs from the same single pass of draws, each ascent
+    starting from the generator state the proposal left, so each member's
+    supremum estimate equals its own ``sup_norm_estimate``.
     """
     delta = PolyMatrix.from_poly(delta)
     cfg = cfg or SampleConfig()
     if not 0 < K < math.inf:
         raise DomainError(f"the spectral constant K must be finite and positive, got {K}")
     t_norm, t_inside = _in_domain(delta, T, cfg)
-    extras = (T,) if t_inside else ()
+    members = [_objective(member, delta) for member in family]
+
+    draws = _draws(delta, cfg, proposal) if members else ()
+    if t_inside:
+        draws = chain(draws, [(T.n, -1, T, t_norm, True, task_rng(cfg.seed, 0x0E, 0))])
+    best: list[tuple[float, bool] | None] = [None] * len(members)
+    for _, _, x, norm, inside, rng in draws:
+        if not inside:
+            continue
+        start = rng.bit_generator.state
+        for idx, p in enumerate(members):
+            rng.bit_generator.state = start
+            _, value, _, converged = _ascend(p, delta, x, norm, rng, cfg)
+            if best[idx] is None or value > best[idx][0]:
+                best[idx] = (value, converged)
 
     violations = []
     notes = []
-    skipped = 0
-    for idx, member in enumerate(family):
-        p = PolyMatrix.from_poly(member)
-        rep = sup_norm_estimate(p, delta, cfg, proposal=proposal, extra_candidates=extras)
+    for idx, (p, top) in enumerate(zip(members, best)):
         lhs = op_norm(p.eval(T))
-        if rep.estimate is None:
-            skipped += 1
+        if top is None:
             continue
-        rhs = K * rep.estimate
+        rhs = K * top[0]
         if lhs > rhs + _VIOLATION_SLACK * max(1.0, rhs):
             violations.append(
                 Violation(
@@ -400,13 +370,14 @@ def k_spectral_check(
                     description=_describe(p),
                     lhs=lhs,
                     rhs=rhs,
-                    status="confirmed" if rep.ascent_converged else "potential",
+                    status="confirmed" if top[1] else "potential",
                 )
             )
     if not t_inside:
         notes.append(
             f"the test tuple is outside the sampled domain (||delta(T)|| = {t_norm:.6g})"
         )
+    skipped = best.count(None)
     if skipped:
         notes.append(
             f"{skipped} family member(s) skipped: no admissible sample, domain possibly empty"

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from freecalc.errors import CheckFailure, DomainError, ShapeError
-from freecalc.freepoly import FreePoly, PolyMatrix, gap_delta, row_delta
+from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, gap_delta, row_delta
 from freecalc.matrix_core import MatrixTuple, cyclic_shift, op_norm
+from freecalc.serialize import dumps_canonical, encode
 from freecalc.spectral import (
     SampleConfig,
+    SpectralReport,
+    Violation,
     compress_tuple,
     compression_check,
     default_proposal,
@@ -174,6 +177,95 @@ def test_k_spectral_flags_outside_tuple():
     for K in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             k_spectral_check(row_delta(1), T, K, [X1], cfg)
+
+
+def _counting(proposal):
+    calls = []
+
+    def propose(level, trial, rng, cfg):
+        calls.append((level, trial))
+        return proposal(level, trial, rng, cfg)
+
+    return propose, calls
+
+
+def _k_spectral_reference(delta, T, K, family, cfg):
+    """k_spectral_check assembled from one sup_norm_estimate per member."""
+    t_norm = op_norm(delta.eval(T))
+    t_inside = t_norm <= 1.0 - cfg.margin
+    violations, skipped = [], 0
+    for idx, p in enumerate(family):
+        rep = sup_norm_estimate(p, delta, cfg, extra_candidates=(T,) if t_inside else ())
+        lhs = op_norm(p.eval(T))
+        if rep.estimate is None:
+            skipped += 1
+            continue
+        rhs = K * rep.estimate
+        if lhs > rhs + 1e-10 * max(1.0, rhs):
+            status = "confirmed" if rep.ascent_converged else "potential"
+            violations.append(Violation(idx, str(p.entry(0, 0)), lhs, rhs, status))
+    notes = []
+    if not t_inside:
+        notes.append(f"the test tuple is outside the sampled domain (||delta(T)|| = {t_norm:.6g})")
+    if skipped:
+        notes.append(
+            f"{skipped} family member(s) skipped: no admissible sample, domain possibly empty"
+        )
+    notes.append(
+        "supremum estimates are lower bounds: violations are evidence, passes are not proofs"
+    )
+    return SpectralReport("k_spectral", None, None, None, None, t_norm, False, 0, 0, (), cfg,
+                          tuple(violations), tuple(notes))
+
+
+def _diag_tuple(scale):
+    return MatrixTuple([np.array([[scale, 0.3], [0.0, -0.5 * scale]]),
+                        np.array([[0.2j, scale], [0.4, 0.1]])])
+
+
+@pytest.mark.parametrize("scale", [1.6, 0.5])
+def test_k_spectral_draws_once_for_the_whole_family(scale):
+    delta = diag_delta(2)
+    T = _diag_tuple(scale)
+    family = family_random(2, 3, 3, seed=2)
+    cfg = SampleConfig(levels=(1, 2), trials_per_level=6, ascent_steps=12, seed=5)
+    propose, calls = _counting(default_proposal(2))
+    rep = k_spectral_check(delta, T, 1.0, family, cfg, proposal=propose)
+    assert len(calls) == len(cfg.levels) * cfg.trials_per_level
+    # every member climbs as its own sup_norm_estimate would, byte for byte
+    ref = _k_spectral_reference(delta, T, 1.0, family, cfg)
+    assert dumps_canonical(encode(rep)) == dumps_canonical(encode(ref))
+    inside = op_norm(delta.eval(T)) <= 1.0 - cfg.margin
+    assert rep.ok == inside
+
+
+def test_k_spectral_empty_family_draws_nothing_and_generators_work():
+    delta = diag_delta(2)
+    T = _diag_tuple(1.6)
+    cfg = SampleConfig(levels=(1, 2), trials_per_level=4, ascent_steps=3, seed=1)
+    propose, calls = _counting(default_proposal(2))
+    rep = k_spectral_check(delta, T, 1.0, [], cfg, proposal=propose)
+    assert calls == [] and rep.ok
+    family = family_random(2, 2, 2, seed=3)
+    listed = k_spectral_check(delta, T, 1.0, family, cfg)
+    streamed = k_spectral_check(delta, T, 1.0, (p for p in family), cfg)
+    assert dumps_canonical(encode(streamed)) == dumps_canonical(encode(listed))
+    assert streamed.violations
+
+
+def test_k_spectral_checks_every_member_before_drawing():
+    propose, calls = _counting(default_proposal(2))
+    family = [FreePoly.letter(1, 2), FreePoly.letter(1, 1)]
+    with pytest.raises(ShapeError, match="objective uses 1 letters"):
+        k_spectral_check(diag_delta(2), _diag_tuple(0.5), 1.0, family, proposal=propose)
+    assert calls == []
+
+
+def test_sample_admissible_matches_the_estimate_tally():
+    delta = diag_delta(2)
+    cfg = SampleConfig(levels=(1, 2, 3), trials_per_level=12, ascent_steps=0, seed=7)
+    rep = sup_norm_estimate(FreePoly.letter(1, 2), delta, cfg)
+    assert 0 < len(sample_admissible(delta, cfg)) == rep.admissible < rep.trials
 
 
 def test_sigma_cc_no_witness_when_dominated():

@@ -7,10 +7,17 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 ``PYTHONPATH``,
 
 * ``freecalc experiment NAME --seed 0`` for every experiment but ``custom``;
-* ``freecalc calc --job J`` on two stock jobs that it writes once, with this
-  tree's freecalc, and hands to both trees: a random isometric model on
+* ``freecalc calc --job J`` on two stock jobs: a random isometric model on
   ``row_delta(3)`` at n = 8, m = 4, and the compile of ``(x1 + x2)^4`` on
-  ``diag_delta(2)`` at n = 6.
+  ``diag_delta(2)`` at n = 6;
+* ``freecalc spectral-check`` of a 23-member random family on
+  ``diag_delta(2)`` at a level-3 tuple outside the domain, so every
+  violation's right-hand side comes from the sampler's ascents;
+* ``freecalc supnorm`` of ``x1 x2 + x3`` on ``row_delta(3)`` with 20 ascent
+  steps per admissible sample.
+
+The stock inputs are written once, with this tree's freecalc, and handed to
+both trees.
 
 For each report it prints ``identical`` when the bytes match, and otherwise
 ``differs`` with the largest relative difference between matching floats
@@ -31,13 +38,20 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 
 
-def write_jobs(workdir: Path) -> dict[str, Path]:
-    """The two stock calc jobs, written with this tree's freecalc."""
+def write_inputs(workdir: Path) -> dict[str, list[str]]:
+    """The stock calc, spectral-check and supnorm runs, with their input files
+    written with this tree's freecalc."""
     from freecalc.freepoly import FreePoly, diag_delta, row_delta
     from freecalc.funcalc import compile_polynomial
     from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, task_rng
     from freecalc.realization import random_isometric
     from freecalc.serialize import dumps_canonical, encode
+    from freecalc.spectral import family_random
+
+    def write(name: str, obj) -> str:
+        path = workdir / f"{name}.json"
+        path.write_text(dumps_canonical(obj), encoding="utf-8")
+        return str(path)
 
     rng = task_rng(0, 0xCA1C)
     delta = row_delta(3)
@@ -50,12 +64,25 @@ def write_jobs(workdir: Path) -> dict[str, Path]:
     coords = [random_matrix(6, 6, rng) for _ in range(2)]
     compiled = {"F": compile_polynomial((x1 + x2) ** 4, delta), "delta": delta,
                 "T": MatrixTuple([c * (1.5 / op_norm(c)) for c in coords])}
-    paths = {}
+    runs = {}
     for name, job in (("calc-isometric", isometric), ("calc-compiled", compiled)):
-        paths[name] = workdir / f"{name}.job.json"
-        paths[name].write_text(dumps_canonical({k: encode(v) for k, v in job.items()}),
-                               encoding="utf-8")
-    return paths
+        runs[name] = ["calc", "--job", write(f"{name}.job",
+                                             {k: encode(v) for k, v in job.items()})]
+
+    sampling = ["--levels", "1,2,3", "--seed", "0"]
+    coords = [random_matrix(3, 3, rng) for _ in range(2)]
+    scale = 1.4 / op_norm(delta.eval(MatrixTuple(coords)))
+    runs["spectral-check"] = [
+        "spectral-check", "--delta", write("diag-delta", encode(delta)),
+        "--tuple", write("outside-tuple", encode(MatrixTuple([c * scale for c in coords]))),
+        "--family", write("family", [encode(p) for p in family_random(2, 20, 3, seed=5)]),
+        "--trials", "8", "--ascent", "12", *sampling]
+    x1, x2, x3 = (FreePoly.letter(j, 3) for j in (1, 2, 3))
+    runs["supnorm"] = [
+        "supnorm", "--poly", write("objective", encode(x1 * x2 + x3)),
+        "--delta", write("row-delta", encode(row_delta(3))),
+        "--trials", "10", "--ascent", "20", *sampling]
+    return runs
 
 
 def experiment_names() -> list[str]:
@@ -99,13 +126,12 @@ def main(argv=None) -> int:
     if not (parent / "src" / "freecalc" / "__init__.py").is_file():
         sys.exit(f"error: no freecalc sources under {parent / 'src'}")
     trees = {"parent": parent, "change": HERE}
-    sys.path.insert(0, str(HERE / "src"))  # jobs and experiment names come from this tree
+    sys.path.insert(0, str(HERE / "src"))  # inputs and experiment names come from this tree
     all_same = True
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         reports = {name: ["experiment", name, "--seed", "0"] for name in experiment_names()}
-        for name, path in write_jobs(workdir).items():
-            reports[name] = ["calc", "--job", str(path)]
+        reports.update(write_inputs(workdir))
         for name, argv_ in reports.items():
             results = {}
             for side, tree in trees.items():
