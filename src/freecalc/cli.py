@@ -18,14 +18,12 @@ from .errors import CheckFailure, FreecalcError, SeriesCapError, ValidationError
 from .experiments import EXPERIMENT_NAMES, run_custom, run_experiment
 from .freepoly import FreePoly, PolyMatrix
 from .funcalc import CalcParams, sharp
-from .matrix_core import MatrixTuple
 from .realization import eval_colligation
 from .serialize import (
     decode_any,
     decode_colligation,
     decode_job,
     decode_matrix,
-    decode_polymatrix,
     decode_tuple,
     detect_kind,
     dumps_canonical,
@@ -187,6 +185,10 @@ def _parse_param(text: str):
 
 
 def cmd_experiment(args) -> int:
+    if args.job is not None and args.name != "custom":
+        raise ValidationError(
+            f"only the custom experiment takes a job file, not {args.name}", "--job"
+        )
     options = dict(_parse_param(p) for p in args.param or [])
     if args.name == "custom":
         path = options.pop("job", None) or args.job

@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CheckFailure",
+    "DomainError",
+    "FreecalcError",
+    "SeriesCapError",
+    "ShapeError",
+    "ValidationError",
+]
+
 
 class FreecalcError(Exception):
     """Base class for every error raised by this package."""

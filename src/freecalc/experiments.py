@@ -276,10 +276,10 @@ def run_polydisc(
 ) -> dict:
     """Diagonal domain: max-coordinate norm identity and a spectral-set probe.
 
-    ||diag(x^1 .. x^d)|| is the max of the coordinate norms — exactly.  With T
-    strictly inside, the domain should be a 1-spectral set for the monomial
-    family as far as sampling can tell (no violations of
-    ||P(T)|| <= sup ||P(x)||).
+    ||diag(x^1 .. x^d)|| is the max of the coordinate norms — exactly.  T is
+    scaled to ||delta(T)|| = 0.7, inside the domain, so k_spectral_check feeds
+    T in as a candidate and every member's sampled supremum is at least
+    ||P(T)||: at K = 1 the spectral_no_violations check holds by construction.
     """
     _require(1, MAX_LEVEL, level=level)
     _require(1, MAX_POLYDISC_D, d=d)

@@ -18,7 +18,6 @@ from .errors import DomainError, ShapeError
 from .matrix_core import MatrixTuple
 
 __all__ = [
-    "Word",
     "FreePoly",
     "PolyMatrix",
     "e_lambda",
@@ -110,9 +109,6 @@ class FreePoly:
     def sorted_terms(self) -> list[tuple[Word, complex]]:
         """Terms in canonical order: by word length, then lexicographically."""
         return list(self._terms.items())
-
-    def coeff(self, word: Iterable[int]) -> complex:
-        return self._terms.get(tuple(word), 0j)
 
     @property
     def constant_term(self) -> complex:

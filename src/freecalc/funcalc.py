@@ -16,12 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, SeriesCapError, ShapeError
-from .freepoly import (
-    FreePoly,
-    PolyMatrix,
-    compose_with_entries,
-    verify_separating_witnesses,
-)
+from .freepoly import FreePoly, PolyMatrix, verify_separating_witnesses
 from .matrix_core import MatrixTuple, op_norm
 from .realization import (
     Colligation,
@@ -32,6 +27,19 @@ from .realization import (
     xfirst_to_blocks,
 )
 from .spectral import SampleConfig, sample_admissible
+
+__all__ = [
+    "CalcParams",
+    "CalcReport",
+    "Certificate",
+    "PolyConsistencyReport",
+    "compile_polynomial",
+    "derive_witnesses",
+    "path_norm_sup",
+    "poly_consistency",
+    "sharp",
+    "tail_bound",
+]
 
 _AGREE_SLACK = 1e-9
 _CONTRACTIVE_SLACK = 1e-8
@@ -334,88 +342,6 @@ def sharp(
     )
 
 
-@dataclass(frozen=True)
-class WelldefReport:
-    """Agreement of two models on sampled domain points and at a fixed tuple."""
-
-    samples: int
-    max_sample_gap: float
-    sharp_gap: float
-    agree_on_samples: bool
-    agree_at_sharp: bool
-    violation: bool
-    s: float
-    threshold: float
-    notes: tuple[str, ...] = ()
-
-
-def welldef_check(
-    F1: Colligation,
-    F2: Colligation,
-    delta: PolyMatrix,
-    T: MatrixTuple,
-    params: CalcParams | None = None,
-    cfg: SampleConfig | None = None,
-    *,
-    proposal=None,
-) -> WelldefReport:
-    """Do two models that agree on the domain also agree at T?
-
-    Samples the sublevel set of ``delta/s``, compares F1 and F2 there, then
-    compares their values at T.  ``violation=True`` flags the bad case:
-    indistinguishable on every sampled domain point yet split at T, which
-    would mean the value at T is not a function of the restriction at all.
-    Raises DomainError when no admissible sample turns up, since then the
-    domain comparison is vacuous.
-    """
-    params = params or CalcParams()
-    _check_shapes(F1, delta, T)
-    _check_shapes(F2, delta, T)
-    if (F1.k1, F1.k2) != (F2.k1, F2.k2):
-        raise ShapeError(
-            f"models have outputs {F1.k2}x{F1.k1} and {F2.k2}x{F2.k1}; "
-            "agreement needs matching shapes"
-        )
-    s = _scaled_point(delta, T, params)[2]
-    scaled = delta.scale(1.0 / s)
-    cfg = cfg or SampleConfig(levels=(1, 2, 3), trials_per_level=80)
-    points = sample_admissible(scaled, cfg, proposal=proposal)
-    if not points:
-        raise DomainError(
-            "empty sample set: no admissible tuples found for the scaled domain, "
-            "so domain agreement cannot be tested"
-        )
-    threshold = params.tol + _AGREE_SLACK
-    max_gap = 0.0
-    for x in points:
-        yx = scaled.eval(x)
-        gap = float(op_norm(eval_colligation(F1, yx) - eval_colligation(F2, yx)))
-        max_gap = max(max_gap, gap)
-    pinned = replace(params, s=s)
-    rep1 = sharp(F1, delta, T, pinned)
-    rep2 = sharp(F2, delta, T, pinned)
-    sharp_gap = float(op_norm(rep1.value - rep2.value))
-    agree_samples = max_gap <= threshold
-    agree_sharp = sharp_gap <= threshold
-    notes = []
-    if agree_samples and not agree_sharp:
-        notes.append(
-            "models agree on every sampled domain point but disagree at T: "
-            "evaluation at T is not determined by the sampled restriction"
-        )
-    return WelldefReport(
-        samples=len(points),
-        max_sample_gap=max_gap,
-        sharp_gap=sharp_gap,
-        agree_on_samples=agree_samples,
-        agree_at_sharp=agree_sharp,
-        violation=agree_samples and not agree_sharp,
-        s=s,
-        threshold=threshold,
-        notes=tuple(notes),
-    )
-
-
 def _refine_peak(f, lo: float, hi: float, iters: int = 40) -> float:
     """Golden-section maximization of f on [lo, hi]; returns the best value."""
     a, b = lo, hi
@@ -474,8 +400,6 @@ def poly_consistency(
     T: MatrixTuple,
     params: CalcParams | None = None,
     cfg: SampleConfig | None = None,
-    *,
-    proposal=None,
 ) -> PolyConsistencyReport:
     """Audit the claim F(delta(x)/s) = P(x), both on samples and at T.
 
@@ -501,7 +425,7 @@ def poly_consistency(
 
     scaled = delta.scale(1.0 / s)
     cfg = cfg or SampleConfig(levels=(1, 2), trials_per_level=60)
-    points = sample_admissible(scaled, cfg, proposal=proposal)
+    points = sample_admissible(scaled, cfg)
     comp_gap: float | None = None
     for x in points:
         val = eval_colligation(F, scaled.eval(x))

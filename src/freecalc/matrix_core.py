@@ -17,7 +17,6 @@ from .errors import DomainError, ShapeError
 
 __all__ = [
     "MatrixTuple",
-    "as_array",
     "op_norm",
     "direct_sum",
     "ampliate",
@@ -25,6 +24,9 @@ __all__ = [
     "rng_from",
     "task_rng",
     "random_matrix",
+    "shift_matrix",
+    "cyclic_shift",
+    "compress",
     "random_tuple",
 ]
 

@@ -70,9 +70,7 @@ __all__ = [
     "poly_to_colligation",
     "symbolic_terms",
     "random_isometric",
-    "state_space_conjugate",
     "xfirst_to_blocks",
-    "xfirst_direct_sum",
 ]
 
 ISOMETRY_TOL = 1e-8
@@ -621,22 +619,6 @@ def random_isometric(I: int, J: int, m: int, k1: int, k2: int, seed) -> Colligat
     return Colligation(
         q[:k2, :k1], q[:k2, k1:], q[k2:, :k1], q[k2:, k1:], I, J
     )
-
-
-def state_space_conjugate(F: Colligation, w) -> Colligation:
-    """Equivalent colligation with the auxiliary space conjugated by w.
-
-    Evaluations are unchanged for every point; a unitary w preserves the
-    isometry certificate, a general invertible w usually destroys it.  The
-    nilpotency index is read off the conjugated D, so a dense w can lose it.
-    """
-    a = as_array(w)
-    if a.shape != (F.m, F.m):
-        raise ShapeError(f"conjugator is {a.shape[0]}x{a.shape[1]}, expected {F.m}x{F.m}")
-    wi = np.linalg.inv(a)
-    blow_i = np.kron(np.eye(F.I), a)
-    blow_j = np.kron(np.eye(F.J), wi)
-    return Colligation(F.A, F.B @ blow_i, blow_j @ F.C, blow_j @ F.D @ blow_i, F.I, F.J)
 
 
 # --- ordering helpers -----------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -26,6 +26,19 @@ from .matrix_core import (
     random_tuple,
     task_rng,
 )
+
+__all__ = [
+    "CompressionReport",
+    "SampleConfig",
+    "SpectralReport",
+    "Violation",
+    "compression_check",
+    "family_monomials",
+    "gap_domain_proposal",
+    "k_spectral_check",
+    "sample_admissible",
+    "sup_norm_estimate",
+]
 
 MAX_LEVEL = 64
 
@@ -85,13 +98,13 @@ class LevelSummary:
 
 @dataclass(frozen=True)
 class Violation:
-    """One family member whose test inequality failed (or was witnessed)."""
+    """One family member whose test inequality failed."""
 
     index: int
     description: str
     lhs: float
     rhs: float
-    status: str  # "confirmed" | "potential" | "witness"
+    status: str  # "confirmed" | "potential"
 
 
 @dataclass(frozen=True)
@@ -402,58 +415,6 @@ def k_spectral_check(
     )
 
 
-def sigma_cc_falsify(x: MatrixTuple, T: MatrixTuple, family) -> SpectralReport:
-    """Look for a family member with ||P(x)|| > ||P(T)||.
-
-    The comparison encodes "x is dominated by T on every test polynomial";
-    the first counterexample (in family order) is returned as a witness.
-    An empty result only says the finite family found nothing.
-    """
-    if x.d != T.d:
-        raise ShapeError(f"tuples use {x.d} and {T.d} letters; they must match")
-    members = [PolyMatrix.from_poly(m) for m in family]
-    violations = []
-    for idx, p in enumerate(members):
-        lhs = op_norm(p.eval(x))
-        rhs = op_norm(p.eval(T))
-        if lhs > rhs + _VIOLATION_SLACK * max(1.0, rhs):
-            violations.append(
-                Violation(
-                    index=idx,
-                    description=_describe(p),
-                    lhs=lhs,
-                    rhs=rhs,
-                    status="witness",
-                )
-            )
-            break
-    notes = (
-        ("domination falsified by the first listed witness",)
-        if violations
-        else ("no witness found in this finite family; domination not established",)
-    )
-    return SpectralReport(
-        kind="sigma_cc",
-        estimate=None,
-        witness=None,
-        witness_level=None,
-        witness_trial=None,
-        witness_domain_norm=None,
-        ascent_converged=False,
-        trials=len(members),
-        admissible=0,
-        per_level=(),
-        config=SampleConfig(),
-        violations=tuple(violations),
-        notes=notes,
-    )
-
-
-def compress_tuple(x: MatrixTuple, n: int) -> MatrixTuple:
-    """Compress every coordinate to its leading principal n x n corner."""
-    return MatrixTuple([compress(c, n) for c in x.coords])
-
-
 @dataclass(frozen=True)
 class CompressionReport:
     affine: bool
@@ -490,7 +451,7 @@ def compression_check(
             f"this map has degree {delta.max_degree()} (run mode='report' instead)"
         )
     full = op_norm(delta.eval(x))
-    small = op_norm(delta.eval(compress_tuple(x, n)))
+    small = op_norm(delta.eval(MatrixTuple([compress(c, n) for c in x.coords])))
     holds = small <= full + 1e-10
     notes = []
     if not affine:
@@ -512,69 +473,11 @@ def compression_check(
     )
 
 
-def _all_words(d: int, max_len: int):
-    from itertools import product
-
-    yield ()
-    for length in range(1, max_len + 1):
-        yield from product(range(1, d + 1), repeat=length)
-
-
 def family_monomials(d: int, max_len: int) -> list[PolyMatrix]:
     """Every monomial of length <= max_len, constants and coordinates included."""
     if max_len < 0:
         raise ShapeError("max_len must be >= 0")
-    return [PolyMatrix([[FreePoly.monomial(w, d)]]) for w in _all_words(d, max_len)]
-
-
-def _base_family(d: int) -> list[FreePoly]:
-    return [FreePoly.one(d)] + [FreePoly.letter(j, d) for j in range(1, d + 1)]
-
-
-def family_random(d: int, count: int, max_len: int, seed: int) -> list[PolyMatrix]:
-    """The constant 1, the coordinates, then random sparse polynomials."""
-    out = [PolyMatrix([[p]]) for p in _base_family(d)]
-    words = list(_all_words(d, max_len))
-    for idx in range(count):
-        rng = task_rng(seed, 0xFA, idx)
-        n_terms = int(rng.integers(1, 5))
-        p = FreePoly.zero(d)
-        for _ in range(n_terms):
-            w = words[int(rng.integers(0, len(words)))]
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            p = p + FreePoly.monomial(w, d, c)
-        if p.is_zero():
-            p = FreePoly.one(d)
-        out.append(PolyMatrix([[p]]))
-    return out
-
-
-def family_matrix_polys(
-    d: int, shape: tuple[int, int], count: int, max_len: int, seed: int
-) -> list[PolyMatrix]:
-    """Matrix-valued test family: scalar base members ampliated to the shape,
-    then random sparse matrix polynomials."""
-    rows, cols = shape
-    if rows < 1 or cols < 1:
-        raise ShapeError("family shape must be positive in both directions")
-    out = []
-    side = min(rows, cols)
-    for base in _base_family(d):
-        grid = [
-            [base if (i == j and i < side) else FreePoly.zero(d) for j in range(cols)]
-            for i in range(rows)
-        ]
-        out.append(PolyMatrix(grid))
-    words = list(_all_words(d, max_len))
-    for idx in range(count):
-        rng = task_rng(seed, 0xFB, idx)
-        grid = [[FreePoly.zero(d) for _ in range(cols)] for _ in range(rows)]
-        n_terms = int(rng.integers(1, 2 + rows * cols))
-        for _ in range(n_terms):
-            i = int(rng.integers(0, rows))
-            j = int(rng.integers(0, cols))
-            w = words[int(rng.integers(0, len(words)))]
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            grid[i][j] = grid[i][j] + FreePoly.monomial(w, d, c)
-        out.append(PolyMatrix(grid))
-    return out
+    words = chain.from_iterable(
+        product(range(1, d + 1), repeat=length) for length in range(max_len + 1)
+    )
+    return [PolyMatrix([[FreePoly.monomial(w, d)]]) for w in words]

@@ -329,6 +329,7 @@ def test_usage_error_exits_1_not_2():
     ("experiment", "rowball", "-p", 'd="x"'),
     ("experiment", "lens", "-p", "size=0"),
     ("experiment", "gap", "--jobs", "2"),
+    ("experiment", "lens", "--job", "/nonexistent.json"),
     ("experiment", "rowball", "-p", "level=0"),
     ("experiment", "rowball", "-p", "level=-1"),
     ("experiment", "polydisc", "-p", "level=0"),

@@ -26,6 +26,38 @@ def test_exported_names_resolve_without_duplicates(module):
     assert [n for n in names if not hasattr(module, n)] == []
 
 
+def test_package_surface_is_the_module_lists():
+    # each module's __all__ declares its share; the package adds only its version
+    shares = [freecalc.errors, freecalc.freepoly, freecalc.funcalc,
+              freecalc.matrix_core, freecalc.realization, freecalc.spectral]
+    assert freecalc.__all__ == [n for m in shares for n in m.__all__] + ["__version__"]
+    assert len(freecalc.__all__) <= 60
+    for module in shares:
+        assert all(getattr(freecalc, n) is getattr(module, n) for n in module.__all__)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(Path(freecalc.__file__).parent.glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_modules_use_every_import(path):
+    # __init__ is exempt: its imports are the re-exports
+    assert _unused_imports(path) == []
+
+
 def _perfbench_spans() -> dict[str, tuple]:
     """FUNCTION_SPANS and METHOD_SPANS as written in perfbench/run.py, read without importing it."""
     tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "run.py").read_text())

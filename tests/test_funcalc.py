@@ -25,7 +25,6 @@ from freecalc.funcalc import (
     poly_consistency,
     sharp,
     tail_bound,
-    welldef_check,
 )
 from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, random_tuple, task_rng
 from freecalc.realization import (
@@ -34,7 +33,6 @@ from freecalc.realization import (
     poly_to_colligation,
     random_isometric,
     scale_colligation,
-    state_space_conjugate,
     xfirst_to_blocks,
 )
 from freecalc.spectral import SampleConfig
@@ -227,43 +225,6 @@ def test_path_norm_sup_sees_interior_peak():
     T = MatrixTuple([np.array([[1.0]]), np.array([[1.0]])])
     sup = path_norm_sup(delta, T)
     assert sup >= 10.0 - 1e-9  # the (x2 x1 - 1)/eps block at r = 0
-
-
-def test_welldef_agreeing_models():
-    delta = diag_delta(2)
-    T = random_tuple(2, 2, 0.7, 20)
-    F = random_isometric(2, 2, 2, 1, 1, 21)
-    q, _ = np.linalg.qr(
-        np.array(task_rng(22, 0).standard_normal((2, 2)), dtype=np.complex128)
-    )
-    G = state_space_conjugate(F, q)
-    rep = welldef_check(F, G, delta, T, CalcParams(), _small_cfg())
-    assert rep.samples > 0
-    assert rep.agree_on_samples and rep.agree_at_sharp
-    assert not rep.violation
-    assert rep.max_sample_gap <= rep.threshold
-
-
-def test_welldef_distinguishes_different_models():
-    delta = diag_delta(2)
-    T = random_tuple(2, 2, 0.7, 23)
-    F = random_isometric(2, 2, 2, 1, 1, 24)
-    G = random_isometric(2, 2, 2, 1, 1, 25)
-    rep = welldef_check(F, G, delta, T, CalcParams(), _small_cfg())
-    assert not rep.agree_on_samples  # unrelated models split already on samples
-    assert not rep.violation
-
-
-def test_welldef_empty_domain_raises():
-    # an offset of 4 keeps every sampled tuple (norm targets cap at 1.5) out
-    # of the sublevel set, while T = -4 itself sits dead center
-    x = FreePoly.letter(1, 1)
-    delta = PolyMatrix([[x + 4.0]])
-    T = MatrixTuple([np.array([[-4.0]])])
-    F = random_isometric(1, 1, 1, 1, 1, 26)
-    G = random_isometric(1, 1, 1, 1, 1, 27)
-    with pytest.raises(DomainError, match="empty sample set"):
-        welldef_check(F, G, delta, T, CalcParams(s=1.0), _small_cfg())
 
 
 def test_poly_consistency_for_compiled_model():

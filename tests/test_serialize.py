@@ -231,7 +231,7 @@ def test_reports_serialize_to_plain_json():
 
 def test_report_key_sets_are_pinned():
     from freecalc.freepoly import row_delta
-    from freecalc.funcalc import compile_polynomial, poly_consistency, welldef_check
+    from freecalc.funcalc import compile_polynomial, poly_consistency
     from freecalc.spectral import compression_check, family_monomials, k_spectral_check
 
     def keys(obj):
@@ -265,9 +265,6 @@ def test_report_key_sets_are_pinned():
     assert ks["violations"] and all(set(v) == violation for v in ks["violations"])
 
     assert keys(CalcParams()) == {"s", "tol", "max_terms"}
-    assert keys(welldef_check(F, F, delta, T, cfg=cfg)) == {
-        "samples", "max_sample_gap", "sharp_gap", "agree_on_samples",
-        "agree_at_sharp", "violation", "s", "threshold", "notes"}
     p = FreePoly.letter(1, 2) * FreePoly.letter(2, 2)
     assert keys(poly_consistency(p, compile_polynomial(p, delta), delta, T, cfg=cfg)) == {
         "vanishes_at_zero", "path_sup", "path_inside", "composition_samples",

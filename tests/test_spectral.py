@@ -9,16 +9,12 @@ from freecalc.spectral import (
     SampleConfig,
     SpectralReport,
     Violation,
-    compress_tuple,
     compression_check,
     default_proposal,
-    family_matrix_polys,
     family_monomials,
-    family_random,
     gap_domain_proposal,
     k_spectral_check,
     sample_admissible,
-    sigma_cc_falsify,
     sup_norm_estimate,
 )
 
@@ -218,6 +214,20 @@ def _k_spectral_reference(delta, T, K, family, cfg):
                           tuple(violations), tuple(notes))
 
 
+def _complex_family():
+    """The constant 1, the two coordinates, and three sparse polynomials with
+    complex coefficients, as 1 x 1 polynomial matrices."""
+    polys = (
+        FreePoly.one(2),
+        FreePoly.letter(1, 2),
+        FreePoly.letter(2, 2),
+        FreePoly(2, {(1, 2): 0.7 - 0.4j, (2,): 1.1j}),
+        FreePoly(2, {(2, 2, 1): -0.9 + 0.3j}),
+        FreePoly(2, {(1,): 0.5, (2, 1, 2): 1.2 + 0.8j}),
+    )
+    return [PolyMatrix([[p]]) for p in polys]
+
+
 def _diag_tuple(scale):
     return MatrixTuple([np.array([[scale, 0.3], [0.0, -0.5 * scale]]),
                         np.array([[0.2j, scale], [0.4, 0.1]])])
@@ -227,7 +237,7 @@ def _diag_tuple(scale):
 def test_k_spectral_draws_once_for_the_whole_family(scale):
     delta = diag_delta(2)
     T = _diag_tuple(scale)
-    family = family_random(2, 3, 3, seed=2)
+    family = _complex_family()
     cfg = SampleConfig(levels=(1, 2), trials_per_level=6, ascent_steps=12, seed=5)
     propose, calls = _counting(default_proposal(2))
     rep = k_spectral_check(delta, T, 1.0, family, cfg, proposal=propose)
@@ -246,7 +256,7 @@ def test_k_spectral_empty_family_draws_nothing_and_generators_work():
     propose, calls = _counting(default_proposal(2))
     rep = k_spectral_check(delta, T, 1.0, [], cfg, proposal=propose)
     assert calls == [] and rep.ok
-    family = family_random(2, 2, 2, seed=3)
+    family = _complex_family()
     listed = k_spectral_check(delta, T, 1.0, family, cfg)
     streamed = k_spectral_check(delta, T, 1.0, (p for p in family), cfg)
     assert dumps_canonical(encode(streamed)) == dumps_canonical(encode(listed))
@@ -268,40 +278,11 @@ def test_sample_admissible_matches_the_estimate_tally():
     assert 0 < len(sample_admissible(delta, cfg)) == rep.admissible < rep.trials
 
 
-def test_sigma_cc_no_witness_when_dominated():
-    x = MatrixTuple([np.array([[0.5]])])
-    T = MatrixTuple([np.array([[1.0]])])
-    rep = sigma_cc_falsify(x, T, family_monomials(1, 3))
-    assert rep.ok
-    assert rep.trials == len(family_monomials(1, 3))
-    assert any("not established" in n for n in rep.notes)
-
-
-def test_sigma_cc_finds_first_witness():
-    x = MatrixTuple([np.array([[1.0]])])
-    T = MatrixTuple([np.array([[0.5]])])
-    rep = sigma_cc_falsify(x, T, family_monomials(1, 2))
-    assert not rep.ok
-    v = rep.violations[0]
-    assert v.index == 1  # the constant passes; the coordinate is the witness
-    assert v.status == "witness"
-    with pytest.raises(ShapeError):
-        sigma_cc_falsify(x, MatrixTuple([np.eye(2), np.eye(2)]), [X1])
-
-
-def test_sigma_cc_accepts_generators():
-    x = MatrixTuple([np.array([[1.0]])])
-    T = MatrixTuple([np.array([[0.5]])])
-    rep = sigma_cc_falsify(x, T, (m for m in family_monomials(1, 2)))
-    assert rep.trials == 3  # generator is materialized before counting
-    assert not rep.ok
-
-
 def test_compress_tuple_takes_corners():
     x = MatrixTuple([np.arange(16, dtype=np.complex128).reshape(4, 4)])
-    y = compress_tuple(x, 2)
-    assert y.n == 2
-    assert np.array_equal(y.coords[0], np.array([[0, 1], [4, 5]]))
+    rep = compression_check(row_delta(1), x, 2)
+    assert (rep.full_level, rep.compressed_level) == (4, 2)
+    assert rep.compressed_norm == pytest.approx(op_norm(np.array([[0, 1], [4, 5]])), rel=1e-12)
 
 
 def test_compression_affine_never_grows():
@@ -343,26 +324,6 @@ def test_family_monomials_enumeration():
     assert len(family_monomials(2, 2)) == 7  # 1 + 2 + 4
     with pytest.raises(ShapeError):
         family_monomials(2, -1)
-
-
-def test_family_random_prepends_base():
-    fam = family_random(2, 5, 2, seed=0)
-    assert len(fam) == 8
-    assert fam[0].entry(0, 0) == FreePoly.one(2)
-    assert fam[1].entry(0, 0) == FreePoly.letter(1, 2)
-    assert fam[2].entry(0, 0) == FreePoly.letter(2, 2)
-    assert all(not m.entry(0, 0).is_zero() for m in fam)
-    # seeded: same call, same family
-    again = family_random(2, 5, 2, seed=0)
-    assert all(a == b for a, b in zip(fam, again))
-
-
-def test_family_matrix_polys_shapes():
-    fam = family_matrix_polys(2, (2, 3), 4, 2, seed=1)
-    assert all((m.I, m.J) == (2, 3) for m in fam)
-    assert len(fam) == 3 + 4  # base members plus the random ones
-    with pytest.raises(ShapeError):
-        family_matrix_polys(2, (0, 3), 1, 1, seed=0)
 
 
 def test_gap_proposal_lands_inside_often():

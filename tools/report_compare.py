@@ -33,9 +33,29 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+
+
+def _random_family(d: int, count: int, max_len: int, seed: int) -> list:
+    """The constant 1, the coordinates, then ``count`` seeded sparse polynomials
+    of 1-4 words of length <= max_len with complex Gaussian coefficients, each
+    a 1 x 1 polynomial matrix."""
+    from freecalc.freepoly import FreePoly, PolyMatrix
+    from freecalc.matrix_core import task_rng
+
+    polys = [FreePoly.one(d)] + [FreePoly.letter(j, d) for j in range(1, d + 1)]
+    words = [w for length in range(max_len + 1) for w in product(range(1, d + 1), repeat=length)]
+    for idx in range(count):
+        rng = task_rng(seed, 0xFA, idx)
+        p = FreePoly.zero(d)
+        for _ in range(int(rng.integers(1, 5))):
+            w = words[int(rng.integers(0, len(words)))]
+            p = p + FreePoly.monomial(w, d, complex(rng.standard_normal(), rng.standard_normal()))
+        polys.append(FreePoly.one(d) if p.is_zero() else p)
+    return [PolyMatrix([[p]]) for p in polys]
 
 
 def write_inputs(workdir: Path) -> dict[str, list[str]]:
@@ -46,7 +66,6 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, task_rng
     from freecalc.realization import random_isometric
     from freecalc.serialize import dumps_canonical, encode
-    from freecalc.spectral import family_random
 
     def write(name: str, obj) -> str:
         path = workdir / f"{name}.json"
@@ -75,7 +94,7 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     runs["spectral-check"] = [
         "spectral-check", "--delta", write("diag-delta", encode(delta)),
         "--tuple", write("outside-tuple", encode(MatrixTuple([c * scale for c in coords]))),
-        "--family", write("family", [encode(p) for p in family_random(2, 20, 3, seed=5)]),
+        "--family", write("family", [encode(p) for p in _random_family(2, 20, 3, seed=5)]),
         "--trials", "8", "--ascent", "12", *sampling]
     x1, x2, x3 = (FreePoly.letter(j, 3) for j in (1, 2, 3))
     runs["supnorm"] = [
