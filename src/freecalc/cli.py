@@ -191,6 +191,11 @@ def cmd_experiment(args) -> int:
         )
     options = dict(_parse_param(p) for p in args.param or [])
     if args.name == "custom":
+        if "job" in options and args.job is not None:
+            raise ValidationError(
+                f"the job file is given twice, as {args.job} and as -p job={options['job']}",
+                "--job",
+            )
         path = options.pop("job", None) or args.job
         if not path:
             raise ValidationError(

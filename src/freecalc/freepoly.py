@@ -313,37 +313,46 @@ class PolyMatrix:
         """True iff every entry has zero constant term."""
         return all(p.constant_term == 0 for row in self._rows for p in row)
 
-    def eval(self, x: MatrixTuple) -> np.ndarray:
-        """Assembled nI x nJ block evaluation at a level-n point.
+    def eval(self, x: MatrixTuple | np.ndarray) -> np.ndarray:
+        """Assembled nI x nJ block evaluation at a level-n point, or at a stack.
 
-        Every distinct word prefix is multiplied once, left to right, for all
+        ``x`` is a MatrixTuple or an array of coordinates: ``(d, n, n)`` gives
+        the ``(I n, J n)`` value and ``(B, d, n, n)`` gives ``(B, I n, J n)``,
+        one value per point, each bitwise the one computed alone.  Every
+        distinct word prefix is multiplied once, left to right, for all
         entries.  Each entry sums its terms in canonical order (the empty word
         gives c * I_n), so results are bitwise reproducible run to run.
         """
-        if x.d != self._d:
+        coords = x.coords if isinstance(x, MatrixTuple) else np.asarray(x, dtype=np.complex128)
+        if coords.ndim < 3 or coords.shape[-1] != coords.shape[-2]:
+            raise ShapeError(f"expected (..., d, n, n) coordinates, got shape {coords.shape}")
+        if coords.shape[-3] != self._d:
             raise ShapeError(
-                f"point has {x.d} coordinates, polynomial has {self._d} letters"
+                f"point has {coords.shape[-3]} coordinates, polynomial has {self._d} letters"
             )
-        n, coords = x.n, x.coords
+        batch, n = coords.shape[:-3], coords.shape[-1]
+        # letters[j] is the (*batch, n, n) stack of coordinate j
+        lead = len(batch)
+        letters = coords.transpose(lead, *range(lead), lead + 1, lead + 2) if lead else coords
         products: dict[Word, np.ndarray] = {}
-        out = np.zeros((self.I, n, self.J, n), dtype=np.complex128)
+        out = np.zeros((*batch, self.I, n, self.J, n), dtype=np.complex128)
         for i, row in enumerate(self._rows):
             for j, p in enumerate(row):
                 if p.is_zero():
                     continue
-                acc = out[i, :, j, :]
+                acc = out[..., i, :, j, :]
                 for w, c in p.sorted_terms():
                     if not w:
                         acc += c * np.eye(n, dtype=np.complex128)
                         continue
-                    m = coords[w[0] - 1]
+                    m = letters[w[0] - 1]
                     for k in range(2, len(w) + 1):
                         prod = products.get(w[:k])
                         if prod is None:
-                            prod = products[w[:k]] = m @ coords[w[k - 1] - 1]
+                            prod = products[w[:k]] = m @ letters[w[k - 1] - 1]
                         m = prod
                     acc += c * m
-        return out.reshape(self.I * n, self.J * n)
+        return out.reshape(*batch, self.I * n, self.J * n)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -112,10 +112,20 @@ def op_norm(m) -> float:
     ``lhs <= rhs`` certificate.
     """
     a = as_array(m)
-    _check_finite(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_op_norms(a))
+
+
+def _op_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator norms of a ``(..., rows, cols)`` stack of nonempty matrices.
+
+    One full SVD per matrix (``compute_uv=False``), the same LAPACK call
+    whether the stack holds one matrix or many, so each norm is bitwise what
+    ``op_norm`` gives for that matrix alone.
+    """
+    _check_finite(stack)
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
@@ -172,7 +182,16 @@ def task_rng(seed: int, *key: int) -> np.random.Generator:
 
 def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Standard complex Gaussian matrix (unit-variance complex entries)."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+    return _complex_gaussian(rng.standard_normal((2, rows, cols)))
+
+
+def _complex_gaussian(normals: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussian matrices from a ``(..., 2, rows, cols)`` array
+    of standard normals: index 0 of the axis of two holds the real parts and
+    index 1 the imaginary parts, drawn in that order.  One draw of
+    ``(d, 2, n, n)`` normals gives, bit for bit, the d matrices of d
+    successive ``random_matrix(n, n, rng)`` calls."""
+    return (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2.0)
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -205,9 +224,14 @@ def random_tuple(n: int, d: int, target_norm: float, seed) -> MatrixTuple:
     """Seeded random tuple rescaled so that max_j ||x^j|| equals target_norm."""
     if target_norm <= 0:
         raise DomainError("target_norm must be positive")
-    rng = rng_from(seed)
-    stack = np.array([random_matrix(n, n, rng) for _ in range(d)])
-    peak = max(op_norm(c) for c in stack)
-    if peak == 0.0:
+    stack = _complex_gaussian(rng_from(seed).standard_normal((d, 2, n, n)))
+    return MatrixTuple(_rescaled_to_peak(stack, np.float64(target_norm)))
+
+
+def _rescaled_to_peak(stack: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Scale each ``(d, n, n)`` point of a ``(..., d, n, n)`` stack so that
+    its largest coordinate norm equals its entry of ``targets``."""
+    peaks = _op_norms(stack).max(axis=-1)
+    if not peaks.all():
         raise DomainError("degenerate random draw; cannot rescale zero tuple")
-    return MatrixTuple((target_norm / peak) * stack)
+    return (targets / peaks)[..., None, None, None] * stack

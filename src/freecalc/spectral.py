@@ -20,10 +20,12 @@ from .errors import CheckFailure, DomainError, ShapeError
 from .freepoly import FreePoly, PolyMatrix
 from .matrix_core import (
     MatrixTuple,
+    _check_finite,
+    _complex_gaussian,
+    _op_norms,
+    _rescaled_to_peak,
     compress,
     op_norm,
-    random_matrix,
-    random_tuple,
     task_rng,
 )
 
@@ -52,6 +54,10 @@ STEP_DECAY = 0.7
 STEP_FLOOR = 1e-3
 
 _VIOLATION_SLACK = 1e-10
+
+# Memory budget of one chunk of sampled trials: the trial count of a chunk is
+# this many bytes over the bytes per trial of its widest array.
+CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -129,10 +135,19 @@ class SpectralReport:
 
 
 def default_proposal(d: int):
-    """Gaussian tuples, cycling through the configured norm targets."""
+    """Gaussian tuples, cycling through the configured norm targets.
 
-    def propose(level: int, trial: int, rng: np.random.Generator, cfg: SampleConfig) -> MatrixTuple:
-        return random_tuple(level, d, cfg.norm_targets[trial % len(cfg.norm_targets)], rng)
+    Each trial draws its ``d`` coordinates from its own generator; the
+    stack is then rescaled at once so that every point's largest coordinate
+    norm equals its trial's target, ``norm_targets[trial % len]``.
+    """
+
+    def propose(level, trials, rngs, cfg: SampleConfig) -> np.ndarray:
+        normals = np.empty((len(rngs), d, 2, level, level))
+        for k, rng in enumerate(rngs):
+            normals[k] = rng.standard_normal((d, 2, level, level))
+        targets = np.array([cfg.norm_targets[t % len(cfg.norm_targets)] for t in trials])
+        return _rescaled_to_peak(_complex_gaussian(normals), targets)
 
     return propose
 
@@ -145,40 +160,54 @@ def gap_domain_proposal(eps: float):
     values, then set y = (1 + e) x^{-1} with a small perturbation e.  Every
     candidate is still pushed through the honest membership check afterwards;
     this only shapes where candidates land, never what counts as admissible.
+
+    Each trial takes its draws from its own generator: two Gaussian matrices
+    for the unitary factors, the singular values, the Gaussian e, and then,
+    only if e is nonzero, the fraction of the radius e is scaled to.  The QR
+    factorizations, the inverses, the rescaling of e and the products run
+    once on the stack of all trials.
     """
 
-    def propose(level: int, trial: int, rng: np.random.Generator, cfg: SampleConfig) -> MatrixTuple:
+    def propose(level, trials, rngs, cfg: SampleConfig) -> np.ndarray:
+        count = len(rngs)
         cap = (1.0 + eps) * (1.0 - cfg.margin)
-        u, _ = np.linalg.qr(random_matrix(level, level, rng))
-        v, _ = np.linalg.qr(random_matrix(level, level, rng))
-        sing = rng.uniform(0.88, cap, size=level)
-        x = u @ np.diag(sing.astype(np.complex128)) @ v
-        e = random_matrix(level, level, rng)
-        e_norm = op_norm(e)
-        if e_norm > 0:
-            e = e * (rng.uniform(0.0, 1.0) * eps * (1.0 - cfg.margin) / e_norm)
-        y = (np.eye(level, dtype=np.complex128) + e) @ np.linalg.inv(x)
-        return MatrixTuple([x, y])
+        normals = np.empty((count, 3, 2, level, level))  # the two factors' draws, then e's
+        sing = np.zeros((count, level, level), dtype=np.complex128)
+        radius = np.zeros(count)
+        diag = np.arange(level)
+        for k, rng in enumerate(rngs):
+            normals[k, :2] = rng.standard_normal((2, 2, level, level))
+            sing[k, diag, diag] = rng.uniform(0.88, cap, size=level)
+            normals[k, 2] = rng.standard_normal((2, level, level))
+            if normals[k, 2].any():
+                radius[k] = rng.uniform(0.0, 1.0)
+        gauss = _complex_gaussian(normals)
+        u, _ = np.linalg.qr(gauss[:, 0])
+        v, _ = np.linalg.qr(gauss[:, 1])
+        x = u @ sing @ v
+        e = gauss[:, 2]
+        moved = radius > 0
+        scale = np.zeros(count)
+        scale[moved] = radius[moved] * eps * (1.0 - cfg.margin) / _op_norms(e[moved])
+        y = (np.eye(level, dtype=np.complex128) + scale[:, None, None] * e) @ np.linalg.inv(x)
+        return np.stack([x, y], axis=1)
 
     return propose
-
-
-def _in_domain(delta: PolyMatrix, x: MatrixTuple, cfg: SampleConfig) -> tuple[float, bool]:
-    """The membership test: ||delta(x)|| and whether it is <= 1 - margin."""
-    norm = op_norm(delta.eval(x))
-    return norm, norm <= 1.0 - cfg.margin
 
 
 def _ascend(
     objective: PolyMatrix,
     delta: PolyMatrix,
-    start: MatrixTuple,
+    start: np.ndarray,
     start_norm: float,
+    start_value: float,
     rng: np.random.Generator,
     cfg: SampleConfig,
-) -> tuple[MatrixTuple, float, float, bool]:
+) -> tuple[np.ndarray, float, float, bool]:
     """Projected random hill-climb inside the sublevel set from an admissible
-    start: (witness, value, ||delta(witness)||, converged).
+    start ``(d, n, n)`` with ``||delta(start)|| = start_norm`` and
+    ``||objective(start)|| = start_value``: (witness, value,
+    ||delta(witness)||, converged).
 
     Each step draws one Gaussian perturbation tuple; if the full step leaves
     the domain it is shrunk a few times toward the current point before being
@@ -186,20 +215,19 @@ def _ascend(
     draw per step regardless of acceptance, so runs with more steps extend
     runs with fewer steps instead of diverging from them.
     """
-    start_value = op_norm(objective.eval(start))
     best_x, best_val, best_norm = start, start_value, start_norm
     cur, cur_val = start, start_value
     step = cfg.step_size
     rejections = 0
     converged = False
     for _ in range(cfg.ascent_steps):
-        pert = np.array([random_matrix(*a.shape, rng) for a in start.coords])
+        pert = _complex_gaussian(rng.standard_normal((start.shape[0], 2, *start.shape[1:])))
         accepted = False
         for shrink in (1.0, 0.5, 0.25, 0.125):
-            cand = MatrixTuple(cur.coords + complex(step * shrink) * pert)
-            cand_norm, inside = _in_domain(delta, cand, cfg)
-            if inside:
-                cand_val = op_norm(objective.eval(cand))
+            cand = cur + complex(step * shrink) * pert
+            cand_norm = _op_norms(delta.eval(cand[None]))[0]
+            if cand_norm <= 1.0 - cfg.margin:
+                cand_val = _op_norms(objective.eval(cand[None]))[0]
                 if cand_val > cur_val:
                     cur, cur_val = cand, cand_val
                     if cand_val > best_val:
@@ -216,27 +244,50 @@ def _ascend(
                 if step < STEP_FLOOR * cfg.step_size:
                     converged = True
                     break
-    return best_x, best_val, best_norm, converged
+    return best_x, float(best_val), float(best_norm), converged
+
+
+def _chunk_trials(delta: PolyMatrix, level: int) -> int:
+    """How many trials of one level go in a chunk: CHUNK_BYTES over the bytes
+    per trial of the widest array, the ``(d, n, n)`` point stack or delta's
+    ``(I n, J n)`` value, and never fewer than one."""
+    per_trial = max(delta.d, delta.I * delta.J) * level * level * 16
+    return max(1, CHUNK_BYTES // per_trial)
+
+
+def _measured(delta: PolyMatrix, level: int, trials, points: np.ndarray, rngs, cfg: SampleConfig):
+    """A chunk with its membership test: one stacked ``delta.eval`` and SVD."""
+    norms = _op_norms(delta.eval(points))
+    return level, trials, points, norms, norms <= 1.0 - cfg.margin, rngs
 
 
 def _draws(delta: PolyMatrix, cfg: SampleConfig, proposal):
-    """The sampler's one stream of draws, in (level, trial) order.
+    """The sampler's one stream of draws, in chunks of (level, trial) order.
 
-    Each task draws its proposal from its own ``task_rng(cfg.seed, level,
-    trial)`` and is tested for membership once.  The stream yields
-    ``(level, trial, x, ||delta(x)||, inside, rng)``, with ``rng`` in the
-    state the proposal left, ready for an ascent from x.
+    A proposal is a callable ``propose(level, trials, rngs, cfg)`` returning
+    the ``(len(trials), d, level, level)`` stack of candidate points, one per
+    trial.  Trial ``t`` draws only from ``rngs[k] = task_rng(cfg.seed,
+    level, t)``, so a point never depends on how the trials are chunked.
+    The stream yields ``(level, trials, points, norms, inside, rngs)`` per
+    chunk of at most ``_chunk_trials`` trials: ``norms[k] =
+    ||delta(points[k])||``, ``inside[k]`` whether that is <= 1 - margin, and
+    ``rngs[k]`` in the state the proposal left, ready for an ascent.
     """
     proposal = proposal or default_proposal(delta.d)
     for level in cfg.levels:
-        for trial in range(cfg.trials_per_level):
-            rng = task_rng(cfg.seed, level, trial)
-            x = proposal(level, trial, rng, cfg)
-            if x.d != delta.d:
+        size = _chunk_trials(delta, level)
+        for first in range(0, cfg.trials_per_level, size):
+            trials = range(first, min(first + size, cfg.trials_per_level))
+            rngs = [task_rng(cfg.seed, level, trial) for trial in trials]
+            points = np.asarray(proposal(level, trials, rngs, cfg), dtype=np.complex128)
+            want = (len(trials), delta.d, level, level)
+            if points.shape != want:
                 raise ShapeError(
-                    f"proposal returned a tuple in {x.d} letters, domain uses {delta.d}"
+                    f"proposal returned an array of shape {points.shape}; {len(trials)} "
+                    f"trials at level {level} in {delta.d} letters need {want}"
                 )
-            yield (level, trial, x, *_in_domain(delta, x, cfg), rng)
+            _check_finite(points, "proposal")
+            yield _measured(delta, level, trials, points, rngs, cfg)
 
 
 def _objective(p, delta: PolyMatrix) -> PolyMatrix:
@@ -265,25 +316,30 @@ def sup_norm_estimate(
     delta = PolyMatrix.from_poly(delta)
     objective = _objective(objective, delta)
     cfg = cfg or SampleConfig()
-    # An explicitly supplied tuple is a trial tagged with trial = -1 - index,
-    # climbed after every sampled trial.
+    # An explicitly supplied tuple is a chunk of one trial tagged with
+    # trial = -1 - index, climbed after every sampled trial.
     extras = (
-        (x.n, -1 - idx, x, *_in_domain(delta, x, cfg), task_rng(cfg.seed, 0x0E, idx))
+        _measured(delta, x.n, (-1 - idx,), x.coords[None], (task_rng(cfg.seed, 0x0E, idx),), cfg)
         for idx, x in enumerate(extra_candidates)
     )
     best = None  # the winner's (value, witness, level, trial, domain norm, converged)
     tallies: dict[int, list] = {}  # level -> [trials, admissible, best value, best trial]
-    for level, trial, x, norm, inside, rng in chain(_draws(delta, cfg, proposal), extras):
+    for level, trials, points, norms, inside, rngs in chain(_draws(delta, cfg, proposal), extras):
         tally = tallies.setdefault(level, [0, 0, None, None])
-        tally[0] += 1
-        if not inside:
+        tally[0] += len(trials)
+        admitted = np.flatnonzero(inside)
+        if not admitted.size:
             continue
-        tally[1] += 1
-        witness, value, norm, converged = _ascend(objective, delta, x, norm, rng, cfg)
-        if tally[2] is None or value > tally[2]:
-            tally[2:] = value, trial
-        if best is None or value > best[0]:
-            best = (value, witness, level, trial, norm, converged)
+        tally[1] += admitted.size
+        values = _op_norms(objective.eval(points[admitted]))
+        for k, start_value in zip(admitted, values):
+            witness, value, norm, converged = _ascend(
+                objective, delta, points[k], norms[k], start_value, rngs[k], cfg
+            )
+            if tally[2] is None or value > tally[2]:
+                tally[2:] = value, trials[k]
+            if best is None or value > best[0]:
+                best = (value, witness, level, trials[k], norm, converged)
 
     notes = []
     if best is None:
@@ -296,7 +352,7 @@ def sup_norm_estimate(
     return SpectralReport(
         kind="sup_norm",
         estimate=value,
-        witness=witness,
+        witness=None if witness is None else MatrixTuple(witness),
         witness_level=level,
         witness_trial=trial,
         witness_domain_norm=norm,
@@ -318,7 +374,8 @@ def sample_admissible(
     """Collect proposal tuples with ||delta(x)|| <= 1 - margin (no ascent)."""
     delta = PolyMatrix.from_poly(delta)
     draws = _draws(delta, cfg or SampleConfig(), proposal)
-    return [x for _, _, x, _, inside, _ in draws if inside]
+    return [MatrixTuple(points[k]) for _, _, points, _, inside, _ in draws
+            for k in np.flatnonzero(inside)]
 
 
 def _describe(p: PolyMatrix) -> str:
@@ -352,22 +409,31 @@ def k_spectral_check(
     cfg = cfg or SampleConfig()
     if not 0 < K < math.inf:
         raise DomainError(f"the spectral constant K must be finite and positive, got {K}")
-    t_norm, t_inside = _in_domain(delta, T, cfg)
     members = [_objective(member, delta) for member in family]
+    t_chunk = _measured(delta, T.n, (-1,), T.coords[None], (task_rng(cfg.seed, 0x0E, 0),), cfg)
+    _, _, _, (t_norm,), (t_inside,), _ = t_chunk
+    t_norm = float(t_norm)
 
     draws = _draws(delta, cfg, proposal) if members else ()
     if t_inside:
-        draws = chain(draws, [(T.n, -1, T, t_norm, True, task_rng(cfg.seed, 0x0E, 0))])
+        draws = chain(draws, [t_chunk])
     best: list[tuple[float, bool] | None] = [None] * len(members)
-    for _, _, x, norm, inside, rng in draws:
-        if not inside:
+    for _, _, points, norms, inside, rngs in draws:
+        admitted = np.flatnonzero(inside)
+        if not admitted.size:
             continue
-        start = rng.bit_generator.state
-        for idx, p in enumerate(members):
-            rng.bit_generator.state = start
-            _, value, _, converged = _ascend(p, delta, x, norm, rng, cfg)
-            if best[idx] is None or value > best[idx][0]:
-                best[idx] = (value, converged)
+        starts = points[admitted]
+        values = [_op_norms(p.eval(starts)) for p in members]
+        for pos, k in enumerate(admitted):
+            rng = rngs[k]
+            state = rng.bit_generator.state
+            for idx, p in enumerate(members):
+                rng.bit_generator.state = state
+                _, value, _, converged = _ascend(
+                    p, delta, points[k], norms[k], values[idx][pos], rng, cfg
+                )
+                if best[idx] is None or value > best[idx][0]:
+                    best[idx] = (value, converged)
 
     violations = []
     notes = []

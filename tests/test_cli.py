@@ -351,12 +351,20 @@ def test_usage_error_exits_1_not_2():
     ("experiment", "commutator", "-p", "eigen_checks=0"),
     ("experiment", "commutator", "-p", "emptiness_trials=0"),
     ("experiment", "polydisc", "-p", "d=100000", "-p", "family_max_len=0"),
+    ("experiment", "custom", "--job", "/nonexistent-a.json", "-p", "job=/nonexistent-b.json"),
 ])
 def test_bad_experiment_options_are_input_errors(argv):
     res = run_cli(*argv)
     assert res.returncode == 1
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_custom_job_given_twice_names_both(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    res = run_cli("experiment", "custom", "--job", str(a), "-p", f"job={b}")
+    assert res.returncode == 1
+    assert str(a) in res.stderr and str(b) in res.stderr
 
 
 def test_memory_exhaustion_is_an_input_error(monkeypatch, capsys):

@@ -15,7 +15,7 @@ from freecalc.freepoly import (
     row_delta,
     verify_separating_witnesses,
 )
-from freecalc.matrix_core import MatrixTuple, op_norm, random_tuple, task_rng
+from freecalc.matrix_core import MatrixTuple, _op_norms, op_norm, random_tuple, task_rng
 
 D = 2
 
@@ -189,6 +189,56 @@ def test_polymatrix_eval_is_bitwise_the_per_word_sum():
     for delta in (gap_delta(0.1), diag_delta(3), lens_delta()):
         x = random_tuple(3, delta.d, 0.9, 5)
         assert delta.eval(x).tobytes() == _per_word_eval(delta, x).tobytes()
+
+
+def _stacked_cases():
+    rng = task_rng(9, 2)
+    random = _random_poly_matrix(rng, 2, 3, 3)
+    rows = [list(row) for row in random.entries]
+    rows[0][0] = rows[0][0] + (0.5 - 1.5j)  # make sure a constant term is in play
+    return [gap_delta(0.1), diag_delta(2), row_delta(3), PolyMatrix(rows)]
+
+
+@pytest.mark.parametrize("delta", _stacked_cases(), ids=["gap", "diag2", "row3", "random"])
+def test_stacked_eval_is_bitwise_the_per_point_eval(delta):
+    rng = task_rng(9, 3)
+    for n, count in ((1, 5), (3, 7), (5, 4)):
+        points = [random_tuple(n, delta.d, 0.9, rng) for _ in range(count)]
+        stack = np.stack([x.coords for x in points])
+        got = delta.eval(stack)
+        assert got.shape == (count, delta.I * n, delta.J * n)
+        for k, x in enumerate(points):
+            alone = delta.eval(x)
+            assert got[k].tobytes() == alone.tobytes()
+            assert delta.eval(x.coords).tobytes() == alone.tobytes()
+        norms = _op_norms(got)
+        assert norms.shape == (count,)
+        assert [float(v) for v in norms] == [op_norm(delta.eval(x)) for x in points]
+        assert float(_op_norms(got[:1])[0]) == op_norm(got[0])
+
+
+def test_stacked_eval_rejects_bad_shapes():
+    delta = row_delta(3)
+    with pytest.raises(ShapeError, match="2 coordinates"):
+        delta.eval(np.zeros((4, 2, 3, 3)))
+    with pytest.raises(ShapeError, match="d, n, n"):
+        delta.eval(np.zeros((4, 3, 3, 2)))
+    with pytest.raises(ShapeError, match="d, n, n"):
+        delta.eval(np.zeros((3, 3)))
+
+
+def test_stacked_norms_refuse_a_nan_anywhere():
+    stack = np.stack([random_tuple(3, 2, 0.5, k).coords for k in range(4)])
+    values = gap_delta(0.1).eval(stack)
+    for k, i, j in ((0, 0, 0), (3, 8, 8), (2, 4, 1)):
+        bad = values.copy()
+        bad[k, i, j] = complex(np.nan, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            _op_norms(bad)
+    bad = values.copy()
+    bad[1, 2, 3] = complex(0.0, np.inf)
+    with pytest.raises(DomainError, match="finite"):
+        _op_norms(bad)
 
 
 def test_polymatrix_eval_is_blockwise():

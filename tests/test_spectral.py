@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from freecalc import spectral
 from freecalc.errors import CheckFailure, DomainError, ShapeError
 from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, gap_delta, row_delta
-from freecalc.matrix_core import MatrixTuple, cyclic_shift, op_norm
+from freecalc.matrix_core import MatrixTuple, cyclic_shift, op_norm, random_matrix, task_rng
 from freecalc.serialize import dumps_canonical, encode
 from freecalc.spectral import (
     SampleConfig,
@@ -141,15 +142,124 @@ def test_objective_alphabet_mismatch():
         sup_norm_estimate(FreePoly.letter(1, 2), row_delta(1))
 
 
-def test_proposal_alphabet_mismatch():
-    def two_letters(level, trial, rng, cfg):
-        return MatrixTuple([np.zeros((level, level))] * 2)
+def _shaped(d=1, count_extra=0, level_extra=0):
+    """A proposal of zero points whose stack is off by the given amounts."""
+    def propose(level, trials, rngs, cfg):
+        n = level + level_extra
+        return np.zeros((len(trials) + count_extra, d, n, n))
 
+    return propose
+
+
+def test_proposal_alphabet_mismatch():
     cfg = SampleConfig(levels=(1,), trials_per_level=1)
+    two_letters = _shaped(d=2)
     with pytest.raises(ShapeError, match="proposal returned"):
         sup_norm_estimate(FreePoly.letter(1, 1), row_delta(1), cfg, proposal=two_letters)
     with pytest.raises(ShapeError, match="proposal returned"):
         sample_admissible(row_delta(1), cfg, proposal=two_letters)
+
+
+@pytest.mark.parametrize("count_extra, level_extra", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+def test_proposal_count_or_level_mismatch(count_extra, level_extra):
+    cfg = SampleConfig(levels=(2, 3), trials_per_level=3)
+    proposal = _shaped(count_extra=count_extra, level_extra=level_extra)
+    with pytest.raises(ShapeError, match="proposal returned"):
+        sup_norm_estimate(FreePoly.letter(1, 1), row_delta(1), cfg, proposal=proposal)
+    with pytest.raises(ShapeError, match="proposal returned"):
+        sample_admissible(row_delta(1), cfg, proposal=proposal)
+
+
+def test_proposal_must_be_finite():
+    def nan_at_last(level, trials, rngs, cfg):
+        points = np.zeros((len(trials), 1, level, level))
+        points[-1, 0, -1, -1] = np.nan
+        return points
+
+    cfg = SampleConfig(levels=(2,), trials_per_level=4)
+    with pytest.raises(DomainError, match="proposal entries must be finite"):
+        sample_admissible(row_delta(1), cfg, proposal=nan_at_last)
+
+
+def _per_trial_admissible(delta, cfg, proposal):
+    """Reference for sample_admissible: the proposal called one trial at a
+    time, each point tested on its own."""
+    points = []
+    for level in cfg.levels:
+        for trial in range(cfg.trials_per_level):
+            rng = task_rng(cfg.seed, level, trial)
+            (x,) = proposal(level, range(trial, trial + 1), [rng], cfg)
+            if op_norm(delta.eval(MatrixTuple(x))) <= 1.0 - cfg.margin:
+                points.append(MatrixTuple(x))
+    return points
+
+
+def _gap_point_reference(eps, level, rng, cfg):
+    """One gap proposal written one matrix at a time, every draw in order."""
+    cap = (1.0 + eps) * (1.0 - cfg.margin)
+    u, _ = np.linalg.qr(random_matrix(level, level, rng))
+    v, _ = np.linalg.qr(random_matrix(level, level, rng))
+    sing = rng.uniform(0.88, cap, size=level)
+    x = u @ np.diag(sing.astype(np.complex128)) @ v
+    e = random_matrix(level, level, rng)
+    e_norm = op_norm(e)
+    if e_norm > 0:
+        e = e * (rng.uniform(0.0, 1.0) * eps * (1.0 - cfg.margin) / e_norm)
+    y = (np.eye(level, dtype=np.complex128) + e) @ np.linalg.inv(x)
+    return np.array([x, y])
+
+
+def _gaussian_point_reference(d, level, target, rng):
+    """One default proposal written one matrix at a time."""
+    stack = np.array([random_matrix(level, level, rng) for _ in range(d)])
+    return (target / max(op_norm(c) for c in stack)) * stack
+
+
+@pytest.mark.parametrize("level", [1, 3, 8])
+def test_stacked_proposals_are_bitwise_their_per_matrix_reference(level):
+    cfg = SampleConfig(seed=4)
+    trials = range(5, 25)
+    rngs = [task_rng(cfg.seed, level, t) for t in trials]
+    refs = [task_rng(cfg.seed, level, t) for t in trials]
+    got = gap_domain_proposal(0.1)(level, trials, rngs, cfg)
+    for k, rng in enumerate(refs):
+        assert got[k].tobytes() == _gap_point_reference(0.1, level, rng, cfg).tobytes()
+        # the ascent goes on from the state the draws left
+        assert rngs[k].bit_generator.state == rng.bit_generator.state
+    got = default_proposal(3)(level, trials, rngs, cfg)
+    for k, (t, rng) in enumerate(zip(trials, refs)):
+        target = cfg.norm_targets[t % len(cfg.norm_targets)]
+        assert got[k].tobytes() == _gaussian_point_reference(3, level, target, rng).tobytes()
+        assert rngs[k].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("delta, make, level", [
+    (diag_delta(2), default_proposal, 64),
+    (gap_delta(0.1), lambda d: gap_domain_proposal(0.1), 12),
+])
+def test_chunks_match_one_trial_at_a_time(delta, make, level):
+    size = spectral._chunk_trials(delta, level)
+    cfg = SampleConfig(levels=(3, level), trials_per_level=2 * size + 3, seed=11)
+    propose, calls = _counting(make(delta.d))
+    got = sample_admissible(delta, cfg, proposal=propose)
+    # level 3 fits in one chunk; the wide level spans three, the last one short
+    assert [(lvl, len(trials)) for lvl, trials in calls] == [
+        (3, cfg.trials_per_level), (level, size), (level, size), (level, 3)]
+    want = _per_trial_admissible(delta, cfg, make(delta.d))
+    assert any(x.n == level for x in got) and len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.coords.tobytes() == b.coords.tobytes()
+
+
+def test_wide_delta_runs_in_chunks_of_one():
+    delta = row_delta(64)  # a 64 x 4096 value per point at level 64
+    assert spectral._chunk_trials(delta, 64) == 1
+    cfg = SampleConfig(levels=(64,), trials_per_level=3, ascent_steps=1, seed=2,
+                       norm_targets=(0.05,))
+    propose, calls = _counting(default_proposal(64))
+    rep = sup_norm_estimate(FreePoly.letter(1, 64), delta, cfg, proposal=propose)
+    assert calls == [(64, (0,)), (64, (1,)), (64, (2,))]
+    assert rep.trials == 3 and rep.admissible == 3
 
 
 def test_k_spectral_holds_when_tuple_is_inside():
@@ -178,9 +288,9 @@ def test_k_spectral_flags_outside_tuple():
 def _counting(proposal):
     calls = []
 
-    def propose(level, trial, rng, cfg):
-        calls.append((level, trial))
-        return proposal(level, trial, rng, cfg)
+    def propose(level, trials, rngs, cfg):
+        calls.append((level, tuple(trials)))
+        return proposal(level, trials, rngs, cfg)
 
     return propose, calls
 
@@ -241,7 +351,8 @@ def test_k_spectral_draws_once_for_the_whole_family(scale):
     cfg = SampleConfig(levels=(1, 2), trials_per_level=6, ascent_steps=12, seed=5)
     propose, calls = _counting(default_proposal(2))
     rep = k_spectral_check(delta, T, 1.0, family, cfg, proposal=propose)
-    assert len(calls) == len(cfg.levels) * cfg.trials_per_level
+    # one chunk per level, and every (level, trial) task is drawn exactly once
+    assert calls == [(level, tuple(range(cfg.trials_per_level))) for level in cfg.levels]
     # every member climbs as its own sup_norm_estimate would, byte for byte
     ref = _k_spectral_reference(delta, T, 1.0, family, cfg)
     assert dumps_canonical(encode(rep)) == dumps_canonical(encode(ref))

@@ -14,7 +14,11 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
   ``diag_delta(2)`` at a level-3 tuple outside the domain, so every
   violation's right-hand side comes from the sampler's ascents;
 * ``freecalc supnorm`` of ``x1 x2 + x3`` on ``row_delta(3)`` with 20 ascent
-  steps per admissible sample.
+  steps per admissible sample;
+* ``freecalc supnorm`` of the same objective on ``diag_delta(3)`` at levels 8
+  and 16, 1000 trials each and no ascent, so the default proposal's stacked
+  rescale runs over several sampler chunks per level (3 at level 8, 9 at
+  level 16, with a 4 MiB chunk).
 
 The stock inputs are written once, with this tree's freecalc, and handed to
 both trees.
@@ -97,10 +101,13 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
         "--family", write("family", [encode(p) for p in _random_family(2, 20, 3, seed=5)]),
         "--trials", "8", "--ascent", "12", *sampling]
     x1, x2, x3 = (FreePoly.letter(j, 3) for j in (1, 2, 3))
+    objective = write("objective", encode(x1 * x2 + x3))
     runs["supnorm"] = [
-        "supnorm", "--poly", write("objective", encode(x1 * x2 + x3)),
-        "--delta", write("row-delta", encode(row_delta(3))),
+        "supnorm", "--poly", objective, "--delta", write("row-delta", encode(row_delta(3))),
         "--trials", "10", "--ascent", "20", *sampling]
+    runs["supnorm-chunked"] = [
+        "supnorm", "--poly", objective, "--delta", write("diag-delta-3", encode(diag_delta(3))),
+        "--trials", "1000", "--ascent", "0", "--levels", "8,16", "--seed", "0"]
     return runs
 
 
