@@ -40,14 +40,19 @@ from .spectral import (
 from .version import VERSION
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("FREECALC_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"FREECALC_SEED must be an integer, got {raw!r}", "$FREECALC_SEED"
-        )
+def _resolve_seed(seed: int | None) -> int:
+    """The ``--seed`` value, else ``$FREECALC_SEED``, else 0; a non-negative
+    integer either way, or a ValidationError naming where it came from."""
+    where = "--seed"
+    if seed is None:
+        where, raw = "$FREECALC_SEED", os.environ.get("FREECALC_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValidationError(f"FREECALC_SEED must be an integer, got {raw!r}", where)
+    if seed < 0:
+        raise ValidationError(f"the seed must be a non-negative integer, got {seed}", where)
+    return seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -316,8 +321,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "seed" in vars(args) and args.seed is None:
-            args.seed = _default_seed()
+        if "seed" in vars(args):
+            args.seed = _resolve_seed(args.seed)
         return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

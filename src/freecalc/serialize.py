@@ -396,14 +396,17 @@ def decode_any(v, path: str = "$"):
 
 def parse_json(text: str, source: str | None = None):
     """Parse JSON text; a syntax error becomes a ValidationError at its line
-    and column, naming ``source`` (a file path) when given."""
+    and column, and nesting too deep for the parser a ValidationError at the
+    root, each naming ``source`` (a file path) when given."""
+    where = f" in {source}" if source else ""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        where = f" in {source}" if source else ""
         raise ValidationError(
             f"invalid JSON{where}: {exc.msg}", "$", line=exc.lineno, col=exc.colno
         ) from exc
+    except RecursionError as exc:
+        raise ValidationError(f"invalid JSON{where}: nested too deeply", "$") from exc
 
 
 def read_json(path: str):

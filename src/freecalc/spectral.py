@@ -86,6 +86,8 @@ class SampleConfig:
             raise DomainError("margin must lie in (0, 1)")
         if not 0 < self.step_size < math.inf:
             raise DomainError("step_size must be finite and positive")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if not self.norm_targets:
             raise ShapeError("need at least one norm target")
         for target in self.norm_targets:
@@ -196,55 +198,62 @@ def gap_domain_proposal(eps: float):
 
 
 def _ascend(
-    objective: PolyMatrix,
+    objectives: list[PolyMatrix],
     delta: PolyMatrix,
     start: np.ndarray,
     start_norm: float,
-    start_value: float,
+    start_values,
     rng: np.random.Generator,
     cfg: SampleConfig,
-) -> tuple[np.ndarray, float, float, bool]:
-    """Projected random hill-climb inside the sublevel set from an admissible
-    start ``(d, n, n)`` with ``||delta(start)|| = start_norm`` and
-    ``||objective(start)|| = start_value``: (witness, value,
-    ||delta(witness)||, converged).
+) -> list[tuple[np.ndarray, float, float, bool]]:
+    """Projected random hill-climbs of several objectives inside the sublevel
+    set, in lockstep from one admissible start ``(d, n, n)`` with
+    ``||delta(start)|| = start_norm`` and ``||objectives[i](start)|| =
+    start_values[i]``: one (witness, value, ||delta(witness)||, converged)
+    per objective.
 
-    Each step draws one Gaussian perturbation tuple; if the full step leaves
-    the domain it is shrunk a few times toward the current point before being
-    counted as a rejection.  The random stream is consumed at exactly one
-    draw per step regardless of acceptance, so runs with more steps extend
-    runs with fewer steps instead of diverging from them.
+    Each step draws one Gaussian perturbation tuple, and every climb that has
+    not converged takes it.  A climb whose full step leaves the domain
+    shrinks it a few times toward its own current point before counting a
+    rejection; its step size, rejections and convergence are its own, and a
+    converged climb stops while the others go on.  The random stream is
+    consumed at exactly one draw per step regardless of acceptance, so each
+    climb is bit for bit the climb its objective takes alone, and runs with
+    more steps extend runs with fewer steps instead of diverging from them.
     """
-    best_x, best_val, best_norm = start, start_value, start_norm
-    cur, cur_val = start, start_value
-    step = cfg.step_size
-    rejections = 0
-    converged = False
+    count = len(objectives)
+    cur, cur_val = [start] * count, list(start_values)
+    best = [(start, value, start_norm) for value in start_values]
+    step, rejections = [cfg.step_size] * count, [0] * count
+    live = list(range(count))  # the climbs that have not converged
     for _ in range(cfg.ascent_steps):
+        if not live:
+            break
         pert = _complex_gaussian(rng.standard_normal((start.shape[0], 2, *start.shape[1:])))
-        accepted = False
-        for shrink in (1.0, 0.5, 0.25, 0.125):
-            cand = cur + complex(step * shrink) * pert
-            cand_norm = _op_norms(delta.eval(cand[None]))[0]
-            if cand_norm <= 1.0 - cfg.margin:
-                cand_val = _op_norms(objective.eval(cand[None]))[0]
-                if cand_val > cur_val:
-                    cur, cur_val = cand, cand_val
-                    if cand_val > best_val:
-                        best_x, best_val, best_norm = cand, cand_val, cand_norm
-                    accepted = True
-                break
-        if accepted:
-            rejections = 0
-        else:
-            rejections += 1
-            if rejections >= REJECTIONS_PER_DECAY:
-                rejections = 0
-                step *= STEP_DECAY
-                if step < STEP_FLOOR * cfg.step_size:
-                    converged = True
+        for i in tuple(live):
+            accepted = False
+            for shrink in (1.0, 0.5, 0.25, 0.125):
+                cand = cur[i] + complex(step[i] * shrink) * pert
+                cand_norm = _op_norms(delta.eval(cand[None]))[0]
+                if cand_norm <= 1.0 - cfg.margin:
+                    cand_val = _op_norms(objectives[i].eval(cand[None]))[0]
+                    if cand_val > cur_val[i]:
+                        cur[i], cur_val[i] = cand, cand_val
+                        if cand_val > best[i][1]:
+                            best[i] = (cand, cand_val, cand_norm)
+                        accepted = True
                     break
-    return best_x, float(best_val), float(best_norm), converged
+            if accepted:
+                rejections[i] = 0
+            else:
+                rejections[i] += 1
+                if rejections[i] >= REJECTIONS_PER_DECAY:
+                    rejections[i] = 0
+                    step[i] *= STEP_DECAY
+                    if step[i] < STEP_FLOOR * cfg.step_size:
+                        live.remove(i)
+    return [(x, float(value), float(norm), i not in live)
+            for i, (x, value, norm) in enumerate(best)]
 
 
 def _chunk_trials(delta: PolyMatrix, level: int) -> int:
@@ -297,6 +306,37 @@ def _objective(p, delta: PolyMatrix) -> PolyMatrix:
     return p
 
 
+def _climbs(members: list[PolyMatrix], delta: PolyMatrix, cfg: SampleConfig, proposal,
+            extra_candidates: tuple[MatrixTuple, ...]):
+    """Every member's climb from every admissible draw, chunk by chunk.
+
+    Reads the chunks of ``_draws``, then each explicitly supplied tuple as a
+    chunk of one trial tagged ``trial = -1 - index`` that draws from
+    ``task_rng(cfg.seed, 0x0E, index)``.  Each chunk's admissible starts are
+    evaluated for every member with one stacked eval and SVD per member,
+    and all members climb from each start in one lockstep ``_ascend``.
+    Yields ``(level, trials, climbs)`` per chunk, where ``climbs`` holds one
+    ``(trial, ascents)`` per admissible start and ``ascents`` one ``_ascend``
+    result per member.  With no members it draws nothing.
+    """
+    if not members:
+        return
+    extras = (
+        _measured(delta, x.n, (-1 - idx,), x.coords[None], (task_rng(cfg.seed, 0x0E, idx),), cfg)
+        for idx, x in enumerate(extra_candidates)
+    )
+    for level, trials, points, norms, inside, rngs in chain(_draws(delta, cfg, proposal), extras):
+        admitted = np.flatnonzero(inside)
+        climbs = []
+        if admitted.size:
+            values = [_op_norms(p.eval(points[admitted])) for p in members]
+            for pos, k in enumerate(admitted):
+                start_values = [v[pos] for v in values]
+                ascents = _ascend(members, delta, points[k], norms[k], start_values, rngs[k], cfg)
+                climbs.append((trials[k], ascents))
+        yield level, trials, climbs
+
+
 def sup_norm_estimate(
     objective,
     delta,
@@ -316,30 +356,17 @@ def sup_norm_estimate(
     delta = PolyMatrix.from_poly(delta)
     objective = _objective(objective, delta)
     cfg = cfg or SampleConfig()
-    # An explicitly supplied tuple is a chunk of one trial tagged with
-    # trial = -1 - index, climbed after every sampled trial.
-    extras = (
-        _measured(delta, x.n, (-1 - idx,), x.coords[None], (task_rng(cfg.seed, 0x0E, idx),), cfg)
-        for idx, x in enumerate(extra_candidates)
-    )
     best = None  # the winner's (value, witness, level, trial, domain norm, converged)
     tallies: dict[int, list] = {}  # level -> [trials, admissible, best value, best trial]
-    for level, trials, points, norms, inside, rngs in chain(_draws(delta, cfg, proposal), extras):
+    for level, trials, climbs in _climbs([objective], delta, cfg, proposal, extra_candidates):
         tally = tallies.setdefault(level, [0, 0, None, None])
         tally[0] += len(trials)
-        admitted = np.flatnonzero(inside)
-        if not admitted.size:
-            continue
-        tally[1] += admitted.size
-        values = _op_norms(objective.eval(points[admitted]))
-        for k, start_value in zip(admitted, values):
-            witness, value, norm, converged = _ascend(
-                objective, delta, points[k], norms[k], start_value, rngs[k], cfg
-            )
+        tally[1] += len(climbs)
+        for trial, ((witness, value, norm, converged),) in climbs:
             if tally[2] is None or value > tally[2]:
-                tally[2:] = value, trials[k]
+                tally[2:] = value, trial
             if best is None or value > best[0]:
-                best = (value, witness, level, trials[k], norm, converged)
+                best = (value, witness, level, trial, norm, converged)
 
     notes = []
     if best is None:
@@ -401,37 +428,24 @@ def k_spectral_check(
     "potential" otherwise.  If T itself lies in the domain it is fed in as a
     candidate, which makes the K = 1 inequality hold by construction.
 
-    Every member climbs from the same single pass of draws, each ascent
-    starting from the generator state the proposal left, so each member's
-    supremum estimate equals its own ``sup_norm_estimate``.
+    Every member climbs from the same single pass of draws: all members
+    climb from each admissible start in lockstep, sharing each step's one
+    perturbation, so each member's supremum estimate equals its own
+    ``sup_norm_estimate`` with T as an extra candidate when T lies in the
+    domain.
     """
     delta = PolyMatrix.from_poly(delta)
     cfg = cfg or SampleConfig()
     if not 0 < K < math.inf:
         raise DomainError(f"the spectral constant K must be finite and positive, got {K}")
     members = [_objective(member, delta) for member in family]
-    t_chunk = _measured(delta, T.n, (-1,), T.coords[None], (task_rng(cfg.seed, 0x0E, 0),), cfg)
-    _, _, _, (t_norm,), (t_inside,), _ = t_chunk
-    t_norm = float(t_norm)
+    t_norm = float(_op_norms(delta.eval(T.coords[None]))[0])
+    t_inside = t_norm <= 1.0 - cfg.margin
 
-    draws = _draws(delta, cfg, proposal) if members else ()
-    if t_inside:
-        draws = chain(draws, [t_chunk])
     best: list[tuple[float, bool] | None] = [None] * len(members)
-    for _, _, points, norms, inside, rngs in draws:
-        admitted = np.flatnonzero(inside)
-        if not admitted.size:
-            continue
-        starts = points[admitted]
-        values = [_op_norms(p.eval(starts)) for p in members]
-        for pos, k in enumerate(admitted):
-            rng = rngs[k]
-            state = rng.bit_generator.state
-            for idx, p in enumerate(members):
-                rng.bit_generator.state = state
-                _, value, _, converged = _ascend(
-                    p, delta, points[k], norms[k], values[idx][pos], rng, cfg
-                )
+    for _, _, climbs in _climbs(members, delta, cfg, proposal, (T,)):
+        for _, ascents in climbs:
+            for idx, (_, value, _, converged) in enumerate(ascents):
                 if best[idx] is None or value > best[idx][0]:
                     best[idx] = (value, converged)
 

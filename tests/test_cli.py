@@ -75,13 +75,15 @@ def test_missing_file_is_an_input_error():
     assert res.returncode == 1
 
 
-@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "nested-too-deeply"])
 def test_unreadable_file_is_an_input_error(tmp_path, kind):
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "not-utf8":
         path.write_bytes(b"\xff\xfe{\x00}\x00")
+    else:
+        path.write_text("[" * 200_000, encoding="utf-8")
     res = run_cli("validate", str(path))
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and str(path) in res.stderr
@@ -285,9 +287,20 @@ def test_seedless_commands_ignore_seed_env(tmp_path):
 
 
 def test_experiment_rejects_bad_seed_env():
-    res = run_cli("experiment", "rowball", env_extra={"FREECALC_SEED": "often"})
+    for raw in ("often", "-5"):
+        res = run_cli("experiment", "rowball", env_extra={"FREECALC_SEED": raw})
+        assert res.returncode == 1
+        assert "FREECALC_SEED" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_negative_seed_names_the_option(tmp_path):
+    ppath = _write(tmp_path, "poly.json", FreePoly.letter(1, 1))
+    dpath = _write(tmp_path, "delta.json", row_delta(1))
+    res = run_cli("supnorm", "--poly", ppath, "--delta", dpath, "--levels", "1",
+                  "--trials", "2", "--seed", "-1")
     assert res.returncode == 1
-    assert "FREECALC_SEED" in res.stderr
+    assert res.stderr.startswith("error: --seed:") and "non-negative" in res.stderr
 
 
 def test_custom_experiment_needs_a_job():
@@ -352,6 +365,8 @@ def test_usage_error_exits_1_not_2():
     ("experiment", "commutator", "-p", "emptiness_trials=0"),
     ("experiment", "polydisc", "-p", "d=100000", "-p", "family_max_len=0"),
     ("experiment", "custom", "--job", "/nonexistent-a.json", "-p", "job=/nonexistent-b.json"),
+    ("experiment", "rowball", "--seed", "-1"),
+    ("supnorm", "--poly", "/nonexistent-p.json", "--delta", "/nonexistent-d.json", "--seed", "-1"),
 ])
 def test_bad_experiment_options_are_input_errors(argv):
     res = run_cli(*argv)

@@ -135,6 +135,12 @@ def test_loads_reports_syntax_position():
     assert err.col is not None
 
 
+def test_loads_refuses_nesting_too_deep_for_the_parser():
+    with pytest.raises(ValidationError, match="invalid JSON: nested too deeply") as exc_info:
+        loads("[" * 200_000)
+    assert exc_info.value.path == "$"
+
+
 def test_load_path(tmp_path):
     x = random_tuple(2, 3, 0.4, 9)
     f = tmp_path / "point.json"

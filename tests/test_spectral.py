@@ -34,6 +34,8 @@ def test_config_validation():
     for step in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             SampleConfig(step_size=step)
+    with pytest.raises(DomainError):
+        SampleConfig(seed=-1)
     with pytest.raises(ShapeError):
         SampleConfig(norm_targets=())
     for target in (0.0, -0.5, float("nan"), float("inf")):
@@ -343,21 +345,61 @@ def _diag_tuple(scale):
                         np.array([[0.2j, scale], [0.4, 0.1]])])
 
 
-@pytest.mark.parametrize("scale", [1.6, 0.5])
-def test_k_spectral_draws_once_for_the_whole_family(scale):
+@pytest.mark.parametrize("scale, trials, steps", [
+    pytest.param(1.6, 6, 12, id="1.6"),
+    pytest.param(0.5, 6, 12, id="0.5"),
+    pytest.param(1.6, 2, 250, id="1.6-long-ascent"),
+])
+def test_k_spectral_draws_once_for_the_whole_family(monkeypatch, scale, trials, steps):
     delta = diag_delta(2)
     T = _diag_tuple(scale)
     family = _complex_family()
-    cfg = SampleConfig(levels=(1, 2), trials_per_level=6, ascent_steps=12, seed=5)
+    cfg = SampleConfig(levels=(1, 2), trials_per_level=trials, ascent_steps=steps, seed=5)
     propose, calls = _counting(default_proposal(2))
+    ascend, climbed = spectral._ascend, []
+
+    def recording(*args):
+        ascents = ascend(*args)
+        climbed.append({converged for *_, converged in ascents})
+        return ascents
+
+    monkeypatch.setattr(spectral, "_ascend", recording)
     rep = k_spectral_check(delta, T, 1.0, family, cfg, proposal=propose)
     # one chunk per level, and every (level, trial) task is drawn exactly once
     assert calls == [(level, tuple(range(cfg.trials_per_level))) for level in cfg.levels]
+    if steps > 200:
+        # the constant member never improves, so it converges at step 200 and
+        # stops while the other climbs of the same ascent go on
+        assert {True, False} in climbed
     # every member climbs as its own sup_norm_estimate would, byte for byte
     ref = _k_spectral_reference(delta, T, 1.0, family, cfg)
     assert dumps_canonical(encode(rep)) == dumps_canonical(encode(ref))
     inside = op_norm(delta.eval(T)) <= 1.0 - cfg.margin
     assert rep.ok == inside
+
+
+def test_k_spectral_draws_each_step_once_whatever_the_family_size(monkeypatch):
+    delta = diag_delta(2)
+    T = _diag_tuple(0.5)
+    cfg = SampleConfig(levels=(1, 2), trials_per_level=6, ascent_steps=12, seed=5)
+    family = _complex_family()
+    starts = sup_norm_estimate(family[3], delta, cfg, extra_candidates=(T,)).admissible
+    gaussian, draws = spectral._complex_gaussian, []
+
+    def counting(normals):
+        draws.append(normals.shape)
+        return gaussian(normals)
+
+    monkeypatch.setattr(spectral, "_complex_gaussian", counting)
+    counts = []
+    for members in (family[3:4], family):
+        draws.clear()
+        k_spectral_check(delta, T, 1.0, members, cfg)
+        counts.append(len(draws))
+    # one proposal draw per chunk, then one perturbation per step and start:
+    # 12 steps are too few for any climb to converge
+    assert counts == [len(cfg.levels) + cfg.ascent_steps * starts] * 2
+    assert starts > 1
 
 
 def test_k_spectral_empty_family_draws_nothing_and_generators_work():

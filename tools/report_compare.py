@@ -13,6 +13,10 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 * ``freecalc spectral-check`` of a 23-member random family on
   ``diag_delta(2)`` at a level-3 tuple outside the domain, so every
   violation's right-hand side comes from the sampler's ascents;
+* ``freecalc spectral-check`` of a 9-member family from the same generator
+  with K = 0.8 and 250 ascent steps, so that some winning ascents converge
+  (the constant member's never improves and stops at step 200) while others
+  run out of steps: both ``confirmed`` and ``potential`` violations appear;
 * ``freecalc supnorm`` of ``x1 x2 + x3`` on ``row_delta(3)`` with 20 ascent
   steps per admissible sample;
 * ``freecalc supnorm`` of the same objective on ``diag_delta(3)`` at levels 8
@@ -95,11 +99,16 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     sampling = ["--levels", "1,2,3", "--seed", "0"]
     coords = [random_matrix(3, 3, rng) for _ in range(2)]
     scale = 1.4 / op_norm(delta.eval(MatrixTuple(coords)))
+    diag, outside = write("diag-delta", encode(delta)), write(
+        "outside-tuple", encode(MatrixTuple([c * scale for c in coords])))
     runs["spectral-check"] = [
-        "spectral-check", "--delta", write("diag-delta", encode(delta)),
-        "--tuple", write("outside-tuple", encode(MatrixTuple([c * scale for c in coords]))),
+        "spectral-check", "--delta", diag, "--tuple", outside,
         "--family", write("family", [encode(p) for p in _random_family(2, 20, 3, seed=5)]),
         "--trials", "8", "--ascent", "12", *sampling]
+    runs["spectral-check-long"] = [
+        "spectral-check", "--delta", diag, "--tuple", outside,
+        "--family", write("family-short", [encode(p) for p in _random_family(2, 6, 3, seed=5)]),
+        "--k", "0.8", "--trials", "2", "--ascent", "250", *sampling]
     x1, x2, x3 = (FreePoly.letter(j, 3) for j in (1, 2, 3))
     objective = write("objective", encode(x1 * x2 + x3))
     runs["supnorm"] = [
