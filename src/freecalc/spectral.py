@@ -200,60 +200,80 @@ def gap_domain_proposal(eps: float):
 def _ascend(
     objectives: list[PolyMatrix],
     delta: PolyMatrix,
-    start: np.ndarray,
-    start_norm: float,
-    start_values,
-    rng: np.random.Generator,
+    starts: np.ndarray,
+    start_norms: np.ndarray,
+    start_values: list[np.ndarray],
+    rngs: list[np.random.Generator],
     cfg: SampleConfig,
-) -> list[tuple[np.ndarray, float, float, bool]]:
-    """Projected random hill-climbs of several objectives inside the sublevel
-    set, in lockstep from one admissible start ``(d, n, n)`` with
-    ``||delta(start)|| = start_norm`` and ``||objectives[i](start)|| =
-    start_values[i]``: one (witness, value, ||delta(witness)||, converged)
-    per objective.
+) -> list[list[tuple[np.ndarray, float, float, bool]]]:
+    """Projected random hill-climbs inside the sublevel set, one for every
+    (start, objective) pair, all stacked.
 
-    Each step draws one Gaussian perturbation tuple, and every climb that has
-    not converged takes it.  A climb whose full step leaves the domain
-    shrinks it a few times toward its own current point before counting a
-    rejection; its step size, rejections and convergence are its own, and a
-    converged climb stops while the others go on.  The random stream is
+    ``starts`` is an ``(S, d, n, n)`` stack of admissible points with
+    ``||delta(starts[s])|| = start_norms[s]`` and ``||objectives[i](starts[s])||
+    = start_values[i][s]``.  Returns, per start, one (witness, value,
+    ||delta(witness)||, converged) per objective.
+
+    Each step, every start that still has a climb that has not converged
+    draws one Gaussian perturbation tuple from its own ``rngs[s]``, and each
+    of its climbs that has not converged takes it.  A climb whose full step
+    leaves the domain shrinks it to 1/2, 1/4 and 1/8 toward its own current
+    point before counting a rejection: each shrink round is one stacked
+    ``delta.eval`` and SVD over the climbs still searching, and then each
+    objective evaluates the candidates of its climbs that landed inside with
+    one stacked eval and SVD.  Step size, rejections and convergence are per
+    climb: a converged climb stops while the others go on, and a start whose
+    climbs have all converged draws nothing more.  A start's stream is
     consumed at exactly one draw per step regardless of acceptance, so each
-    climb is bit for bit the climb its objective takes alone, and runs with
-    more steps extend runs with fewer steps instead of diverging from them.
+    climb is bit for bit the climb its objective takes alone from its start,
+    whatever is stacked with it, and runs with more steps extend runs with
+    fewer steps instead of diverging from them.
     """
-    count = len(objectives)
-    cur, cur_val = [start] * count, list(start_values)
-    best = [(start, value, start_norm) for value in start_values]
-    step, rejections = [cfg.step_size] * count, [0] * count
-    live = list(range(count))  # the climbs that have not converged
+    count, width = len(starts), len(objectives)
+    owner = np.repeat(np.arange(count), width)  # climb c: objective c % width from start c // width
+    cur, cur_val, cur_norm = starts[owner], np.asarray(start_values).T.flatten(), start_norms[owner]
+    cand, cand_norm = np.empty_like(cur), np.empty(cur_val.shape)
+    step = np.full(cur_val.shape, cfg.step_size)
+    rejections = np.zeros(cur_val.shape, dtype=int)
+    live = np.ones(cur_val.shape, dtype=bool)  # the climbs that have not converged
+    pert = np.empty_like(starts)
+    draw_shape = (starts.shape[1], 2, *starts.shape[2:])
     for _ in range(cfg.ascent_steps):
-        if not live:
+        drawing = np.flatnonzero(live.reshape(count, width).any(axis=1))
+        if not drawing.size:
             break
-        pert = _complex_gaussian(rng.standard_normal((start.shape[0], 2, *start.shape[1:])))
-        for i in tuple(live):
-            accepted = False
-            for shrink in (1.0, 0.5, 0.25, 0.125):
-                cand = cur[i] + complex(step[i] * shrink) * pert
-                cand_norm = _op_norms(delta.eval(cand[None]))[0]
-                if cand_norm <= 1.0 - cfg.margin:
-                    cand_val = _op_norms(objectives[i].eval(cand[None]))[0]
-                    if cand_val > cur_val[i]:
-                        cur[i], cur_val[i] = cand, cand_val
-                        if cand_val > best[i][1]:
-                            best[i] = (cand, cand_val, cand_norm)
-                        accepted = True
-                    break
-            if accepted:
-                rejections[i] = 0
-            else:
-                rejections[i] += 1
-                if rejections[i] >= REJECTIONS_PER_DECAY:
-                    rejections[i] = 0
-                    step[i] *= STEP_DECAY
-                    if step[i] < STEP_FLOOR * cfg.step_size:
-                        live.remove(i)
-    return [(x, float(value), float(norm), i not in live)
-            for i, (x, value, norm) in enumerate(best)]
+        for s in drawing:
+            pert[s] = _complex_gaussian(rngs[s].standard_normal(draw_shape))
+        searching, landed = np.flatnonzero(live), np.zeros(live.shape, dtype=bool)
+        for shrink in (1.0, 0.5, 0.25, 0.125):
+            scale = step[searching] * shrink
+            moved = cur[searching] + scale[:, None, None, None] * pert[owner[searching]]
+            norms = _op_norms(delta.eval(moved))
+            inside = norms <= 1.0 - cfg.margin
+            hit = searching[inside]
+            cand[hit], cand_norm[hit], landed[hit] = moved[inside], norms[inside], True
+            searching = searching[~inside]
+            if not searching.size:
+                break
+        accepted = np.zeros(live.shape, dtype=bool)
+        for i, objective in enumerate(objectives):
+            mine = i + width * np.flatnonzero(landed[i::width])
+            if mine.size:
+                values = _op_norms(objective.eval(cand[mine]))
+                better = values > cur_val[mine]
+                up = mine[better]
+                cur[up], cur_val[up], cur_norm[up] = cand[up], values[better], cand_norm[up]
+                accepted[up] = True
+        rejected = live & ~accepted
+        rejections[accepted] = 0
+        rejections[rejected] += 1
+        decays = rejected & (rejections >= REJECTIONS_PER_DECAY)
+        rejections[decays] = 0
+        step[decays] *= STEP_DECAY
+        live[decays & (step < STEP_FLOOR * cfg.step_size)] = False
+    ascents = [(cur[c], float(cur_val[c]), float(cur_norm[c]), not live[c])
+               for c in range(live.size)]
+    return [ascents[s * width:(s + 1) * width] for s in range(count)]
 
 
 def _chunk_trials(delta: PolyMatrix, level: int) -> int:
@@ -306,35 +326,65 @@ def _objective(p, delta: PolyMatrix) -> PolyMatrix:
     return p
 
 
+def _candidate_chunks(delta: PolyMatrix, candidates, cfg: SampleConfig) -> list[tuple]:
+    """Each explicitly supplied tuple as a measured chunk of one trial, tagged
+    ``trial = -1 - index``, whose ascent draws from ``task_rng(cfg.seed, 0x0E,
+    index)``."""
+    return [_measured(delta, x.n, (-1 - idx,), x.coords[None],
+                      (task_rng(cfg.seed, 0x0E, idx),), cfg)
+            for idx, x in enumerate(candidates)]
+
+
 def _climbs(members: list[PolyMatrix], delta: PolyMatrix, cfg: SampleConfig, proposal,
-            extra_candidates: tuple[MatrixTuple, ...]):
+            extras: list[tuple]):
     """Every member's climb from every admissible draw, chunk by chunk.
 
-    Reads the chunks of ``_draws``, then each explicitly supplied tuple as a
-    chunk of one trial tagged ``trial = -1 - index`` that draws from
-    ``task_rng(cfg.seed, 0x0E, index)``.  Each chunk's admissible starts are
-    evaluated for every member with one stacked eval and SVD per member,
-    and all members climb from each start in one lockstep ``_ascend``.
-    Yields ``(level, trials, climbs)`` per chunk, where ``climbs`` holds one
-    ``(trial, ascents)`` per admissible start and ``ascents`` one ``_ascend``
-    result per member.  With no members it draws nothing.
+    Reads the chunks of ``_draws``, then the ``_candidate_chunks`` in
+    ``extras``.  Yields ``(level, trials, climbs)`` per chunk, where
+    ``climbs`` yields ``(trial, member index, ascent)`` for every
+    (admissible start, member) pair, each member's climbs in trial order.
+    It climbs one group at a time as it is read, so a large family's
+    witnesses never pile up beyond a group's.  With no members it draws
+    nothing.
     """
     if not members:
         return
-    extras = (
-        _measured(delta, x.n, (-1 - idx,), x.coords[None], (task_rng(cfg.seed, 0x0E, idx),), cfg)
-        for idx, x in enumerate(extra_candidates)
-    )
     for level, trials, points, norms, inside, rngs in chain(_draws(delta, cfg, proposal), extras):
         admitted = np.flatnonzero(inside)
-        climbs = []
-        if admitted.size:
-            values = [_op_norms(p.eval(points[admitted])) for p in members]
-            for pos, k in enumerate(admitted):
-                start_values = [v[pos] for v in values]
-                ascents = _ascend(members, delta, points[k], norms[k], start_values, rngs[k], cfg)
-                climbs.append((trials[k], ascents))
-        yield level, trials, climbs
+        yield level, trials, _chunk_climbs(
+            members, delta, [trials[k] for k in admitted], points[admitted], norms[admitted],
+            [rngs[k] for k in admitted], cfg)
+
+
+def _chunk_climbs(members: list[PolyMatrix], delta: PolyMatrix, trials: list[int],
+                  starts: np.ndarray, norms: np.ndarray, rngs: list, cfg: SampleConfig):
+    """The climbs from one chunk's admissible starts, one ``_ascend`` per group.
+
+    A group holds at most ``_chunk_trials(delta, level)`` climbs, so no
+    stacked ascent array outgrows the chunk budget: whole starts with all
+    their members while they fit, else one start with a slice of its
+    members.  Each later slice replays its start's stream from the state the
+    proposal left, so every climb is the one it takes ungrouped (the
+    generator is left where its last slice left it; nothing draws from it
+    afterwards).  A group's start values are one stacked eval and SVD per
+    member.
+    """
+    size, count = _chunk_trials(delta, starts.shape[-1]), len(members)
+    width = min(count, size)  # members per group
+    per = max(1, size // count)  # starts per group
+    for first in range(0, len(starts), per):
+        block = slice(first, first + per)
+        origin = [rng.bit_generator.state for rng in rngs[block]] if width < count else []
+        for lo in range(0, count, width):
+            group = members[lo:lo + width]
+            if lo:
+                for rng, state in zip(rngs[block], origin):
+                    rng.bit_generator.state = state
+            values = [_op_norms(p.eval(starts[block])) for p in group]
+            ascents = _ascend(group, delta, starts[block], norms[block], values, rngs[block], cfg)
+            for trial, climbs in zip(trials[block], ascents):
+                for idx, ascent in enumerate(climbs, lo):
+                    yield trial, idx, ascent
 
 
 def sup_norm_estimate(
@@ -348,21 +398,23 @@ def sup_norm_estimate(
     """Lower-bound the supremum of ||objective(x)|| over the sublevel domain.
 
     Samples `cfg.trials_per_level` proposals at every level in `cfg.levels`,
-    keeps those with ||delta(x)|| <= 1 - margin, and hill-climbs each.  Every
-    trial draws from its own task-keyed generator and the merge keeps the
-    first strict improvement, so the same config and seed reproduce the same
-    report byte for byte.
+    keeps those with ||delta(x)|| <= 1 - margin, and hill-climbs each: the
+    admissible samples of a chunk climb together in one stacked ascent.
+    Every trial draws from its own task-keyed generator and the merge keeps
+    the first strict improvement, so the same config and seed reproduce the
+    same report byte for byte.
     """
     delta = PolyMatrix.from_poly(delta)
     objective = _objective(objective, delta)
     cfg = cfg or SampleConfig()
     best = None  # the winner's (value, witness, level, trial, domain norm, converged)
     tallies: dict[int, list] = {}  # level -> [trials, admissible, best value, best trial]
-    for level, trials, climbs in _climbs([objective], delta, cfg, proposal, extra_candidates):
+    extras = _candidate_chunks(delta, extra_candidates, cfg)
+    for level, trials, climbs in _climbs([objective], delta, cfg, proposal, extras):
         tally = tallies.setdefault(level, [0, 0, None, None])
         tally[0] += len(trials)
-        tally[1] += len(climbs)
-        for trial, ((witness, value, norm, converged),) in climbs:
+        for trial, _, (witness, value, norm, converged) in climbs:
+            tally[1] += 1
             if tally[2] is None or value > tally[2]:
                 tally[2:] = value, trial
             if best is None or value > best[0]:
@@ -428,26 +480,28 @@ def k_spectral_check(
     "potential" otherwise.  If T itself lies in the domain it is fed in as a
     candidate, which makes the K = 1 inequality hold by construction.
 
-    Every member climbs from the same single pass of draws: all members
-    climb from each admissible start in lockstep, sharing each step's one
-    perturbation, so each member's supremum estimate equals its own
-    ``sup_norm_estimate`` with T as an extra candidate when T lies in the
-    domain.
+    Every member climbs from the same single pass of draws: the climbs of
+    all members from all admissible starts of a chunk go in one stacked
+    ascent (in groups within the chunk budget), and the climbs from one
+    start share each step's one perturbation.  So each member's supremum
+    estimate equals its own ``sup_norm_estimate`` with T as an extra
+    candidate when T lies in the domain.  T's domain norm is measured once,
+    for both the membership test and the report.
     """
     delta = PolyMatrix.from_poly(delta)
     cfg = cfg or SampleConfig()
     if not 0 < K < math.inf:
         raise DomainError(f"the spectral constant K must be finite and positive, got {K}")
     members = [_objective(member, delta) for member in family]
-    t_norm = float(_op_norms(delta.eval(T.coords[None]))[0])
-    t_inside = t_norm <= 1.0 - cfg.margin
+    (t_chunk,) = _candidate_chunks(delta, (T,), cfg)
+    _, _, _, (t_norm,), (t_inside,), _ = t_chunk
+    t_norm = float(t_norm)
 
     best: list[tuple[float, bool] | None] = [None] * len(members)
-    for _, _, climbs in _climbs(members, delta, cfg, proposal, (T,)):
-        for _, ascents in climbs:
-            for idx, (_, value, _, converged) in enumerate(ascents):
-                if best[idx] is None or value > best[idx][0]:
-                    best[idx] = (value, converged)
+    for _, _, climbs in _climbs(members, delta, cfg, proposal, [t_chunk]):
+        for _, idx, (_, value, _, converged) in climbs:
+            if best[idx] is None or value > best[idx][0]:
+                best[idx] = (value, converged)
 
     violations = []
     notes = []

@@ -360,7 +360,7 @@ def test_k_spectral_draws_once_for_the_whole_family(monkeypatch, scale, trials, 
 
     def recording(*args):
         ascents = ascend(*args)
-        climbed.append({converged for *_, converged in ascents})
+        climbed.append({converged for climbs in ascents for *_, converged in climbs})
         return ascents
 
     monkeypatch.setattr(spectral, "_ascend", recording)
@@ -400,6 +400,108 @@ def test_k_spectral_draws_each_step_once_whatever_the_family_size(monkeypatch):
     # 12 steps are too few for any climb to converge
     assert counts == [len(cfg.levels) + cfg.ascent_steps * starts] * 2
     assert starts > 1
+
+
+def _one_start_ascend(objectives, delta, start, start_norm, start_values, rng, cfg):
+    """Reference for the stacked ascent: every objective climbs from one start
+    in lockstep, one candidate and one membership test at a time."""
+    count = len(objectives)
+    cur, cur_val = [start] * count, list(start_values)
+    best = [(start, value, start_norm) for value in start_values]
+    step, rejections = [cfg.step_size] * count, [0] * count
+    live = list(range(count))  # the climbs that have not converged
+    for _ in range(cfg.ascent_steps):
+        if not live:
+            break
+        pert = spectral._complex_gaussian(
+            rng.standard_normal((start.shape[0], 2, *start.shape[1:])))
+        for i in tuple(live):
+            accepted = False
+            for shrink in (1.0, 0.5, 0.25, 0.125):
+                cand = cur[i] + complex(step[i] * shrink) * pert
+                cand_norm = spectral._op_norms(delta.eval(cand[None]))[0]
+                if cand_norm <= 1.0 - cfg.margin:
+                    cand_val = spectral._op_norms(objectives[i].eval(cand[None]))[0]
+                    if cand_val > cur_val[i]:
+                        cur[i], cur_val[i] = cand, cand_val
+                        if cand_val > best[i][1]:
+                            best[i] = (cand, cand_val, cand_norm)
+                        accepted = True
+                    break
+            if accepted:
+                rejections[i] = 0
+            else:
+                rejections[i] += 1
+                if rejections[i] >= spectral.REJECTIONS_PER_DECAY:
+                    rejections[i] = 0
+                    step[i] *= spectral.STEP_DECAY
+                    if step[i] < spectral.STEP_FLOOR * cfg.step_size:
+                        live.remove(i)
+    return [(x, float(value), float(norm), i not in live)
+            for i, (x, value, norm) in enumerate(best)]
+
+
+def _copied(rng):
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def test_stacked_ascent_is_bitwise_the_one_start_reference():
+    delta = diag_delta(2)
+    members = [PolyMatrix([[FreePoly.one(2)]]), PolyMatrix([[FreePoly.letter(1, 2)]])]
+    cfg = SampleConfig(levels=(3,), trials_per_level=8, ascent_steps=250, seed=1)
+    ((_, _, points, norms, inside, rngs),) = spectral._draws(delta, cfg, None)
+    starts, norms = points[inside], norms[inside]
+    rngs = [rng for rng, ok in zip(rngs, inside) if ok]
+    refs = [_copied(rng) for rng in rngs]
+    values = [spectral._op_norms(p.eval(starts)) for p in members]
+    got = spectral._ascend(members, delta, starts, norms, values, rngs, cfg)
+    assert len(got) == len(starts) >= 4
+    for k, (ascents, rng, ref) in enumerate(zip(got, rngs, refs)):
+        want = _one_start_ascend(members, delta, starts[k], norms[k],
+                                 [v[k] for v in values], ref, cfg)
+        for (x, value, norm, converged), (x0, value0, norm0, converged0) in zip(ascents, want):
+            assert x.tobytes() == x0.tobytes()
+            assert (value, norm, converged) == (value0, norm0, converged0)
+        # a start whose climbs have all converged has stopped drawing
+        assert rng.bit_generator.state == ref.bit_generator.state
+    # the constant's climb converges at step 200 in every start; the
+    # coordinate's converges in some starts and runs out of steps in others
+    assert {tuple(converged for *_, converged in ascents) for ascents in got} == {
+        (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("budget, steps, shapes", [
+    # level 1: two whole starts per group; level 2: one start, its six members in 4 + 2
+    pytest.param(1 << 10, 250, {(1, 2, 6), (2, 1, 4), (2, 1, 2)}, id="sliced-members"),
+    # level 1: all eight starts in one group; level 2: two whole starts per group
+    pytest.param(3 << 10, 250, {(1, 8, 6), (2, 2, 6)}, id="whole-starts"),
+    pytest.param(1, 40, {(1, 1, 1), (2, 1, 1)}, id="one-climb-each"),
+])
+def test_grouped_climbs_match_the_ungrouped_run(monkeypatch, budget, steps, shapes):
+    delta = diag_delta(2)
+    T = _diag_tuple(1.6)
+    family = _complex_family()
+    cfg = SampleConfig(levels=(1, 2), trials_per_level=8, ascent_steps=steps, seed=5)
+    want = k_spectral_check(delta, T, 0.8, family, cfg)
+    ascend, groups = spectral._ascend, []
+
+    def recording(objectives, delta_, starts, *args):
+        groups.append((starts.shape[-1], len(starts), len(objectives)))
+        return ascend(objectives, delta_, starts, *args)
+
+    monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
+    monkeypatch.setattr(spectral, "_ascend", recording)
+    got = k_spectral_check(delta, T, 0.8, family, cfg)
+    assert dumps_canonical(encode(got)) == dumps_canonical(encode(want))
+    if steps > 200:
+        # the constant member converges at step 200 and the others run on
+        assert {v.status for v in want.violations} == {"confirmed", "potential"}
+    assert set(groups) == shapes
+    # no group holds more climbs than a chunk of its level holds trials
+    assert all(starts * members <= spectral._chunk_trials(delta, level)
+               for level, starts, members in groups)
 
 
 def test_k_spectral_empty_family_draws_nothing_and_generators_work():

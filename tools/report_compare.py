@@ -22,7 +22,11 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 * ``freecalc supnorm`` of the same objective on ``diag_delta(3)`` at levels 8
   and 16, 1000 trials each and no ascent, so the default proposal's stacked
   rescale runs over several sampler chunks per level (3 at level 8, 9 at
-  level 16, with a 4 MiB chunk).
+  level 16, with a 4 MiB chunk);
+* ``freecalc supnorm`` of ``x1 x2 x3`` on ``row_delta(3)`` with 40 trials
+  per level and 250 ascent steps: each level's 21 admissible starts climb in
+  one stacked ascent, and at level 1 two of them converge and stop drawing
+  while the others run all 250 steps.
 
 The stock inputs are written once, with this tree's freecalc, and handed to
 both trees.
@@ -111,12 +115,16 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
         "--k", "0.8", "--trials", "2", "--ascent", "250", *sampling]
     x1, x2, x3 = (FreePoly.letter(j, 3) for j in (1, 2, 3))
     objective = write("objective", encode(x1 * x2 + x3))
+    row = write("row-delta", encode(row_delta(3)))
     runs["supnorm"] = [
-        "supnorm", "--poly", objective, "--delta", write("row-delta", encode(row_delta(3))),
-        "--trials", "10", "--ascent", "20", *sampling]
+        "supnorm", "--poly", objective, "--delta", row, "--trials", "10", "--ascent", "20",
+        *sampling]
     runs["supnorm-chunked"] = [
         "supnorm", "--poly", objective, "--delta", write("diag-delta-3", encode(diag_delta(3))),
         "--trials", "1000", "--ascent", "0", "--levels", "8,16", "--seed", "0"]
+    runs["supnorm-long"] = [
+        "supnorm", "--poly", write("objective-cubic", encode(x1 * x2 * x3)), "--delta", row,
+        "--trials", "40", "--ascent", "250", *sampling]
     return runs
 
 
