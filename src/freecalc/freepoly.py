@@ -205,11 +205,6 @@ class FreePoly:
     def homogeneous_part(self, k: int) -> "FreePoly":
         return FreePoly(self._d, {w: c for w, c in self._terms.items() if len(w) == k})
 
-    def homogeneous_parts(self) -> list["FreePoly"]:
-        """Degree-graded pieces p_0, ..., p_deg; their sum is the polynomial."""
-        deg = self.degree()
-        return [self.homogeneous_part(k) for k in range(deg + 1)]
-
     def substitute(self, images: Sequence["FreePoly"]) -> "FreePoly":
         """Ring substitution sending letter j to images[j-1].
 

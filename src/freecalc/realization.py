@@ -64,11 +64,7 @@ __all__ = [
     "homog_series",
     "homog_extract_dft",
     "dft_points_for",
-    "add_colligations",
-    "multiply_colligations",
-    "scale_colligation",
     "poly_to_colligation",
-    "symbolic_terms",
     "random_isometric",
     "xfirst_to_blocks",
 ]
@@ -241,14 +237,11 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
 # --- evaluation ----------------------------------------------------------------
 #
 # Index layout.  The point is read as y4[i, a, j, b] = (block (i, j) of y)[a, b],
-# and the slot views as b3[p, i, u], c3[j, u, q], d4[j, u, i, v] (see _b3/_c3/_d4).
+# the slot views as c3[j, u, q] and d4[j, u, i, v] (see _c3/_d4), and B by its
+# columns (i, u) as stored.
 # Y_M has entries Y_M[(a, i, u), (b, j, v)] = y4[i, a, j, b] * delta(u, v), and
 # I_n (x) X acts on the point index a alone.  Every product below is contracted
 # from these views.
-
-
-def _b3(F: Colligation) -> np.ndarray:
-    return F.B.reshape(F.k2, F.I, F.m)
 
 
 def _c3(F: Colligation) -> np.ndarray:
@@ -426,64 +419,6 @@ def homog_extract_dft(F: Colligation, y, k: int, n_angles: int) -> np.ndarray:
     return acc / n_angles
 
 
-# --- combinations ----------------------------------------------------------------
-
-
-def _require_same_shape(F: Colligation, G: Colligation) -> None:
-    if (F.I, F.J) != (G.I, G.J):
-        raise ShapeError(
-            f"colligations act on different block shapes: "
-            f"{F.I}x{F.J} vs {G.I}x{G.J}"
-        )
-
-
-def add_colligations(F: Colligation, G: Colligation) -> Colligation:
-    """Colligation of the pointwise sum F(Y) + G(Y).
-
-    The auxiliary spaces stack, so per-copy column blocks of B and row blocks
-    of C/D interleave; the result is generally not isometric even when both
-    inputs are.
-    """
-    _require_same_shape(F, G)
-    if F.k1 != G.k1 or F.k2 != G.k2:
-        raise ShapeError("summands must share value dimensions k1, k2")
-    m = F.m + G.m
-    A = F.A + G.A
-    B = np.concatenate([_b3(F), _b3(G)], axis=2).reshape(F.k2, F.I * m)
-    C = np.concatenate([_c3(F), _c3(G)], axis=1).reshape(F.J * m, F.k1)
-    D = np.zeros((F.J, m, F.I, m), dtype=np.complex128)
-    D[:, : F.m, :, : F.m] = _d4(F)
-    D[:, F.m :, :, F.m :] = _d4(G)
-    return Colligation(A, B, C, D.reshape(F.J * m, F.I * m), F.I, F.J)
-
-
-def multiply_colligations(F: Colligation, G: Colligation) -> Colligation:
-    """Colligation of the pointwise product F(Y) @ G(Y) (requires k1_F = k2_G)."""
-    _require_same_shape(F, G)
-    if F.k1 != G.k2:
-        raise ShapeError(
-            f"cannot compose values: F takes {F.k1}-columns, G produces {G.k2}"
-        )
-    m = F.m + G.m
-    A = F.A @ G.A
-    B = np.concatenate([_b3(F), np.einsum("pq,qiu->piu", F.A, _b3(G))],
-                       axis=2).reshape(F.k2, F.I * m)
-    C = np.concatenate([np.einsum("jup,pq->juq", _c3(F), G.A), _c3(G)],
-                       axis=1).reshape(F.J * m, G.k1)
-    cross = (F.C @ G.B).reshape(F.J, F.m, G.I, G.m)
-    D = np.zeros((F.J, m, F.I, m), dtype=np.complex128)
-    D[:, : F.m, :, : F.m] = _d4(F)
-    D[:, F.m :, :, F.m :] = _d4(G)
-    D[:, : F.m, :, F.m :] = cross
-    return Colligation(A, B, C, D.reshape(F.J * m, F.I * m), F.I, F.J)
-
-
-def scale_colligation(F: Colligation, c: complex) -> Colligation:
-    """Colligation of c * F(Y)."""
-    c = complex(c)
-    return Colligation(c * F.A, c * F.B, F.C, F.D, F.I, F.J)
-
-
 # --- compiling polynomials ----------------------------------------------------
 
 
@@ -510,10 +445,11 @@ def poly_to_colligation(P: PolyMatrix | FreePoly, I: int, J: int) -> Colligation
        linearly dependent without being equal.)
 
     C and D hold only 0/1 entries and the coefficients sit in B alone, so
-    symbolic_terms recovers the graded pieces exactly.  D moves each state
-    to one of smaller height (the longest word left to read), so the state
-    graph is acyclic with nilpotency index equal to the degree, making the
-    expansion finite and exact.  (x1 + x2)^k compiles to 2k states.
+    each word's coefficient in the expansion is an entry of B, exactly.
+    D moves each state to one of smaller height (the longest word left to
+    read), so the state graph is acyclic with nilpotency index equal to the
+    degree, making the expansion finite and exact.  (x1 + x2)^k compiles to
+    2k states.
     """
     P = PolyMatrix.from_poly(P)
     if P.d != I * J:
@@ -557,48 +493,6 @@ def poly_to_colligation(P: PolyMatrix | FreePoly, I: int, J: int) -> Colligation
         for a in grows[(beta, s)]:
             D[(a - 1) % J * m + cls[(beta, (a,) + s)], i * m + u] = 1.0
     return Colligation(A, B, C, D, I, J)
-
-
-def symbolic_terms(F: Colligation, max_k: int) -> list[PolyMatrix]:
-    """Homogeneous terms P_0..P_max_k as polynomial matrices in the slot letters.
-
-    The letter of slot (i, j) is r = i*J + j + 1 (0-based i, j), and the word
-    r_1 ... r_k has coefficient B_(i1) D_(j1, i2) ... D_(j(k-1), ik) C_(jk),
-    read off the slot views.  Enumerates all (I*J)^k words per degree, so
-    this is only meant for small degrees; for compiled polynomial
-    colligations it recovers the source polynomial's graded pieces exactly.
-    """
-    I, J, k1, k2 = F.I, F.J, F.k1, F.k2
-    b3, c3, d4 = _b3(F), _c3(F), _d4(F)
-    d = I * J
-    out: list[PolyMatrix] = []
-    const = [[FreePoly.constant(F.A[a, b], d) for b in range(k1)] for a in range(k2)]
-    out.append(PolyMatrix(const))
-
-    for k in range(1, max_k + 1):
-        grids = [[FreePoly.zero(d) for _ in range(k1)] for _ in range(k2)]
-
-        # Depth-first over words, growing them leftwards so that suffix
-        # products are shared: tail = D_(j1, i2) ... C_(jk) for the current
-        # word, whose first letter sits in block row i.
-        def walk(word: tuple[int, ...], i: int, tail: np.ndarray):
-            if len(word) == k:
-                coeffs = b3[:, i, :] @ tail
-                for a in range(k2):
-                    for b in range(k1):
-                        c = coeffs[a, b]
-                        if c != 0:
-                            grids[a][b] = grids[a][b] + FreePoly.monomial(word, d, c)
-                return
-            for i_new in range(I):
-                for j in range(J):
-                    walk((i_new * J + j + 1,) + word, i_new, d4[j, :, i, :] @ tail)
-
-        for i in range(I):
-            for j in range(J):
-                walk((i * J + j + 1,), i, c3[j])
-        out.append(PolyMatrix(grids))
-    return out
 
 
 # --- constructions ------------------------------------------------------------

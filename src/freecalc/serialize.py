@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .freepoly import FreePoly, PolyMatrix, _canon_key
 from .funcalc import CalcParams
 from .matrix_core import MatrixTuple, as_array
@@ -245,7 +245,7 @@ def decode_tuple(v, path: str = "$") -> MatrixTuple:
 def decode_poly(v, path: str = "$") -> FreePoly:
     obj = _want_dict(v, path)
     _want_keys(obj, path, {"d", "terms"})
-    d = _want_int(obj["d"], f"{path}.d", minimum=0)
+    d = _want_int(obj["d"], f"{path}.d", minimum=1)
     terms = _want_list(obj["terms"], f"{path}.terms")
     seen: dict[tuple, complex] = {}
     order: list[tuple] = []
@@ -322,7 +322,10 @@ def decode_colligation(v, path: str = "$") -> Colligation:
             )
         blocks[name] = mat
     claimed = _want_bool(obj["isometric_certified"], f"{path}.isometric_certified")
-    F = Colligation(blocks["A"], blocks["B"], blocks["C"], blocks["D"], I, J)
+    try:
+        F = Colligation(blocks["A"], blocks["B"], blocks["C"], blocks["D"], I, J)
+    except DomainError as exc:
+        raise ValidationError(str(exc), path) from exc
     if F.isometric_certified != claimed:
         raise ValidationError(
             f"stored isometric_certified={claimed} contradicts the recomputed "

@@ -276,12 +276,12 @@ def _ascend(
     return [ascents[s * width:(s + 1) * width] for s in range(count)]
 
 
-def _chunk_trials(delta: PolyMatrix, level: int) -> int:
+def _chunk_trials(maps: list[PolyMatrix], level: int) -> int:
     """How many trials of one level go in a chunk: CHUNK_BYTES over the bytes
-    per trial of the widest array, the ``(d, n, n)`` point stack or delta's
-    ``(I n, J n)`` value, and never fewer than one."""
-    per_trial = max(delta.d, delta.I * delta.J) * level * level * 16
-    return max(1, CHUNK_BYTES // per_trial)
+    per trial of the widest array, the ``(d, n, n)`` point stack or the
+    ``(I n, J n)`` value of one of the maps, and never fewer than one."""
+    width = max(max(p.d, p.I * p.J) for p in maps)
+    return max(1, CHUNK_BYTES // (width * level * level * 16))
 
 
 def _measured(delta: PolyMatrix, level: int, trials, points: np.ndarray, rngs, cfg: SampleConfig):
@@ -304,7 +304,7 @@ def _draws(delta: PolyMatrix, cfg: SampleConfig, proposal):
     """
     proposal = proposal or default_proposal(delta.d)
     for level in cfg.levels:
-        size = _chunk_trials(delta, level)
+        size = _chunk_trials([delta], level)
         for first in range(0, cfg.trials_per_level, size):
             trials = range(first, min(first + size, cfg.trials_per_level))
             rngs = [task_rng(cfg.seed, level, trial) for trial in trials]
@@ -360,8 +360,9 @@ def _chunk_climbs(members: list[PolyMatrix], delta: PolyMatrix, trials: list[int
                   starts: np.ndarray, norms: np.ndarray, rngs: list, cfg: SampleConfig):
     """The climbs from one chunk's admissible starts, one ``_ascend`` per group.
 
-    A group holds at most ``_chunk_trials(delta, level)`` climbs, so no
-    stacked ascent array outgrows the chunk budget: whole starts with all
+    A group holds at most ``_chunk_trials`` climbs, sized by the widest of
+    delta and the members, so no stacked ascent array and no start-value or
+    step evaluation outgrows the chunk budget: whole starts with all
     their members while they fit, else one start with a slice of its
     members.  Each later slice replays its start's stream from the state the
     proposal left, so every climb is the one it takes ungrouped (the
@@ -369,7 +370,7 @@ def _chunk_climbs(members: list[PolyMatrix], delta: PolyMatrix, trials: list[int
     afterwards).  A group's start values are one stacked eval and SVD per
     member.
     """
-    size, count = _chunk_trials(delta, starts.shape[-1]), len(members)
+    size, count = _chunk_trials([delta, *members], starts.shape[-1]), len(members)
     width = min(count, size)  # members per group
     per = max(1, size // count)  # starts per group
     for first in range(0, len(starts), per):

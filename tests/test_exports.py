@@ -31,9 +31,30 @@ def test_package_surface_is_the_module_lists():
     shares = [freecalc.errors, freecalc.freepoly, freecalc.funcalc,
               freecalc.matrix_core, freecalc.realization, freecalc.spectral]
     assert freecalc.__all__ == [n for m in shares for n in m.__all__] + ["__version__"]
-    assert len(freecalc.__all__) <= 60
+    assert len(freecalc.__all__) <= 56
     for module in shares:
         assert all(getattr(freecalc, n) is getattr(module, n) for n in module.__all__)
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name read or bound as an ``ast.Name`` or ``ast.Attribute`` in a file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_is_reached():
+    # an export earns its place when a module of the package or the
+    # acceptance gate uses it; one that only its own tests call is dead weight
+    package = Path(freecalc.__file__).parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources.append(Path(__file__).parent / "test_acceptance.py")
+    reached = set().union(*map(_referenced_names, sources))
+    assert [n for n in freecalc.__all__ if n != "__version__" and n not in reached] == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -89,7 +89,7 @@ def test_power_and_constants():
 def test_homogeneous_parts_scaling():
     # p_k picks up exactly s^k under letter scaling
     p = FreePoly(D, {(): 2.0, (1,): -1.0, (2, 1): 3.0, (1, 1, 2): 0.5})
-    parts = p.homogeneous_parts()
+    parts = [p.homogeneous_part(k) for k in range(p.degree() + 1)]
     assert sum(parts[1:], parts[0]) == p
     s = 0.3
     q = p.scale_letters(s)

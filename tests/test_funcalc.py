@@ -28,11 +28,10 @@ from freecalc.funcalc import (
 )
 from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, random_tuple, task_rng
 from freecalc.realization import (
+    Colligation,
     homog_series,
-    multiply_colligations,
     poly_to_colligation,
     random_isometric,
-    scale_colligation,
     xfirst_to_blocks,
 )
 from freecalc.spectral import SampleConfig
@@ -120,13 +119,15 @@ def _isometric_job(delta, n, m, t, seed):
 
 
 def test_homogeneous_term_bound_is_exact_under_the_frobenius_screen():
+    z = poly_to_colligation(FreePoly.letter(1, 1), 1, 1)
+    c = 1.0 + 1e-9
     jobs = [
         (*_isometric_job(row_delta(3), 8, 4, 0.6, 1), row_delta(3)),
         (*_isometric_job(row_delta(3), 24, 4, 0.96, 2), row_delta(3)),
         (*_isometric_job(diag_delta(2), 12, 3, 0.8, 3), diag_delta(2)),
         # z -> (1 + 1e-9) z is still certified isometric, and at a scalar point
         # ||P_1|| exceeds t: the screen must decline and the lhs be positive
-        (scale_colligation(poly_to_colligation(FreePoly.letter(1, 1), 1, 1), 1.0 + 1e-9),
+        (Colligation(c * z.A, c * z.B, z.C, z.D, z.I, z.J),
          MatrixTuple([[[0.4 + 0.3j]]]), PolyMatrix([[FreePoly.letter(1, 1)]])),
     ]
     for F, T, delta in jobs:
@@ -152,7 +153,8 @@ def test_sharp_automatic_scale_splits_the_gap():
 
 
 def test_sharp_heuristic_mode_says_so():
-    F = scale_colligation(random_isometric(1, 1, 2, 1, 1, 7), 2.0)
+    iso = random_isometric(1, 1, 2, 1, 1, 7)
+    F = Colligation(2.0 * iso.A, 2.0 * iso.B, iso.C, iso.D, iso.I, iso.J)
     assert not F.isometric_certified
     delta = row_delta(1)
     T = random_tuple(3, 1, 0.4, 8)
@@ -194,18 +196,6 @@ def test_sharp_shape_mismatch():
     T = random_tuple(2, 2, 0.5, 15)
     with pytest.raises(ShapeError):
         sharp(F, delta, T)
-
-
-def test_sharp_respects_products():
-    delta = e_lambda(2, 2)
-    F = random_isometric(2, 2, 2, 2, 2, 16)
-    G = random_isometric(2, 2, 1, 2, 2, 17)
-    T = random_tuple(3, 4, 0.5, 18)
-    params = CalcParams(s=1.0)
-    vf = sharp(F, delta, T, params).value
-    vg = sharp(G, delta, T, params).value
-    vfg = sharp(multiply_colligations(F, G), delta, T, params).value
-    assert op_norm(vfg - vf @ vg) <= 1e-9
 
 
 def test_path_norm_sup_linear_case():

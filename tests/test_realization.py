@@ -23,16 +23,12 @@ from freecalc.realization import (
     Colligation,
     _graph_nilpotency,
     _resolvent_bound,
-    add_colligations,
     dft_points_for,
     eval_colligation,
     homog_extract_dft,
     homog_series,
-    multiply_colligations,
     poly_to_colligation,
     random_isometric,
-    scale_colligation,
-    symbolic_terms,
     xfirst_direct_sum,
     xfirst_to_blocks,
 )
@@ -267,31 +263,6 @@ def test_dft_points_for_edges():
         homog_extract_dft(F, np.array([[0.5]]), 3, 3)
 
 
-def test_combinations_match_pointwise_algebra():
-    I, J = 2, 2
-    F = random_isometric(I, J, 2, 2, 2, 31)
-    G = random_isometric(I, J, 1, 2, 2, 32)
-    y = _ball_point(3, I, J, 0.8, 19)
-    fv, gv = eval_colligation(F, y), eval_colligation(G, y)
-    assert np.allclose(eval_colligation(add_colligations(F, G), y), fv + gv, atol=1e-10)
-    assert np.allclose(
-        eval_colligation(multiply_colligations(F, G), y), fv @ gv, atol=1e-10
-    )
-    assert np.allclose(
-        eval_colligation(scale_colligation(F, 2.5 - 1j), y), (2.5 - 1j) * fv, atol=1e-10
-    )
-
-
-def test_combination_shape_mismatches():
-    F = random_isometric(2, 2, 1, 2, 2, 1)
-    H = random_isometric(1, 2, 1, 2, 2, 2)
-    with pytest.raises(ShapeError):
-        add_colligations(F, H)
-    K = random_isometric(2, 2, 1, 3, 4, 3)  # k1=3 cannot feed F's k2=2
-    with pytest.raises(ShapeError):
-        multiply_colligations(K, F)
-
-
 def _random_poly_matrix(rng, k2: int, k1: int, d: int) -> PolyMatrix:
     """Seeded k2 x k1 polynomial matrix built so that the compile has work to
     do: words drawn with all their suffixes from a small shared pool, so
@@ -316,6 +287,50 @@ def _random_poly_matrix(rng, k2: int, k1: int, d: int) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
+def _symbolic_terms(F: Colligation, max_k: int) -> list[PolyMatrix]:
+    """Homogeneous terms P_0..P_max_k as polynomial matrices in the slot letters.
+
+    The letter of slot (i, j) is r = i*J + j + 1 (0-based i, j), and the word
+    r_1 ... r_k has coefficient B_(i1) D_(j1, i2) ... D_(j(k-1), ik) C_(jk),
+    read off the slot views.  Enumerates all (I*J)^k words per degree, so
+    this is only meant for small degrees; for compiled polynomial
+    colligations it recovers the source polynomial's graded pieces exactly.
+    """
+    I, J, k1, k2 = F.I, F.J, F.k1, F.k2
+    b3 = F.B.reshape(k2, I, F.m)
+    c3 = F.C.reshape(J, F.m, k1)
+    d4 = F.D.reshape(J, F.m, I, F.m)
+    d = I * J
+    out: list[PolyMatrix] = []
+    const = [[FreePoly.constant(F.A[a, b], d) for b in range(k1)] for a in range(k2)]
+    out.append(PolyMatrix(const))
+
+    for k in range(1, max_k + 1):
+        grids = [[FreePoly.zero(d) for _ in range(k1)] for _ in range(k2)]
+
+        # Depth-first over words, growing them leftwards so that suffix
+        # products are shared: tail = D_(j1, i2) ... C_(jk) for the current
+        # word, whose first letter sits in block row i.
+        def walk(word: tuple[int, ...], i: int, tail: np.ndarray):
+            if len(word) == k:
+                coeffs = b3[:, i, :] @ tail
+                for a in range(k2):
+                    for b in range(k1):
+                        c = coeffs[a, b]
+                        if c != 0:
+                            grids[a][b] = grids[a][b] + FreePoly.monomial(word, d, c)
+                return
+            for i_new in range(I):
+                for j in range(J):
+                    walk((i_new * J + j + 1,) + word, i_new, d4[j, :, i, :] @ tail)
+
+        for i in range(I):
+            for j in range(J):
+                walk((i * J + j + 1,), i, c3[j])
+        out.append(PolyMatrix(grids))
+    return out
+
+
 def test_compiled_polynomial_reproduces_values():
     # every compile is checked against the polynomial by value, by its exact
     # graded pieces, by its size and by its nilpotency index
@@ -334,7 +349,7 @@ def test_compiled_polynomial_reproduces_values():
         merged |= F.m < len({(b, w[q:]) for b, w in words for q in range(len(w))})
         assert F.nilpotent_index == _graph_nilpotency(F.D, I, J, F.m) == deg
         assert set(np.unique(np.concatenate([F.C.ravel(), F.D.ravel()]))) <= {0.0, 1.0}
-        for k, piece in enumerate(symbolic_terms(F, deg)):
+        for k, piece in enumerate(_symbolic_terms(F, deg)):
             assert piece == P.map(lambda p: p.homogeneous_part(k))
         x = random_tuple(3, d, 0.9, 500 + trial)
         got = xfirst_to_blocks(eval_colligation(F, delta.eval(x)), x.n, k2, k1)
@@ -389,12 +404,12 @@ def test_symbolic_terms_recover_graded_pieces():
     d = 2
     p = FreePoly(d, {(): 1.5, (1,): 2.0, (1, 2): -1.0, (2, 2): 0.5})
     F = poly_to_colligation(p, 1, 2)
-    pieces = symbolic_terms(F, p.degree())
+    pieces = _symbolic_terms(F, p.degree())
     for k, piece in enumerate(pieces):
         assert piece.entry(0, 0) == p.homogeneous_part(k)
     # a constant colligation has nothing above degree zero
     const = _constant_model([[3.0]], 1, 1)
-    pieces = symbolic_terms(const, 2)
+    pieces = _symbolic_terms(const, 2)
     assert pieces[0].entry(0, 0) == FreePoly.constant(3.0, 1)
     assert pieces[1].entry(0, 0).is_zero() and pieces[2].entry(0, 0).is_zero()
 
@@ -458,6 +473,15 @@ def test_nilpotency_detection():
     assert poly_to_colligation(p, 1, 2).nilpotent_index == 3
 
 
+def _state_graph_model(edges, m: int) -> Colligation:
+    """A scalar model on m states whose D carries state v into u for each
+    edge (v, u), and has no other nonzero entry."""
+    D = np.zeros((m, m))
+    for v, u in edges:
+        D[u, v] = 1.0
+    return Colligation([[0.0]], np.ones((1, m)), np.ones((m, 1)), D, 1, 1)
+
+
 def test_nilpotency_index_is_computed_never_passed():
     # z / (1 - z) is not nilpotent, and no caller can claim that it is: its
     # evaluation at z = 1 meets the spectral guard, and sharp certifies no
@@ -470,14 +494,15 @@ def test_nilpotency_index_is_computed_never_passed():
     rep = sharp(geometric, row_delta(1), MatrixTuple([[[0.5]]]), CalcParams(s=1.0))
     assert rep.tail_bound is None
     assert "truncation_tail" not in {c.name for c in rep.certificates}
-    # combinations and conjugations: the longest path of the new D graph
-    F = poly_to_colligation(FreePoly(2, {(1, 2, 1): 1.0}), 1, 2)
-    G = poly_to_colligation(FreePoly(2, {(2, 2): 1.0, (1,): 2.0}), 1, 2)
-    assert add_colligations(F, G).nilpotent_index == 3
-    assert multiply_colligations(F, G).nilpotent_index == 5
-    assert scale_colligation(F, 2.0).nilpotent_index == 3
-    assert add_colligations(F, random_isometric(1, 2, 1, 1, 1, 7)).nilpotent_index is None
+    # the index is the longest path of the D graph: two chains side by side
+    # give the longer one's, a chain feeding the other gives the sum, and a
+    # cycle in either gives none
+    chains = [(0, 1), (1, 2), (3, 4)]  # 0 -> 1 -> 2 and 3 -> 4
+    assert _state_graph_model(chains, 5).nilpotent_index == 3
+    assert _state_graph_model(chains + [(2, 3)], 5).nilpotent_index == 5
+    assert _state_graph_model(chains + [(4, 3)], 5).nilpotent_index is None
     # a state permutation keeps the graph acyclic; a dense conjugator does not
+    F = poly_to_colligation(FreePoly(2, {(1, 2, 1): 1.0}), 1, 2)
     perm = np.eye(F.m)[::-1]
     assert _conjugated(F, perm).nilpotent_index == 3
     dense = np.eye(F.m) + 0.5 * random_matrix(F.m, F.m, task_rng(58, 0))
@@ -534,8 +559,13 @@ def test_resolvent_guard_matches_decomposition_oracle():
     for seed in range(3):
         iso = random_isometric(2, 2, 2, 1, 1, 80 + seed)
         models.append(iso)
-        # a sum of isometric models is neither isometric nor nilpotent
-        models.append(add_colligations(iso, random_isometric(2, 2, 1, 1, 1, 90 + seed)))
+        # Gaussian blocks with ||D|| = 1: neither isometric nor nilpotent
+        rng = task_rng(90 + seed, 0)
+        loop = random_matrix(6, 6, rng)
+        F = Colligation(random_matrix(1, 1, rng), random_matrix(1, 6, rng),
+                        random_matrix(6, 1, rng), loop / op_norm(loop), 2, 2)
+        assert not F.isometric_certified and F.nilpotent_index is None
+        models.append(F)
     for p in ((x1 + x2) ** 3, x1 * x2 * x1 - 2.0 * x2 + 0.5):
         models.append(compile_polynomial(p, diag_delta(2)))
     raised = kept = 0

@@ -88,6 +88,17 @@ def test_flag_lie_is_rejected():
         decode_colligation(payload)
 
 
+def test_overflowing_isometry_defect_names_the_colligation():
+    # finite blocks whose Gram product leaves double range
+    payload = encode(random_isometric(1, 1, 1, 1, 1, 5))
+    payload["A"] = payload["B"] = encode(np.array([[1e300]]))
+    with pytest.raises(ValidationError, match=r"^\$: the isometry defect overflowed"):
+        decode_colligation(payload)
+    job = {"F": payload, "delta": encode(diag_delta(1)), "T": encode(random_tuple(2, 1, 0.5, 6))}
+    with pytest.raises(ValidationError, match=r"^\$\.F: the isometry defect overflowed"):
+        decode_job(job)
+
+
 def test_detect_kind_on_every_document_type():
     samples = {
         "matrix": encode(np.eye(2)),
@@ -198,6 +209,13 @@ def test_poly_canonical_form_enforced():
         )
     with pytest.raises(ValidationError, match="outside alphabet"):
         decode_poly({"d": 2, "terms": [{"word": [3], "coeff": [1.0, 0.0]}]})
+    # an empty alphabet is refused at its key, also inside a matrix
+    with pytest.raises(ValidationError, match=r"^\$\.d: expected an integer >= 1, got 0"):
+        decode_poly({"d": 0, "terms": []})
+    bad = encode(diag_delta(2))
+    bad["entries"][1][0]["d"] = 0
+    with pytest.raises(ValidationError, match=r"^\$\.entries\[1\]\[0\]\.d: "):
+        decode_polymatrix(bad)
 
 
 def test_non_finite_numbers_rejected():

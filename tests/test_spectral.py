@@ -240,7 +240,7 @@ def test_stacked_proposals_are_bitwise_their_per_matrix_reference(level):
     (gap_delta(0.1), lambda d: gap_domain_proposal(0.1), 12),
 ])
 def test_chunks_match_one_trial_at_a_time(delta, make, level):
-    size = spectral._chunk_trials(delta, level)
+    size = spectral._chunk_trials([delta], level)
     cfg = SampleConfig(levels=(3, level), trials_per_level=2 * size + 3, seed=11)
     propose, calls = _counting(make(delta.d))
     got = sample_admissible(delta, cfg, proposal=propose)
@@ -255,7 +255,7 @@ def test_chunks_match_one_trial_at_a_time(delta, make, level):
 
 def test_wide_delta_runs_in_chunks_of_one():
     delta = row_delta(64)  # a 64 x 4096 value per point at level 64
-    assert spectral._chunk_trials(delta, 64) == 1
+    assert spectral._chunk_trials([delta], 64) == 1
     cfg = SampleConfig(levels=(64,), trials_per_level=3, ascent_steps=1, seed=2,
                        norm_targets=(0.05,))
     propose, calls = _counting(default_proposal(64))
@@ -500,8 +500,26 @@ def test_grouped_climbs_match_the_ungrouped_run(monkeypatch, budget, steps, shap
         assert {v.status for v in want.violations} == {"confirmed", "potential"}
     assert set(groups) == shapes
     # no group holds more climbs than a chunk of its level holds trials
-    assert all(starts * members <= spectral._chunk_trials(delta, level)
+    assert all(starts * members <= spectral._chunk_trials([delta, *family], level)
                for level, starts, members in groups)
+
+
+def test_climbs_of_a_wide_objective_stay_within_the_chunk_budget(monkeypatch):
+    # a 4 x 4 objective is 16 times as wide as row_delta(1)'s value, so its
+    # start values and climbs must go in groups sized by the objective
+    op_norms, sizes = spectral._op_norms, []
+
+    def recording(stack):
+        sizes.append(stack.nbytes)
+        return op_norms(stack)
+
+    monkeypatch.setattr(spectral, "_op_norms", recording)
+    x1 = FreePoly.letter(1, 1)
+    objective = PolyMatrix([[x1] * 4] * 4)
+    cfg = SampleConfig(levels=(8,), trials_per_level=1024, ascent_steps=2, seed=0)
+    rep = sup_norm_estimate(objective, row_delta(1), cfg)
+    assert max(sizes) <= spectral.CHUNK_BYTES
+    assert rep.admissible > 2 * spectral._chunk_trials([objective], 8)  # several groups
 
 
 def test_k_spectral_empty_family_draws_nothing_and_generators_work():

@@ -26,7 +26,12 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 * ``freecalc supnorm`` of ``x1 x2 x3`` on ``row_delta(3)`` with 40 trials
   per level and 250 ascent steps: each level's 21 admissible starts climb in
   one stacked ascent, and at level 1 two of them converge and stop drawing
-  while the others run all 250 steps.
+  while the others run all 250 steps;
+* ``freecalc supnorm`` of the 4 x 4 matrix with every entry x1 on
+  ``row_delta(1)`` at level 8, 1024 trials and 3 ascent steps: the objective
+  is 16 times as wide as delta's value, so its 616 admissible starts climb
+  in groups sized by the objective (256, 256 and 104 climbs, with a 4 MiB
+  chunk) within one sampler chunk.
 
 The stock inputs are written once, with this tree's freecalc, and handed to
 both trees.
@@ -73,7 +78,7 @@ def _random_family(d: int, count: int, max_len: int, seed: int) -> list:
 def write_inputs(workdir: Path) -> dict[str, list[str]]:
     """The stock calc, spectral-check and supnorm runs, with their input files
     written with this tree's freecalc."""
-    from freecalc.freepoly import FreePoly, diag_delta, row_delta
+    from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, row_delta
     from freecalc.funcalc import compile_polynomial
     from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, task_rng
     from freecalc.realization import random_isometric
@@ -125,6 +130,11 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     runs["supnorm-long"] = [
         "supnorm", "--poly", write("objective-cubic", encode(x1 * x2 * x3)), "--delta", row,
         "--trials", "40", "--ascent", "250", *sampling]
+    x1 = FreePoly.letter(1, 1)
+    runs["supnorm-wide"] = [
+        "supnorm", "--poly", write("objective-wide", encode(PolyMatrix([[x1] * 4] * 4))),
+        "--delta", write("row-delta-1", encode(row_delta(1))),
+        "--trials", "1024", "--ascent", "3", "--levels", "8", "--seed", "0"]
     return runs
 
 
