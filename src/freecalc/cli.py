@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -182,7 +183,7 @@ def _parse_param(text: str):
     key, _, raw = text.partition("=")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past the digit limit
         value = raw  # bare strings are allowed unquoted
     if isinstance(value, list):
         value = tuple(value)
@@ -251,7 +252,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call (the first main()) and shared by
+    every call after it; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="freecalc",
         description="Free functional calculus: models, domains, and experiments.",
@@ -318,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if "seed" in vars(args):
             args.seed = _resolve_seed(args.seed)

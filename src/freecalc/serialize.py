@@ -23,7 +23,11 @@ Wire formats:
 Loading is strict: unknown keys, wrong arity, or non-finite numbers raise
 ValidationError with a path into the document.  ``dumps_canonical`` emits
 sorted keys and two-space indentation so equal values serialize to equal
-bytes.
+bytes: for a payload whose object keys are strings, its text equals
+``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` plus a
+newline, byte for byte, which a property test in ``tests/test_serialize.py``
+pins.  A small recursive writer makes that text, because ``json.dumps`` falls
+back to its pure-Python encoder whenever ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -56,7 +62,7 @@ def _enc_matrix(a) -> dict:
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "data": [_enc_complex(arr[i, j]) for i in range(rows) for j in range(cols)],
+        "data": np.ascontiguousarray(arr).view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -143,10 +149,63 @@ def encode(obj) -> Any:
     raise TypeError(f"no JSON encoding for {type(obj).__name__}")
 
 
+def _dump_pairs(items: list | tuple, inner: str) -> str | None:
+    """The body of a nonempty list of ``[re, im]`` float pairs (a matrix's
+    ``data``) in one join, or None when ``items`` is not such a list."""
+    if type(items[0]) is not list or set(map(type, items)) != {list}:
+        return None
+    if set(map(len, items)) != {2}:
+        return None
+    flat = list(chain.from_iterable(items))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    reprs = list(map(float.__repr__, flat))
+    outer, deep = "\n" + inner, "\n" + inner + "  "
+    pairs = map(("," + deep).join, zip(reprs[0::2], reprs[1::2]))
+    return "[" + deep + (outer + "]," + outer + "[" + deep).join(pairs) + outer + "]"
+
+
+def _dump(o, indent: str) -> str:
+    """``o`` as ``json.dumps(o, sort_keys=True, indent=2, allow_nan=False)``
+    writes it, starting on a line indented by ``indent``; object keys must be
+    strings."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = _dump_pairs(o, inner)
+        if body is None:
+            body = (",\n" + inner).join([_dump(v, inner) for v in o])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = sorted(o.items())
+        body = (",\n" + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in items]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def dumps_canonical(obj) -> str:
     """Canonical text: encoded payload, sorted keys, 2-space indent, no NaN."""
     payload = encode(obj) if not isinstance(obj, (dict, list)) else obj
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _dump(payload, "") + "\n"
 
 
 # --- decoding -----------------------------------------------------------------
@@ -178,7 +237,10 @@ def _want_int(v, path: str, minimum: int | None = None) -> int:
 def _want_real(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"expected a number, got {type(v).__name__}", path)
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer past float range
+        v = math.inf
     if not math.isfinite(v):
         raise ValidationError("expected a finite number", path)
     return v
@@ -216,12 +278,32 @@ def decode_matrix(v, path: str = "$") -> np.ndarray:
     rows = _want_int(obj["rows"], f"{path}.rows", minimum=0)
     cols = _want_int(obj["cols"], f"{path}.cols", minimum=0)
     data = _want_list(obj["data"], f"{path}.data", length=rows * cols)
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for idx, cell in enumerate(data):
-        i, j = divmod(idx, cols) if cols else (idx, 0)
-        out[i, j] = _dec_complex(cell, f"{path}.data[{idx}]")
+    out = _dec_cells(data)
+    if out is None:  # walk the cells to name the first bad one
+        out = np.zeros(len(data), dtype=np.complex128)
+        for idx, cell in enumerate(data):
+            out[idx] = _dec_complex(cell, f"{path}.data[{idx}]")
+    out = out.reshape(rows, cols)
     out.setflags(write=False)
     return out
+
+
+def _dec_cells(data: list) -> np.ndarray | None:
+    """A matrix's ``data`` as a flat complex128 array in one conversion, or
+    None unless every cell is an ``[re, im]`` list of finite ints or floats
+    (bools excluded)."""
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+        return None
+    flat = list(chain.from_iterable(data))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        vals = np.fromiter(flat, dtype=np.float64, count=len(flat))
+    except OverflowError:  # an integer past float range
+        return None
+    if not np.isfinite(vals).all():
+        return None
+    return vals.view(np.complex128)
 
 
 def decode_tuple(v, path: str = "$") -> MatrixTuple:
@@ -399,8 +481,9 @@ def decode_any(v, path: str = "$"):
 
 def parse_json(text: str, source: str | None = None):
     """Parse JSON text; a syntax error becomes a ValidationError at its line
-    and column, and nesting too deep for the parser a ValidationError at the
-    root, each naming ``source`` (a file path) when given."""
+    and column, and nesting too deep for the parser or an integer literal
+    too long to convert a ValidationError at the root, each naming ``source``
+    (a file path) when given."""
     where = f" in {source}" if source else ""
     try:
         return json.loads(text)
@@ -410,6 +493,8 @@ def parse_json(text: str, source: str | None = None):
         ) from exc
     except RecursionError as exc:
         raise ValidationError(f"invalid JSON{where}: nested too deeply", "$") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ValidationError(f"invalid JSON{where}: {exc}", "$") from exc
 
 
 def read_json(path: str):

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,16 +12,18 @@ import pytest
 import freecalc
 from freecalc import cli
 from freecalc.freepoly import FreePoly, diag_delta, row_delta
+from freecalc.funcalc import sharp
 from freecalc.matrix_core import MatrixTuple, random_tuple
 from freecalc.realization import Colligation, eval_colligation, random_isometric
-from freecalc.serialize import decode_matrix, dumps_canonical, encode
+from freecalc.serialize import decode_job, decode_matrix, dumps_canonical, encode
 
 
 # The child process imports the same freecalc as this test run.
 SRC = os.path.dirname(os.path.dirname(freecalc.__file__))
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli_process(*argv, env_extra=None):
+    """``python -m freecalc`` in a child process."""
     env = dict(os.environ)
     env.pop("FREECALC_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -32,6 +37,22 @@ def run_cli(*argv, env_extra=None):
     )
 
 
+def run_cli(*argv, env_extra=None):
+    """``cli.main(argv)`` in this process, with its output captured, the
+    environment as run_cli_process sets it (restored afterwards) and
+    ``SystemExit`` mapped to its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("FREECALC_SEED", None)
+        os.environ.update(env_extra or {})
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
 def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(dumps_canonical(obj), encoding="utf-8")
@@ -39,7 +60,7 @@ def _write(tmp_path, name, obj):
 
 
 def test_version_flag():
-    res = run_cli("--version")
+    res = run_cli_process("--version")
     assert res.returncode == 0
     assert res.stdout.strip().startswith("freecalc ")
 
@@ -75,19 +96,42 @@ def test_missing_file_is_an_input_error():
     assert res.returncode == 1
 
 
-@pytest.mark.parametrize("kind", ["directory", "not-utf8", "nested-too-deeply"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "nested-too-deeply",
+                                  "integer-too-long"])
 def test_unreadable_file_is_an_input_error(tmp_path, kind):
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
     elif kind == "not-utf8":
         path.write_bytes(b"\xff\xfe{\x00}\x00")
-    else:
+    elif kind == "nested-too-deeply":
         path.write_text("[" * 200_000, encoding="utf-8")
+    else:  # past the interpreter's 4300-digit limit for int("...")
+        path.write_text("[" + "1" * 5000 + "]", encoding="utf-8")
     res = run_cli("validate", str(path))
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and str(path) in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_integer_past_float_range_is_an_input_error(tmp_path):
+    huge = "1" + "0" * 400
+    mpath = tmp_path / "matrix.json"
+    mpath.write_text('{"rows": 1, "cols": 1, "data": [[%s, 0]]}' % huge, encoding="utf-8")
+    job = {
+        "F": encode(random_isometric(1, 1, 2, 1, 1, 5)),
+        "delta": encode(row_delta(1)),
+        "T": encode(random_tuple(2, 1, 0.5, 6)),
+    }
+    jpath = tmp_path / "job.json"
+    jpath.write_text(json.dumps(job)[:-1] + ', "params": {"tol": %s}}' % huge,
+                     encoding="utf-8")
+    for argv, where in ((("validate", str(mpath)), "$.data[0][0]"),
+                        (("calc", "--job", str(jpath)), "$.params.tol")):
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert f"{where}: expected a finite number" in res.stderr
 
 
 def test_eval_matches_library(tmp_path):
@@ -125,13 +169,31 @@ def test_calc_job_roundtrip(tmp_path):
     assert json.loads(tiny.stdout)["ok"] is True
 
 
+def test_tol_override_does_not_carry_to_the_next_call(tmp_path):
+    # the parser is built once per process; each call parses afresh
+    job = {
+        "F": encode(random_isometric(2, 2, 1, 1, 1, 5)),
+        "delta": encode(diag_delta(2)),
+        "T": encode(random_tuple(2, 2, 0.5, 6)),
+        "params": {"s": 1.0, "tol": 1e-12},
+    }
+    path = _write(tmp_path, "job.json", job)
+    parts = decode_job(job)
+    own = dumps_canonical(encode(sharp(parts["F"], parts["delta"], parts["T"], parts["params"])))
+    loose = run_cli("calc", "--job", path, "--tol", "1e-3")
+    plain = run_cli("calc", "--job", path)
+    assert loose.returncode == plain.returncode == 0
+    assert json.loads(loose.stdout)["terms_used"] < json.loads(own)["terms_used"]
+    assert plain.stdout == own
+
+
 def test_calc_heuristic_divergence_is_a_domain_error(tmp_path):
     # D = 3 at t = 0.9/0.95: the loop has spectral radius above 1, so the
     # heuristic series overflows; that must be an input error, not warnings.
     F = Colligation([[0.0]], [[1.0]], [[1.0]], [[3.0]], 1, 1)
     job = {"F": encode(F), "delta": encode(row_delta(1)), "T": encode(MatrixTuple([[[0.9]]]))}
     path = _write(tmp_path, "job.json", job)
-    res = run_cli("calc", "--job", path)
+    res = run_cli_process("calc", "--job", path)
     assert res.returncode == 1
     assert res.stderr.startswith("error: series diverged at degree ")
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr
@@ -227,9 +289,9 @@ def test_spectral_check_flags_violation(tmp_path):
     family = [encode(FreePoly.letter(1, 1))]
     fpath = tmp_path / "family.json"
     fpath.write_text(json.dumps(family), encoding="utf-8")
-    res = run_cli("spectral-check", "--delta", dpath, "--tuple", tpath,
-                  "--family", str(fpath), "--levels", "1", "--trials", "10",
-                  "--ascent", "0")
+    res = run_cli_process("spectral-check", "--delta", dpath, "--tuple", tpath,
+                          "--family", str(fpath), "--levels", "1", "--trials", "10",
+                          "--ascent", "0")
     assert res.returncode == 2
     rep = json.loads(res.stdout)
     assert rep["ok"] is False
@@ -373,6 +435,12 @@ def test_bad_experiment_options_are_input_errors(argv):
     assert res.returncode == 1
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_option_integer_past_the_digit_limit_is_an_input_error():
+    res = run_cli("experiment", "rowball", "-p", "d=" + "1" * 5000)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "option 'd'" in res.stderr
 
 
 def test_custom_job_given_twice_names_both(tmp_path):

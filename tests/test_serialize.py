@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, gap_delta
 from freecalc.funcalc import CalcParams, sharp
 from freecalc.matrix_core import MatrixTuple, random_matrix, random_tuple, task_rng
 from freecalc.realization import poly_to_colligation, random_isometric
+from freecalc import serialize
 from freecalc.serialize import (
     decode_any,
     decode_colligation,
@@ -224,6 +226,13 @@ def test_non_finite_numbers_rejected():
         loads('{"rows": 1, "cols": 1, "data": [[NaN, 0.0]]}')
 
 
+def test_integer_past_float_range_is_not_finite():
+    # the matrix cells' case is in test_one_conversion_decode_names_the_first_bad_cell
+    with pytest.raises(ValidationError) as exc_info:
+        decode_params({"tol": -(10**400)})
+    assert str(exc_info.value) == "$.tol: expected a finite number"
+
+
 def test_params_decoding():
     assert decode_params({}) == CalcParams()
     p = decode_params({"s": 0.5, "tol": 1e-8, "max_terms": 50})
@@ -367,3 +376,131 @@ def test_mutated_documents_decode_or_raise_freecalc_errors(data):
         decode_any(doc)
     except FreecalcError:
         pass
+
+
+# --- the canonical writer against json.dumps ------------------------------------
+
+
+def _oracle(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7]
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+_TEXT = st.one_of(st.text(max_size=6),
+                  st.sampled_from(["", "\x00\x1f\u007f", "\"\\/\b\f\n\r\t",
+                                   "\u00e9\u4e2d\U0001f600", "\ud800"]))
+_PAIRS = st.lists(st.lists(_FINITE, min_size=2, max_size=2), max_size=5)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), _FINITE,
+                     _TEXT, _PAIRS)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=st.one_of(st.lists(_DOCUMENTS, max_size=4),
+                     st.dictionaries(_TEXT, _DOCUMENTS, max_size=4)))
+def test_canonical_text_is_json_dumps(doc):
+    assert dumps_canonical(doc) == _oracle(doc)
+
+
+def test_canonical_text_edge_cases():
+    docs = [
+        [], {}, [[]], {"a": {}}, [[1.0, 2.0]], [[1.0, 2.0], [-0.0, 5e-324]],
+        [[1, 2.0]], [[1.0, 2.0, 3.0]], [[1.0], [2.0, 3.0]], [[True, 1.0]],
+        [[1.0, 2.0], "x"], {"data": [[1.7976931348623157e308, -0.0]], "rows": 1},
+        [("a", ("b",))], {"\u00e9": "\x00", "b": None, "a": [False, True]},
+        [2**200, -(2**64)],
+    ]
+    for doc in docs:
+        assert dumps_canonical(doc) == _oracle(doc), doc
+    assert dumps_canonical(np.array([[complex(1, -0.0), 5e-324j]])) == _oracle(
+        {"cols": 2, "data": [[1.0, -0.0], [0.0, 5e-324]], "rows": 1})
+    with pytest.raises(TypeError):
+        dumps_canonical({1: "object keys are strings"})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps_canonical([object()])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["scalar", "list", "pair"])
+def test_canonical_text_refuses_what_json_dumps_refuses(bad, where):
+    doc = {"scalar": {"x": bad}, "list": [1.0, bad], "pair": [[1.0, bad], [0.0, 0.0]]}[where]
+    with pytest.raises(Exception) as want:
+        _oracle(doc)
+    with pytest.raises(type(want.value)) as got:
+        dumps_canonical(doc)
+    assert str(got.value) == str(want.value)
+
+
+# --- the one-conversion matrix decode against the per-cell walk -----------------
+
+
+def _walked(data: list) -> np.ndarray:
+    """The matrix cells decoded one at a time by the per-cell checks."""
+    return np.array([serialize._dec_complex(c, "$") for c in data], dtype=np.complex128)
+
+
+_CELL_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([0, -0.0, 2**70, -(2**70), 2**53 + 1, 2**63 - 1, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 10**308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.lists(_CELL_VALUES, min_size=2, max_size=2), min_size=1, max_size=12),
+       cols=st.sampled_from([1, 2, 3]))
+def test_one_conversion_decode_is_bitwise_the_cell_walk(cells, cols):
+    cells += [[0, 0]] * (-len(cells) % cols)
+    doc = {"rows": len(cells) // cols, "cols": cols, "data": cells}
+    got = decode_matrix(json.loads(json.dumps(doc)))
+    want = _walked(cells).reshape(len(cells) // cols, cols)
+    assert got.shape == want.shape and got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+_BAD_CELLS = {
+    "true": ("[true, 0]", "[0]", "expected a number, got bool"),
+    "false-imag": ("[0, false]", "[1]", "expected a number, got bool"),
+    "string": ('["1", 0]', "[0]", "expected a number, got str"),
+    "null": ("[null, 0]", "[0]", "expected a number, got NoneType"),
+    "one-element": ("[1]", "", "a complex scalar is a 2-array [re, im], got 1 element(s)"),
+    "three-elements": ("[1, 2, 3]", "",
+                       "a complex scalar is a 2-array [re, im], got 3 element(s)"),
+    "empty": ("[]", "", "a complex scalar is a 2-array [re, im], got 0 element(s)"),
+    "number": ("5", "", "expected an array, got int"),
+    "object": ('{"re": 1, "im": 0}', "", "expected an array, got dict"),
+    "nan": ("[NaN, 0]", "[0]", "expected a finite number"),
+    "infinity-imag": ("[0, Infinity]", "[1]", "expected a finite number"),
+    "minus-infinity": ("[-Infinity, 0]", "[0]", "expected a finite number"),
+    "huge-int": ("[1%s, 0]" % ("0" * 400), "[0]", "expected a finite number"),
+    "overflowing-float": ("[0, -1e400]", "[1]", "expected a finite number"),
+}
+
+
+@pytest.mark.parametrize("index", [0, 3])
+@pytest.mark.parametrize("kind", sorted(_BAD_CELLS))
+def test_one_conversion_decode_names_the_first_bad_cell(kind, index):
+    # valid cells before the bad one and another bad cell after it
+    cell, suffix, message = _BAD_CELLS[kind]
+    cells = ["[1.5, -2]"] * index + [cell, "[true, true]"]
+    text = '{"rows": 1, "cols": %d, "data": [%s]}' % (len(cells), ", ".join(cells))
+    with pytest.raises(ValidationError) as exc_info:
+        loads(text)
+    assert exc_info.value.path == f"$.data[{index}]{suffix}"
+    assert str(exc_info.value) == f"$.data[{index}]{suffix}: {message}"
+
+
+def test_wrong_data_length_names_the_data():
+    with pytest.raises(ValidationError) as exc_info:
+        loads('{"rows": 2, "cols": 2, "data": [[1, 0], [true, 0], [0, 0]]}')
+    assert str(exc_info.value) == "$.data: expected 4 element(s), got 3"
