@@ -197,22 +197,14 @@ def cmd_experiment(args) -> int:
         )
     options = dict(_parse_param(p) for p in args.param or [])
     if args.name == "custom":
-        if "job" in options and args.job is not None:
-            raise ValidationError(
-                f"the job file is given twice, as {args.job} and as -p job={options['job']}",
-                "--job",
-            )
-        path = options.pop("job", None) or args.job
-        if not path:
-            raise ValidationError(
-                "the custom experiment needs a job file: --job PATH or -p job=PATH"
-            )
-        job = _load_as(path, decode_job, "evaluation job")
         if options:
             raise ValidationError(
                 f"unknown custom-experiment option(s): {sorted(options)}"
             )
-        report = run_custom(job, seed=args.seed, source=os.path.basename(path))
+        if not args.job:
+            raise ValidationError("the custom experiment needs a job file: --job PATH")
+        job = _load_as(args.job, decode_job, "evaluation job")
+        report = run_custom(job, seed=args.seed, source=os.path.basename(args.job))
     else:
         if args.name == "commutator" and isinstance(options.get("T"), str):
             options["T"] = _load_as(options["T"], decode_tuple, "matrix tuple")

@@ -291,7 +291,7 @@ def run_polydisc(
             f"{MAX_FAMILY} monomials (all words of length <= {family_max_len})"
         )
     F = random_isometric(d, d, 2, 2, 2, task_rng(seed, 0x22))
-    _check_loop_dim(F, level, F.J, "J")  # the calc step's loop, before any sampling
+    _check_loop_dim(F, level)  # the calc step's loop, before any sampling
     delta = diag_delta(d)
     worst = 0.0
     for i in range(identity_trials):

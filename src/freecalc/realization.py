@@ -9,24 +9,25 @@ with K1, K2, M finite-dimensional.  Against an nI x nJ block point Y
 function
 
     F(Y) = (I_n (x) A) + (I_n (x) B) Y_M [ I - (I_n (x) D) Y_M ]^{-1} (I_n (x) C)
+         = (I_n (x) A) + (I_n (x) B) [ I - L ]^{-1} Y_M (I_n (x) C)
 
-where Y_M is Y with the auxiliary space M tensored into each block slot.
-Y_M and I_n (x) B, I_n (x) D are applied in factored form, never formed:
-every route contracts one (block, point) view of Y against the slot views
-of B, C and D.  The closed form writes G = (I_n (x) D) Y_M straight into its
-N x N layout on the N = n*J*m state space and turns it into K = I - G in
-place; the series builds the n*I*m loop operator Y_M (I_n (x) D) once and
-takes one product per term.  Only I_n (x) A (the
-constant part of a value) and I_n (x) C (the right-hand side of the one
-linear solve, the size of its solution) are formed.
+where Y_M is Y with the auxiliary space M tensored into each block slot and
+L = Y_M (I_n (x) D) is the loop operator (the second line is the
+push-through identity).  Every route runs on that one loop, on the
+N = n*I*m states (a, i, u): the series takes one product with L per term,
+and the closed form (and the DFT route, which calls it) solves with
+K = I - L, formed in place over L.  Y_M and I_n (x) B, I_n (x) D are applied
+in factored form, never formed: L and w = Y_M (I_n (x) C), the right-hand
+side of the one linear solve, are contracted from one (block, point) view
+of Y and the slot views of C and D.
 
 The closed form is guarded: K must be invertible with ||K^-1|| at most
 RESOLVENT_NORM_CAP, and a loop that is neither nilpotent nor an isometric
 contraction must have spectral radius below 1.  Both are settled by a bound
-first.  Since ||G|| <= ||D|| ||Y|| = g, a loop of nilpotency index nu has
+first.  Since ||L|| <= ||D|| ||Y|| = g, a loop of nilpotency index nu has
 ||K^-1|| <= sum_(k<nu) g^k, any loop with g < 1 has ||K^-1|| <= 1/(1 - g),
-and rho(G) <= g.  The SVD of K runs only when that bound exceeds the cap,
-and eigvals(G) only when g does not clear 1 - _SPECTRAL_SLACK, so both
+and rho(L) <= g.  The SVD of K runs only when that bound exceeds the cap,
+and eigvals(L) only when g does not clear 1 - _SPECTRAL_SLACK, so both
 decompositions are taken exactly when the bound cannot settle the check.
 
 Polynomials compile (poly_to_colligation) to a deterministic automaton that
@@ -72,8 +73,8 @@ __all__ = [
 ISOMETRY_TOL = 1e-8
 RESOLVENT_NORM_CAP = 1e12
 _SPECTRAL_SLACK = 1e-10
-# Largest loop dimension N an evaluation allocates: every N x N complex matrix
-# (G, which becomes K in place, its LU factor, the series loop L) takes
+# Largest loop dimension N = n*I*m an evaluation allocates: every N x N complex
+# matrix (the loop L, which becomes K in place, and its LU factor) takes
 # 16 N^2 bytes, 64 MiB here.
 MAX_LOOP_DIM = 2048
 
@@ -172,7 +173,7 @@ class Colligation:
 
     @property
     def nilpotent_index(self) -> int | None:
-        """Smallest q with (D Y_M)^q = 0 for every Y, or None if there is none.
+        """Smallest q with (Y_M D)^q = (D Y_M)^q = 0 for every Y, or None if none.
 
         Computed from D at construction, never passed: the loop D -> Y -> D
         can only follow the edges of D's state-transition graph, so an
@@ -237,19 +238,11 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
 # --- evaluation ----------------------------------------------------------------
 #
 # Index layout.  The point is read as y4[i, a, j, b] = (block (i, j) of y)[a, b],
-# the slot views as c3[j, u, q] and d4[j, u, i, v] (see _c3/_d4), and B by its
+# C and D by their slot views c3[j, u, q] and d4[j, u, i, v], and B by its
 # columns (i, u) as stored.
 # Y_M has entries Y_M[(a, i, u), (b, j, v)] = y4[i, a, j, b] * delta(u, v), and
 # I_n (x) X acts on the point index a alone.  Every product below is contracted
 # from these views.
-
-
-def _c3(F: Colligation) -> np.ndarray:
-    return F.C.reshape(F.J, F.m, F.k1)
-
-
-def _d4(F: Colligation) -> np.ndarray:
-    return F.D.reshape(F.J, F.m, F.I, F.m)
 
 
 def _point_blocks(F: Colligation, y) -> np.ndarray:
@@ -272,21 +265,35 @@ def _apply_b(F: Colligation, w: np.ndarray, n: int) -> np.ndarray:
     return (F.B @ w.reshape(n, F.I * F.m, n * F.k1)).reshape(n * F.k2, n * F.k1)
 
 
-def _check_loop_dim(F: Colligation, n: int, slots: int, side: str) -> int:
-    """The loop dimension N = n * slots * m, refused above MAX_LOOP_DIM before
+def _check_loop_dim(F: Colligation, n: int) -> int:
+    """The loop dimension N = n * I * m, refused above MAX_LOOP_DIM before
     any N x N matrix is allocated."""
-    N = n * slots * F.m
+    N = n * F.I * F.m
     if N > MAX_LOOP_DIM:
         raise DomainError(
-            f"loop too large: n={n}, {side}={slots}, m={F.m} give N={N} states, "
+            f"loop too large: n={n}, I={F.I}, m={F.m} give N={N} states, "
             f"{16 * N * N} bytes per N x N matrix; at most N={MAX_LOOP_DIM} is allowed"
         )
     return N
 
 
+def _loop(F: Colligation, y4: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, L, w): the loop L = Y_M (I_n (x) D), rows (a, i, u) and columns
+    (b, i', v), written straight into its N x N layout, and w = Y_M (I_n (x) C),
+    rows (a, i, u) and columns (b, q)."""
+    n = y4.shape[1]
+    N = _check_loop_dim(F, n)
+    c3, d4 = F.C.reshape(F.J, F.m, F.k1), F.D.reshape(F.J, F.m, F.I, F.m)
+    L = np.empty((N, N), dtype=np.complex128)
+    np.einsum("iajb,juxv->aiubxv", y4, d4, optimize=True,
+              out=L.reshape(n, F.I, F.m, n, F.I, F.m))
+    w = np.einsum("iajb,juq->aiubq", y4, c3, optimize=True).reshape(N, n * F.k1)
+    return n, L, w
+
+
 def _resolvent_bound(g: float, nilpotent_index: int | None) -> float:
-    """Upper bound on ||K^-1|| for K = I - G with ||G|| <= g."""
-    if nilpotent_index is not None:  # K^-1 = sum_(k<nu) G^k
+    """Upper bound on ||K^-1|| for K = I - L with ||L|| <= g."""
+    if nilpotent_index is not None:  # K^-1 = sum_(k<nu) L^k
         total, power = 0.0, 1.0
         for _ in range(nilpotent_index):
             total += power
@@ -297,13 +304,13 @@ def _resolvent_bound(g: float, nilpotent_index: int | None) -> float:
     return math.inf
 
 
-def _resolvent_matrix(F: Colligation, y: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Guard the Neumann inversion of K = I - G, and return K formed in place
-    over G (G is consumed).
+def _resolvent_matrix(F: Colligation, y: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Guard the Neumann inversion of K = I - L, and return K formed in place
+    over L (L is consumed).
 
     The spectral radius must stay below 1 unless the data is isometric with
     ||y|| < 1 or the loop is nilpotent, and ||K^-1|| must stay at most
-    RESOLVENT_NORM_CAP.  With g = ||D|| ||y|| >= ||G|| >= rho(G), eigvals(G)
+    RESOLVENT_NORM_CAP.  With g = ||D|| ||y|| >= ||L|| >= rho(L), eigvals(L)
     runs only when g >= 1 - _SPECTRAL_SLACK, and the SVD of K only when
     _resolvent_bound(g) exceeds the cap: a decomposition is taken only where
     the bound cannot settle the check, so the verdict is the decomposition's.
@@ -311,13 +318,13 @@ def _resolvent_matrix(F: Colligation, y: np.ndarray, G: np.ndarray) -> np.ndarra
     y_norm = op_norm(y)
     g = F.D_norm * y_norm
     spectral = not (F.isometric_certified and y_norm < 1.0) and F.nilpotent_index is None
-    if spectral and G.size and not g < 1.0 - _SPECTRAL_SLACK:
-        rho = float(np.abs(np.linalg.eigvals(G)).max())
+    if spectral and L.size and not g < 1.0 - _SPECTRAL_SLACK:
+        rho = float(np.abs(np.linalg.eigvals(L)).max())
         if rho >= 1.0 - _SPECTRAL_SLACK:
             raise DomainError(
                 f"point outside the domain of convergence: loop spectral radius {rho:.6f}"
             )
-    K = np.negative(G, out=G)
+    K = np.negative(L, out=L)
     K[np.diag_indices(K.shape[0])] += 1.0
     if _resolvent_bound(g, F.nilpotent_index) <= RESOLVENT_NORM_CAP:
         return K
@@ -333,17 +340,9 @@ def _resolvent_matrix(F: Colligation, y: np.ndarray, G: np.ndarray) -> np.ndarra
 def eval_colligation(F: Colligation, y) -> np.ndarray:
     """Linear-fractional value of the colligation at an nI x nJ block point."""
     y4 = _point_blocks(F, y)
-    n = y4.shape[1]
-    N = _check_loop_dim(F, n, F.J, "J")
-    # G = (I_n (x) D) Y_M, rows (a, j, u) and columns (b, j', v), written
-    # straight into its N x N layout
-    G = np.empty((N, N), dtype=np.complex128)
-    np.einsum("juiv,iakb->ajubkv", _d4(F), y4, optimize=True,
-              out=G.reshape(n, F.J, F.m, n, F.J, F.m))
-    K = _resolvent_matrix(F, y4.reshape(F.I * n, F.J * n), G)
-    R = np.linalg.solve(K, ampliate(n, F.C)).reshape(n, F.J, F.m, n * F.k1)
-    w = np.einsum("iajb,bjuc->aiuc", y4, R, optimize=True)  # Y_M R
-    return ampliate(n, F.A) + _apply_b(F, w, n)
+    n, L, w = _loop(F, y4)
+    K = _resolvent_matrix(F, y4.reshape(F.I * n, F.J * n), L)
+    return ampliate(n, F.A) + _apply_b(F, np.linalg.solve(K, w), n)
 
 
 def homog_series(F: Colligation, y):
@@ -355,13 +354,8 @@ def homog_series(F: Colligation, y):
     convergence; callers own the stopping rule.
     """
     y4 = _point_blocks(F, y)
-    n = y4.shape[1]
-    N = _check_loop_dim(F, n, F.I, "I")
+    n, L, w = _loop(F, y4)
     yield 0, ampliate(n, F.A)
-    # L has rows (a, i, u) and columns (b, i', v); w = Y_M (I_n (x) C) has
-    # rows (a, i, u) and columns (b, q).
-    L = np.einsum("iajb,juxv->aiubxv", y4, _d4(F), optimize=True).reshape(N, N)
-    w = np.einsum("iajb,juq->aiubq", y4, _c3(F), optimize=True).reshape(N, n * F.k1)
     k = 1
     while True:
         yield k, _apply_b(F, w, n)

@@ -283,7 +283,12 @@ def decode_matrix(v, path: str = "$") -> np.ndarray:
         out = np.zeros(len(data), dtype=np.complex128)
         for idx, cell in enumerate(data):
             out[idx] = _dec_complex(cell, f"{path}.data[{idx}]")
-    out = out.reshape(rows, cols)
+    try:
+        out = out.reshape(rows, cols)
+    except ValueError:  # an empty matrix whose other dimension numpy cannot shape
+        key = "rows" if rows else "cols"
+        raise ValidationError(f"{max(rows, cols)} is past numpy's array limits",
+                              f"{path}.{key}") from None
     out.setflags(write=False)
     return out
 

@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import freecalc
 from freecalc import cli
@@ -16,6 +18,7 @@ from freecalc.funcalc import sharp
 from freecalc.matrix_core import MatrixTuple, random_tuple
 from freecalc.realization import Colligation, eval_colligation, random_isometric
 from freecalc.serialize import decode_job, decode_matrix, dumps_canonical, encode
+from test_serialize import JSON_LEAVES, mutated_document
 
 
 # The child process imports the same freecalc as this test run.
@@ -132,6 +135,14 @@ def test_integer_past_float_range_is_an_input_error(tmp_path):
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert f"{where}: expected a finite number" in res.stderr
+
+
+def test_matrix_dimension_past_numpy_limits_is_an_input_error(tmp_path):
+    path = _write(tmp_path, "matrix.json", {"rows": 2**63, "cols": 0, "data": []})
+    res = run_cli("validate", path)
+    assert res.returncode == 1
+    assert res.stderr == f"error: $.rows: {2**63} is past numpy's array limits\n"
+    assert "Traceback" not in res.stderr
 
 
 def test_eval_matches_library(tmp_path):
@@ -443,11 +454,16 @@ def test_option_integer_past_the_digit_limit_is_an_input_error():
     assert res.stderr.startswith("error:") and "option 'd'" in res.stderr
 
 
-def test_custom_job_given_twice_names_both(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    res = run_cli("experiment", "custom", "--job", str(a), "-p", f"job={b}")
-    assert res.returncode == 1
-    assert str(a) in res.stderr and str(b) in res.stderr
+def test_custom_job_param_is_an_unknown_option():
+    # -p values are JSON: "job=true" once reached open(True), which opened
+    # and then closed this process's stdout
+    for value in ("true", "1.5", "[1]", "/x.json"):
+        res = run_cli("experiment", "custom", "-p", f"job={value}")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert "unknown custom-experiment option(s): ['job']" in res.stderr
+        for fd in (0, 1, 2):
+            os.fstat(fd)
 
 
 def test_memory_exhaustion_is_an_input_error(monkeypatch, capsys):
@@ -458,3 +474,154 @@ def test_memory_exhaustion_is_an_input_error(monkeypatch, capsys):
     assert cli.main(["experiment", "rowball"]) == 1
     assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 PiB\n"
 
+
+
+# --- the CLI fuzzer -------------------------------------------------------------
+#
+# Argument vectors drawn from the real subcommands and option names, run
+# in-process through run_cli.  A file argument is drawn as ("file", doc): a
+# stock document, the same with one node replaced or one key dropped or added,
+# or any JSON value; the test writes it out and passes its path.  Count and
+# size options are drawn only as small, non-positive or ill-typed values, so
+# every example stays cheap.
+
+_STOCK = {
+    "job": {
+        "F": encode(random_isometric(2, 2, 1, 1, 1, 5)),
+        "delta": encode(diag_delta(2)),
+        "T": encode(random_tuple(2, 2, 0.5, 6)),
+        "params": {"s": 1.0, "tol": 1e-6, "max_terms": 50},
+    },
+    "colligation": encode(random_isometric(1, 2, 1, 1, 1, 3)),
+    "point": encode(np.array([[0.25, 0.1j]])),
+    "poly": encode(FreePoly.letter(1, 2) * FreePoly.letter(2, 2)),
+    "delta": encode(diag_delta(2)),
+    "tuple": encode(random_tuple(2, 2, 0.5, 7)),
+    "family": [encode(FreePoly.letter(1, 2)), encode(FreePoly.one(2))],
+}
+
+# counts and sizes: small, non-positive, or not an integer at all
+_SMALL = st.one_of(st.integers(-2, 3), st.none(), st.booleans(), st.floats(),
+                   st.text(max_size=3), st.dictionaries(st.text(max_size=2), st.none(),
+                                                        max_size=1))
+# option texts, valid two times in three
+_SMALL_TEXT = st.one_of(st.just("1"), st.just("2"),
+                        st.sampled_from(["0", "-1", "x", "", "nan", "1.5", "1e3000"]))
+_REAL_TEXT = st.one_of(st.sampled_from(["0.5", "1"]),
+                       st.sampled_from(["2", "1e308", "5e-324"]),
+                       st.sampled_from(["0", "-1", "nan", "inf", "-inf", "x", ""]))
+_LEVELS_TEXT = st.one_of(st.sampled_from(["1", "2"]), st.just("1,2"),
+                         st.sampled_from(["0", "-1", "x", "", ",", "1,,2", "1.5"]))
+_SEED_TEXT = st.sampled_from(["0", "1", "-1", "x", str(2**70)])
+
+# experiment options that bound a count or a size, with cheap values for each
+_CHEAP = {
+    "gap": {"levels": [2], "trials_per_level": 2, "refine_trials": 1, "ascent_steps": 1,
+            "min_admissible": 1, "shift_size": 2, "compress_to": 1},
+    "rowball": {"d": 2, "identity_trials": 1, "level": 2},
+    "polydisc": {"d": 1, "identity_trials": 1, "level": 1, "family_max_len": 0,
+                 "spectral_trials": 1},
+    "commutator": {"levels": [1], "trials_per_level": 1, "eigen_checks": 1, "osc_size": 2,
+                   "emptiness_trials": 1},
+    "lens": {"size": 1},
+    "custom": {},
+}
+# the other options: any JSON value (a path for T and g)
+_FREE = {"gap": ["eps"], "rowball": ["target_t"], "polydisc": [], "commutator": ["T"],
+         "lens": ["r", "g"], "custom": ["job"]}
+
+
+def _file(data, kind):
+    """A file argument: the stock document of a kind, mutated, any value, or
+    a path that does not exist."""
+    how = data.draw(st.sampled_from(["stock"] * 3 + ["mutated"] * 2 + ["any", "missing"]))
+    if how == "missing":
+        return "/nonexistent/input.json"
+    if how == "any":
+        return ("file", data.draw(JSON_LEAVES))
+    doc = _STOCK[kind]
+    return ("file", doc if how == "stock" else mutated_document(doc, data))
+
+
+def _param(data, name, key):
+    """``-p key=value`` for an experiment, the value as JSON or as bare text."""
+    if key in _CHEAP[name]:
+        value = data.draw(st.lists(_SMALL, max_size=3) if isinstance(_CHEAP[name][key], list)
+                          else _SMALL)
+    elif key in ("T", "g", "job"):
+        value = data.draw(st.one_of(JSON_LEAVES, st.just("/nonexistent/x.json")))
+    else:
+        value = data.draw(JSON_LEAVES)
+    raw = json.dumps(value) if data.draw(st.booleans()) else data.draw(st.text(max_size=4))
+    return ["-p", f"{key}={raw}"]
+
+
+@st.composite
+def _argvs(draw):
+    data = draw(st.data())
+    cmd = draw(st.sampled_from(["eval", "calc", "supnorm", "spectral-check", "experiment",
+                                "validate", "frobnicate"]))
+    argv = [cmd]
+    if cmd == "eval":
+        argv += ["--colligation", _file(data, "colligation"), "--point", _file(data, "point")]
+    elif cmd == "calc":
+        argv += ["--job", _file(data, "job")]
+        if draw(st.booleans()):
+            argv += ["--tol", draw(_REAL_TEXT)]
+    elif cmd in ("supnorm", "spectral-check"):
+        if cmd == "supnorm":
+            argv += ["--poly", _file(data, "poly"), "--delta", _file(data, "delta")]
+            if draw(st.booleans()):
+                argv += ["--format", draw(st.sampled_from(["json", "csv", "xml"]))]
+        else:
+            argv += ["--delta", _file(data, "delta"), "--tuple", _file(data, "tuple"),
+                     "--family", _file(data, "family"), "--k", draw(_REAL_TEXT)]
+        argv += ["--levels", draw(_LEVELS_TEXT), "--trials", draw(_SMALL_TEXT),
+                 "--ascent", draw(_SMALL_TEXT)]
+        if draw(st.booleans()):
+            argv += ["--margin", draw(_REAL_TEXT)]
+    elif cmd == "experiment":
+        name = draw(st.sampled_from(sorted(_CHEAP)))
+        argv.append(name)
+        options = dict(_CHEAP[name])
+        for key in draw(st.lists(st.sampled_from(sorted(options) + _FREE[name] + ["bogus"]),
+                                 max_size=2, unique=True)):
+            options.pop(key, None)
+            argv += _param(data, name, key)
+        for key, value in options.items():
+            argv += ["-p", f"{key}={json.dumps(value)}"]
+        if name == "custom" or draw(st.integers(0, 9)) == 0:
+            argv += ["--job", _file(data, "job")]
+    elif cmd == "validate":
+        argv.append(_file(data, draw(st.sampled_from(sorted(_STOCK)))))
+    if cmd != "validate" and draw(st.booleans()):
+        argv += ["--seed", draw(_SEED_TEXT)]
+    if draw(st.integers(0, 9)) == 0:  # a usage error: a stray token or a dropped one
+        spot = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()) and spot < len(argv):
+            del argv[spot]
+        else:
+            argv.insert(spot, draw(st.sampled_from(["--bogus", "-p", "--out", "", "x=1"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(argv=_argvs())
+@example(argv=["experiment", "custom", "-p", "job=true"])
+@example(argv=["validate", ("file", {"rows": 2**63, "cols": 0, "data": []})])
+@example(argv=["validate", ("file", {"rows": 2**62, "cols": 0, "data": []})])
+def test_cli_fuzz_exits_0_1_or_2(argv, tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    args = []
+    for idx, arg in enumerate(argv):
+        if isinstance(arg, tuple):
+            path = workdir / f"input-{idx}.json"
+            path.write_text(json.dumps(arg[1]), encoding="utf-8")
+            arg = str(path)
+        args.append(arg)
+    res = run_cli(*args, "--out", str(workdir / "report.json"))
+    assert res.returncode in (0, 1, 2), (args, res.stderr)
+    assert "Traceback" not in res.stderr
+    for fd in (0, 1, 2):
+        os.fstat(fd)

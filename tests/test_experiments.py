@@ -61,6 +61,16 @@ def test_rowball_identity_and_certificates():
     assert rep["results"]["identity_max_rel_gap"] <= 1e-12
 
 
+def test_rowball_closed_form_runs_on_the_series_loop():
+    # on the row ball I = 1, so the loop has n*m = 12 states whatever d is;
+    # a loop on the n*J*m states would have 2052 here and be refused
+    rep = run_rowball(seed=0, d=171, identity_trials=1)
+    calc = rep["results"]["calc_report"]
+    assert rep["ok"]
+    assert "two_path_agreement" in [c["name"] for c in calc["certificates"]]
+    assert not any("closed form unavailable" in note for note in calc["notes"])
+
+
 def test_polydisc_passes():
     rep = run_polydisc(seed=0, d=2, identity_trials=10, level=2,
                        family_max_len=1, spectral_trials=20)

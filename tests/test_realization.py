@@ -541,51 +541,60 @@ def test_outside_domain_raises():
         eval_colligation(cube, 1e7 * np.eye(2))
 
 
-def _decomposition_guard_raises(F: Colligation, y: np.ndarray, G: np.ndarray) -> bool:
-    """The resolvent guard by decompositions alone, on the dense loop matrix G:
-    eigvals(G) unless the data is isometric with ||y|| < 1 or the loop is
-    nilpotent, then the SVD of K = I - G against RESOLVENT_NORM_CAP."""
+def _decomposition_guard_raises(F: Colligation, y: np.ndarray, L: np.ndarray) -> bool:
+    """The resolvent guard by decompositions alone, on the dense loop matrix L:
+    eigvals(L) unless the data is isometric with ||y|| < 1 or the loop is
+    nilpotent, then the SVD of K = I - L against RESOLVENT_NORM_CAP."""
     if (not (F.isometric_certified and op_norm(y) < 1.0)
-            and F.nilpotent_index is None and G.size):
-        if np.abs(np.linalg.eigvals(G)).max() >= 1.0 - 1e-10:
+            and F.nilpotent_index is None and L.size):
+        if np.abs(np.linalg.eigvals(L)).max() >= 1.0 - 1e-10:
             return True
-    sv = np.linalg.svd(np.eye(G.shape[0]) - G, compute_uv=False)
+    sv = np.linalg.svd(np.eye(L.shape[0]) - L, compute_uv=False)
     return bool(sv.size and (sv[-1] == 0.0 or 1.0 / sv[-1] > RESOLVENT_NORM_CAP))
+
+
+def _gaussian_loop(I: int, J: int, m: int, seed: int) -> Colligation:
+    """Gaussian blocks with ||D|| = 1: neither isometric nor nilpotent."""
+    rng = task_rng(seed, 0)
+    loop = random_matrix(J * m, I * m, rng)
+    F = Colligation(random_matrix(1, 1, rng), random_matrix(1, I * m, rng),
+                    random_matrix(J * m, 1, rng), loop / op_norm(loop), I, J)
+    assert not F.isometric_certified and F.nilpotent_index is None
+    return F
 
 
 def test_resolvent_guard_matches_decomposition_oracle():
     x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
     models = []
     for seed in range(3):
-        iso = random_isometric(2, 2, 2, 1, 1, 80 + seed)
-        models.append(iso)
-        # Gaussian blocks with ||D|| = 1: neither isometric nor nilpotent
-        rng = task_rng(90 + seed, 0)
-        loop = random_matrix(6, 6, rng)
-        F = Colligation(random_matrix(1, 1, rng), random_matrix(1, 6, rng),
-                        random_matrix(6, 1, rng), loop / op_norm(loop), 2, 2)
-        assert not F.isometric_certified and F.nilpotent_index is None
-        models.append(F)
+        models.append(random_isometric(2, 2, 2, 1, 1, 80 + seed))
+        models.append(_gaussian_loop(2, 2, 3, 90 + seed))
     for p in ((x1 + x2) ** 3, x1 * x2 * x1 - 2.0 * x2 + 0.5):
         models.append(compile_polynomial(p, diag_delta(2)))
+    # a row (1 x 2) and a column (2 x 1) arrangement, where the loop L on the
+    # n*I*m states and (I_n (x) D) Y_M on the n*J*m states differ in size
+    models += [random_isometric(1, 2, 2, 1, 1, 84), _gaussian_loop(1, 2, 2, 94),
+               compile_polynomial(x1 * x2 - x2 * x1 + x1, row_delta(2)),
+               random_isometric(2, 1, 2, 1, 3, 85), _gaussian_loop(2, 1, 2, 95)]
     raised = kept = 0
     for idx, F in enumerate(models):
         for r in (0.3, 0.8, 0.99, 1.2, 2.5):
             y = _ball_point(2, F.I, F.J, r, 100 + idx)
             n, ym = 2, _states_oracle(y, F.I, F.J, F.m)
-            G = ampliate(n, F.D) @ ym
-            K = np.eye(G.shape[0]) - G
-            exact = 1.0 / np.linalg.svd(K, compute_uv=False)[-1]
+            L = ym @ ampliate(n, F.D)  # the matrix eval_colligation inverts
+            exact = 1.0 / np.linalg.svd(np.eye(L.shape[0]) - L, compute_uv=False)[-1]
             bound = _resolvent_bound(F.D_norm * op_norm(y), F.nilpotent_index)
             assert bound >= exact * (1.0 - 1e-9)
-            if _decomposition_guard_raises(F, y, G):
+            if _decomposition_guard_raises(F, y, L):
                 with pytest.raises(DomainError):
                     eval_colligation(F, y)
                 raised += 1
                 continue
             got = eval_colligation(F, y)
+            # the formula on the n*J*m states: checks the push-through identity
+            G = ampliate(n, F.D) @ ym
             closed = ampliate(n, F.A) + ampliate(n, F.B) @ ym @ np.linalg.solve(
-                K, ampliate(n, F.C))
+                np.eye(G.shape[0]) - G, ampliate(n, F.C))
             assert np.abs(got - closed).max() <= 1e-10 * max(1.0, np.abs(closed).max())
             kept += 1
     assert raised and kept  # both verdicts occur
@@ -597,7 +606,7 @@ def test_loop_dimension_is_capped_before_allocation():
     F = Colligation([[0.0]], np.ones((1, m)), np.ones((m, 1)), np.zeros((m, m)), 1, 1)
     y = np.eye(n)
     for run in (lambda: eval_colligation(F, y), lambda: next(homog_series(F, y))):
-        with pytest.raises(DomainError, match=r"n=100, [IJ]=1, m=100 give N=10000 states, "
+        with pytest.raises(DomainError, match=r"n=100, I=1, m=100 give N=10000 states, "
                                               r"1600000000 bytes"):
             run()
 

@@ -50,6 +50,16 @@ def test_matrix_key_order_is_sorted():
     assert text.index('"cols"') < text.index('"data"') < text.index('"rows"')
 
 
+@pytest.mark.parametrize("key", ["rows", "cols"])
+@pytest.mark.parametrize("size", [2**63, 2**62])
+def test_matrix_dimension_past_numpy_limits_is_a_validation_error(key, size):
+    # an empty matrix passes the length check; numpy cannot shape it
+    doc = {"rows": 0, "cols": 0, "data": []}
+    doc[key] = size
+    with pytest.raises(ValidationError, match=rf"^\$\.{key}: {size} is past numpy's"):
+        decode_matrix(doc)
+
+
 def test_tuple_roundtrip():
     x = random_tuple(3, 2, 0.9, 5)
     back, text = _roundtrip(x, decode_tuple)
@@ -338,7 +348,7 @@ _VALID_DOCUMENTS = [
     },
 ]
 
-_JSON_LEAVES = st.one_of(
+JSON_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**70), 2**70),
@@ -350,12 +360,10 @@ _JSON_LEAVES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_mutated_documents_decode_or_raise_freecalc_errors(data):
-    # one valid document of each kind, then one node replaced or one key
-    # dropped or added; anything but a FreecalcError is a decoder bug
-    doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCUMENTS)))
+def mutated_document(doc, data):
+    """A copy of a JSON document with one node below the root replaced by a
+    drawn leaf, or one key dropped from an object or added to it."""
+    doc = copy.deepcopy(doc)
     nodes = list(_nodes(doc))
     op = data.draw(st.sampled_from(["replace", "drop", "add"]))
     if op == "replace":
@@ -363,7 +371,7 @@ def test_mutated_documents_decode_or_raise_freecalc_errors(data):
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = data.draw(_JSON_LEAVES)
+        parent[path[-1]] = data.draw(JSON_LEAVES)
     else:
         _, target = data.draw(
             st.sampled_from([(p, v) for p, v in nodes if isinstance(v, dict) and v])
@@ -371,7 +379,16 @@ def test_mutated_documents_decode_or_raise_freecalc_errors(data):
         if op == "drop":
             del target[data.draw(st.sampled_from(sorted(target)))]
         else:
-            target[data.draw(st.text(max_size=6))] = data.draw(_JSON_LEAVES)
+            target[data.draw(st.text(max_size=6))] = data.draw(JSON_LEAVES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_decode_or_raise_freecalc_errors(data):
+    # one valid document of each kind, then one node replaced or one key
+    # dropped or added; anything but a FreecalcError is a decoder bug
+    doc = mutated_document(data.draw(st.sampled_from(_VALID_DOCUMENTS)), data)
     try:
         decode_any(doc)
     except FreecalcError:

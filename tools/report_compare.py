@@ -37,9 +37,10 @@ The stock inputs are written once, with this tree's freecalc, and handed to
 both trees.
 
 For each report it prints ``identical`` when the bytes match, and otherwise
-``differs`` with the largest relative difference between matching floats
-(or where the structure differs).  The exit code is 0 when every report is
-identical and 1 otherwise.
+``differs`` with the largest absolute and relative differences between
+matching floats, then the path of each other value that differs (a bool,
+int, string or null, or where the structure differs), one per line.
+The exit code is 0 when every report is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -153,22 +154,22 @@ def run_report(tree: Path, argv: list[str], out: Path) -> tuple[int, bytes | Non
     return proc.returncode, out.read_bytes() if out.exists() else None
 
 
-def max_rel_diff(a, b) -> float:
-    """Largest relative difference between matching floats; inf where the
-    structure or a non-float value differs."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            return math.inf
-        return max((max_rel_diff(a[k], b[k]) for k in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            return math.inf
-        return max((max_rel_diff(x, y) for x, y in zip(a, b)), default=0.0)
+def diff(a, b, path: str = "$") -> tuple[float, float, list[str]]:
+    """The largest absolute and relative differences between matching floats,
+    and the path of every other value that differs: a bool, int, string or
+    null, a type, or an array's length or an object's key set."""
     if isinstance(a, float) and isinstance(b, float):
         if a == b or (math.isnan(a) and math.isnan(b)):
-            return 0.0
-        return abs(a - b) / max(abs(a), abs(b))
-    return 0.0 if a == b and type(a) is type(b) else math.inf
+            return 0.0, 0.0, []
+        return abs(a - b), abs(a - b) / max(abs(a), abs(b)), []
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        parts = [diff(a[k], b[k], f"{path}.{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [diff(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        return 0.0, 0.0, [] if a == b and type(a) is type(b) else [path]
+    return (max((p[0] for p in parts), default=0.0), max((p[1] for p in parts), default=0.0),
+            [leaf for p in parts for leaf in p[2]])
 
 
 def main(argv=None) -> int:
@@ -197,9 +198,10 @@ def main(argv=None) -> int:
             elif p_raw == c_raw and p_code == c_code:
                 verdict = "identical"
             else:
-                rel = max_rel_diff(json.loads(p_raw), json.loads(c_raw))
+                absolute, rel, leaves = diff(json.loads(p_raw), json.loads(c_raw))
                 verdict = (f"differs: exit {p_code} parent, {c_code} change, "
-                           f"max relative float difference {rel:.3g}")
+                           f"max float difference {absolute:.3g} absolute, {rel:.3g} relative"
+                           + "".join(f"\n  other value differs: {leaf}" for leaf in leaves))
             all_same &= verdict == "identical"
             print(f"{name}: {verdict}", flush=True)
     return 0 if all_same else 1
