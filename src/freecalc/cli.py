@@ -97,9 +97,9 @@ def _sample_config(args) -> SampleConfig:
         kwargs["levels"] = _parse_levels(args.levels)
     if args.trials is not None:
         kwargs["trials_per_level"] = args.trials
-    if getattr(args, "ascent", None) is not None:
+    if args.ascent is not None:
         kwargs["ascent_steps"] = args.ascent
-    if getattr(args, "margin", None) is not None:
+    if args.margin is not None:
         kwargs["margin"] = args.margin
     return SampleConfig(**kwargs)
 
@@ -319,9 +319,6 @@ def main(argv=None) -> int:
         if "seed" in vars(args):
             args.seed = _resolve_seed(args.seed)
         return args.func(args)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except CheckFailure as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 2

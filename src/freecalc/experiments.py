@@ -20,7 +20,7 @@ from .freepoly import (
     lens_delta,
     row_delta,
 )
-from .funcalc import CalcParams, poly_consistency, sharp, compile_polynomial
+from .funcalc import CalcParams, compile_polynomial, default_scale, poly_consistency, sharp
 from .matrix_core import (
     MatrixTuple,
     cyclic_shift,
@@ -55,6 +55,11 @@ MAX_FAMILY = 1093
 # thread.  32 is also the largest d that the default family_max_len = 2
 # admits under MAX_FAMILY.
 MAX_POLYDISC_D = 32
+# Most rowball coordinates.  Everything the run builds grows with d: the row
+# of letters, the (2 + 3d) x 5 isometry and d coordinate matrices per tuple.
+# d = 1024 at level 64 took 5.5-6.5 s and 299 MiB peak RSS on 2 CPUs with one
+# BLAS thread.
+MAX_ROWBALL_D = 1024
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -211,6 +216,7 @@ def run_rowball(
     certificate set (contractivity and the geometric series envelope).
     """
     _require(1, MAX_LEVEL, level=level)
+    _require(1, MAX_ROWBALL_D, d=d)
     _require(1, np.inf, identity_trials=identity_trials)
     delta = row_delta(d)
     worst_rel = 0.0
@@ -526,7 +532,7 @@ def run_lens(
 
     one_letter = [FreePoly.letter(1, 1), FreePoly.letter(1, 1) - 1]
     P = g.substitute(one_letter)
-    s = (t0 + 1.0) / 2.0
+    s = default_scale(t0)
     F = compile_polynomial(P, delta, s=s)
     params = CalcParams(s=s)
     rep = sharp(F, delta, T, params)

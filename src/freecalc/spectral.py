@@ -46,12 +46,11 @@ MAX_LEVEL = 64
 
 DEFAULT_NORM_TARGETS = tuple(round(0.1 * k, 10) for k in range(1, 16))
 
-# Ascent tuning: after this many consecutive infeasible/non-improving steps
-# the step size decays, and once it has decayed below STEP_FLOOR times the
-# initial size the climb is declared converged.
+# Ascent tuning: every climb starts with steps of STEP_SIZE, and after this
+# many consecutive infeasible/non-improving steps its step size decays.
+STEP_SIZE = 0.1
 REJECTIONS_PER_DECAY = 10
 STEP_DECAY = 0.7
-STEP_FLOOR = 1e-3
 
 _VIOLATION_SLACK = 1e-10
 
@@ -67,10 +66,8 @@ class SampleConfig:
     levels: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     trials_per_level: int = 200
     ascent_steps: int = 50
-    step_size: float = 0.1
     margin: float = 1e-3
     seed: int = 0
-    norm_targets: tuple[float, ...] = DEFAULT_NORM_TARGETS
 
     def __post_init__(self):
         if not self.levels:
@@ -84,15 +81,8 @@ class SampleConfig:
             raise ShapeError("ascent_steps must be >= 0")
         if not 0 < self.margin < 1:
             raise DomainError("margin must lie in (0, 1)")
-        if not 0 < self.step_size < math.inf:
-            raise DomainError("step_size must be finite and positive")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        if not self.norm_targets:
-            raise ShapeError("need at least one norm target")
-        for target in self.norm_targets:
-            if not 0 < target < math.inf:
-                raise DomainError(f"norm target {target} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,10 @@ class Violation:
     description: str
     lhs: float
     rhs: float
-    status: str  # "confirmed" | "potential"
+    # always "potential": lhs beats K times a sampled lower bound of the
+    # supremum, which proves nothing.  "confirmed" waits for a certified
+    # upper bound of the supremum, which nothing computes yet.
+    status: str
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,6 @@ class SpectralReport:
     witness_level: int | None
     witness_trial: int | None
     witness_domain_norm: float | None
-    ascent_converged: bool
     trials: int
     admissible: int
     per_level: tuple[LevelSummary, ...]
@@ -137,18 +129,19 @@ class SpectralReport:
 
 
 def default_proposal(d: int):
-    """Gaussian tuples, cycling through the configured norm targets.
+    """Gaussian tuples, cycling through DEFAULT_NORM_TARGETS.
 
     Each trial draws its ``d`` coordinates from its own generator; the
     stack is then rescaled at once so that every point's largest coordinate
-    norm equals its trial's target, ``norm_targets[trial % len]``.
+    norm equals its trial's target, ``DEFAULT_NORM_TARGETS[trial % len]``.
     """
 
     def propose(level, trials, rngs, cfg: SampleConfig) -> np.ndarray:
         normals = np.empty((len(rngs), d, 2, level, level))
         for k, rng in enumerate(rngs):
             normals[k] = rng.standard_normal((d, 2, level, level))
-        targets = np.array([cfg.norm_targets[t % len(cfg.norm_targets)] for t in trials])
+        targets = np.array([DEFAULT_NORM_TARGETS[t % len(DEFAULT_NORM_TARGETS)]
+                            for t in trials])
         return _rescaled_to_peak(_complex_gaussian(normals), targets)
 
     return propose
@@ -205,25 +198,23 @@ def _ascend(
     start_values: list[np.ndarray],
     rngs: list[np.random.Generator],
     cfg: SampleConfig,
-) -> list[list[tuple[np.ndarray, float, float, bool]]]:
+) -> list[list[tuple[np.ndarray, float, float]]]:
     """Projected random hill-climbs inside the sublevel set, one for every
     (start, objective) pair, all stacked.
 
     ``starts`` is an ``(S, d, n, n)`` stack of admissible points with
     ``||delta(starts[s])|| = start_norms[s]`` and ``||objectives[i](starts[s])||
     = start_values[i][s]``.  Returns, per start, one (witness, value,
-    ||delta(witness)||, converged) per objective.
+    ||delta(witness)||) per objective.
 
-    Each step, every start that still has a climb that has not converged
+    Every climb takes all ``cfg.ascent_steps`` steps.  Each step, every start
     draws one Gaussian perturbation tuple from its own ``rngs[s]``, and each
-    of its climbs that has not converged takes it.  A climb whose full step
-    leaves the domain shrinks it to 1/2, 1/4 and 1/8 toward its own current
-    point before counting a rejection: each shrink round is one stacked
-    ``delta.eval`` and SVD over the climbs still searching, and then each
-    objective evaluates the candidates of its climbs that landed inside with
-    one stacked eval and SVD.  Step size, rejections and convergence are per
-    climb: a converged climb stops while the others go on, and a start whose
-    climbs have all converged draws nothing more.  A start's stream is
+    of its climbs takes it.  A climb whose full step leaves the domain
+    shrinks it to 1/2, 1/4 and 1/8 toward its own current point before
+    counting a rejection: each shrink round is one stacked ``delta.eval`` and
+    SVD over the climbs still searching, and then each objective evaluates
+    the candidates of its climbs that landed inside with one stacked eval
+    and SVD.  Step size and rejections are per climb.  A start's stream is
     consumed at exactly one draw per step regardless of acceptance, so each
     climb is bit for bit the climb its objective takes alone from its start,
     whatever is stacked with it, and runs with more steps extend runs with
@@ -233,18 +224,14 @@ def _ascend(
     owner = np.repeat(np.arange(count), width)  # climb c: objective c % width from start c // width
     cur, cur_val, cur_norm = starts[owner], np.asarray(start_values).T.flatten(), start_norms[owner]
     cand, cand_norm = np.empty_like(cur), np.empty(cur_val.shape)
-    step = np.full(cur_val.shape, cfg.step_size)
+    step = np.full(cur_val.shape, STEP_SIZE)
     rejections = np.zeros(cur_val.shape, dtype=int)
-    live = np.ones(cur_val.shape, dtype=bool)  # the climbs that have not converged
     pert = np.empty_like(starts)
     draw_shape = (starts.shape[1], 2, *starts.shape[2:])
     for _ in range(cfg.ascent_steps):
-        drawing = np.flatnonzero(live.reshape(count, width).any(axis=1))
-        if not drawing.size:
-            break
-        for s in drawing:
-            pert[s] = _complex_gaussian(rngs[s].standard_normal(draw_shape))
-        searching, landed = np.flatnonzero(live), np.zeros(live.shape, dtype=bool)
+        for s, rng in enumerate(rngs):
+            pert[s] = _complex_gaussian(rng.standard_normal(draw_shape))
+        searching, landed = np.arange(cur_val.size), np.zeros(cur_val.shape, dtype=bool)
         for shrink in (1.0, 0.5, 0.25, 0.125):
             scale = step[searching] * shrink
             moved = cur[searching] + scale[:, None, None, None] * pert[owner[searching]]
@@ -255,7 +242,7 @@ def _ascend(
             searching = searching[~inside]
             if not searching.size:
                 break
-        accepted = np.zeros(live.shape, dtype=bool)
+        accepted = np.zeros(cur_val.shape, dtype=bool)
         for i, objective in enumerate(objectives):
             mine = i + width * np.flatnonzero(landed[i::width])
             if mine.size:
@@ -264,15 +251,12 @@ def _ascend(
                 up = mine[better]
                 cur[up], cur_val[up], cur_norm[up] = cand[up], values[better], cand_norm[up]
                 accepted[up] = True
-        rejected = live & ~accepted
         rejections[accepted] = 0
-        rejections[rejected] += 1
-        decays = rejected & (rejections >= REJECTIONS_PER_DECAY)
+        rejections[~accepted] += 1
+        decays = rejections >= REJECTIONS_PER_DECAY
         rejections[decays] = 0
         step[decays] *= STEP_DECAY
-        live[decays & (step < STEP_FLOOR * cfg.step_size)] = False
-    ascents = [(cur[c], float(cur_val[c]), float(cur_norm[c]), not live[c])
-               for c in range(live.size)]
+    ascents = [(cur[c], float(cur_val[c]), float(cur_norm[c])) for c in range(cur_val.size)]
     return [ascents[s * width:(s + 1) * width] for s in range(count)]
 
 
@@ -408,18 +392,18 @@ def sup_norm_estimate(
     delta = PolyMatrix.from_poly(delta)
     objective = _objective(objective, delta)
     cfg = cfg or SampleConfig()
-    best = None  # the winner's (value, witness, level, trial, domain norm, converged)
+    best = None  # the winner's (value, witness, level, trial, domain norm)
     tallies: dict[int, list] = {}  # level -> [trials, admissible, best value, best trial]
     extras = _candidate_chunks(delta, extra_candidates, cfg)
     for level, trials, climbs in _climbs([objective], delta, cfg, proposal, extras):
         tally = tallies.setdefault(level, [0, 0, None, None])
         tally[0] += len(trials)
-        for trial, _, (witness, value, norm, converged) in climbs:
+        for trial, _, (witness, value, norm) in climbs:
             tally[1] += 1
             if tally[2] is None or value > tally[2]:
                 tally[2:] = value, trial
             if best is None or value > best[0]:
-                best = (value, witness, level, trial, norm, converged)
+                best = (value, witness, level, trial, norm)
 
     notes = []
     if best is None:
@@ -428,7 +412,7 @@ def sup_norm_estimate(
             "for the proposal distribution at these levels"
         )
     notes.append("estimate is a sampled lower bound for the supremum")
-    value, witness, level, trial, norm, converged = best or (None,) * 5 + (False,)
+    value, witness, level, trial, norm = best or (None,) * 5
     return SpectralReport(
         kind="sup_norm",
         estimate=value,
@@ -436,7 +420,6 @@ def sup_norm_estimate(
         witness_level=level,
         witness_trial=trial,
         witness_domain_norm=norm,
-        ascent_converged=converged,
         trials=sum(t[0] for t in tallies.values()),
         admissible=sum(t[1] for t in tallies.values()),
         per_level=tuple(LevelSummary(level, *tallies[level]) for level in sorted(tallies)),
@@ -475,10 +458,11 @@ def k_spectral_check(
 ) -> SpectralReport:
     """Test ||P(T)|| <= K * sup_domain ||P(x)|| for every P in the family.
 
-    The right-hand side is a sampled lower bound, so a reported violation is
-    genuine evidence against the inequality while a clean pass is not a proof.
-    Violations are graded "confirmed" when the winning ascent converged and
-    "potential" otherwise.  If T itself lies in the domain it is fed in as a
+    Each member's right-hand side is K * ||P(w)|| for a sampled witness w
+    inside the domain, a lower bound of K * sup ||P||.  So a member that
+    passes is proved to satisfy the inequality, up to the 1e-10 relative
+    slack, while a violation beats only that lower bound and is reported as
+    "potential".  If T itself lies in the domain it is fed in as a
     candidate, which makes the K = 1 inequality hold by construction.
 
     Every member climbs from the same single pass of draws: the climbs of
@@ -498,11 +482,11 @@ def k_spectral_check(
     _, _, _, (t_norm,), (t_inside,), _ = t_chunk
     t_norm = float(t_norm)
 
-    best: list[tuple[float, bool] | None] = [None] * len(members)
+    best: list[float | None] = [None] * len(members)
     for _, _, climbs in _climbs(members, delta, cfg, proposal, [t_chunk]):
-        for _, idx, (_, value, _, converged) in climbs:
-            if best[idx] is None or value > best[idx][0]:
-                best[idx] = (value, converged)
+        for _, idx, (_, value, _) in climbs:
+            if best[idx] is None or value > best[idx]:
+                best[idx] = value
 
     violations = []
     notes = []
@@ -510,7 +494,7 @@ def k_spectral_check(
         lhs = op_norm(p.eval(T))
         if top is None:
             continue
-        rhs = K * top[0]
+        rhs = K * top
         if lhs > rhs + _VIOLATION_SLACK * max(1.0, rhs):
             violations.append(
                 Violation(
@@ -518,7 +502,7 @@ def k_spectral_check(
                     description=_describe(p),
                     lhs=lhs,
                     rhs=rhs,
-                    status="confirmed" if top[1] else "potential",
+                    status="potential",
                 )
             )
     if not t_inside:
@@ -531,7 +515,8 @@ def k_spectral_check(
             f"{skipped} family member(s) skipped: no admissible sample, domain possibly empty"
         )
     notes.append(
-        "supremum estimates are lower bounds: violations are evidence, passes are not proofs"
+        "supremum estimates are sampled lower bounds: a pass is proved up to the 1e-10 "
+        "relative slack, a violation is potential"
     )
     return SpectralReport(
         kind="k_spectral",
@@ -540,7 +525,6 @@ def k_spectral_check(
         witness_level=None,
         witness_trial=None,
         witness_domain_norm=t_norm,
-        ascent_converged=False,
         trials=0,
         admissible=0,
         per_level=(),

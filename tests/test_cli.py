@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import freecalc
-from freecalc import cli
+from freecalc import cli, experiments
 from freecalc.freepoly import FreePoly, diag_delta, row_delta
 from freecalc.funcalc import sharp
 from freecalc.matrix_core import MatrixTuple, random_tuple
@@ -452,6 +452,21 @@ def test_option_integer_past_the_digit_limit_is_an_input_error():
     res = run_cli("experiment", "rowball", "-p", "d=" + "1" * 5000)
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and "option 'd'" in res.stderr
+
+
+def test_rowball_coordinates_are_bounded_before_anything_is_built(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(d):
+        raise Built(d)
+
+    monkeypatch.setattr(experiments, "row_delta", build)
+    res = run_cli("experiment", "rowball", "-p", "d=1025")
+    assert res.returncode == 1
+    assert res.stderr == "error: option d = 1025 lies outside 1..1024\n"
+    with pytest.raises(Built):  # the bound itself is admitted
+        experiments.run_rowball(d=experiments.MAX_ROWBALL_D)
 
 
 def test_custom_job_param_is_an_unknown_option():

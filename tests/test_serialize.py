@@ -284,12 +284,11 @@ def test_report_key_sets_are_pinned():
             "certificates", "notes", "ok"}
     cert = {"name", "passed", "lhs", "rhs", "detail"}
     spectral = {"kind", "estimate", "witness", "witness_level", "witness_trial",
-                "witness_domain_norm", "ascent_converged", "trials", "admissible",
+                "witness_domain_norm", "trials", "admissible",
                 "per_level", "config", "violations", "notes", "ok"}
     level = {"level", "trials", "admissible", "best_value", "best_trial"}
     violation = {"index", "description", "lhs", "rhs", "status"}
-    config = {"levels", "trials_per_level", "ascent_steps", "step_size", "margin",
-              "seed", "norm_targets"}
+    config = {"levels", "trials_per_level", "ascent_steps", "margin", "seed"}
 
     delta = diag_delta(2)
     F = random_isometric(2, 2, 1, 1, 1, 5)

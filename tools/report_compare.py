@@ -14,9 +14,9 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
   ``diag_delta(2)`` at a level-3 tuple outside the domain, so every
   violation's right-hand side comes from the sampler's ascents;
 * ``freecalc spectral-check`` of a 9-member family from the same generator
-  with K = 0.8 and 250 ascent steps, so that some winning ascents converge
-  (the constant member's never improves and stops at step 200) while others
-  run out of steps: both ``confirmed`` and ``potential`` violations appear;
+  with K = 0.8 and 250 ascent steps, so that ``potential`` violations appear
+  and every climb runs past step 200, after which a climb that never
+  improves (the constant member's) has decayed its step 20 times;
 * ``freecalc supnorm`` of ``x1 x2 + x3`` on ``row_delta(3)`` with 20 ascent
   steps per admissible sample;
 * ``freecalc supnorm`` of the same objective on ``diag_delta(3)`` at levels 8
@@ -25,8 +25,7 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
   level 16, with a 4 MiB chunk);
 * ``freecalc supnorm`` of ``x1 x2 x3`` on ``row_delta(3)`` with 40 trials
   per level and 250 ascent steps: each level's 21 admissible starts climb in
-  one stacked ascent, and at level 1 two of them converge and stop drawing
-  while the others run all 250 steps;
+  one stacked ascent, every climb all 250 steps;
 * ``freecalc supnorm`` of the 4 x 4 matrix with every entry x1 on
   ``row_delta(1)`` at level 8, 1024 trials and 3 ascent steps: the objective
   is 16 times as wide as delta's value, so its 616 admissible starts climb
@@ -39,7 +38,9 @@ both trees.
 For each report it prints ``identical`` when the bytes match, and otherwise
 ``differs`` with the largest absolute and relative differences between
 matching floats, then the path of each other value that differs (a bool,
-int, string or null, or where the structure differs), one per line.
+int, string or null, an array whose length differs, or a key that only one
+side has), one per line.  Objects are compared on the keys both sides
+share, so a removed key does not hide its siblings.
 The exit code is 0 when every report is identical and 1 otherwise.
 """
 
@@ -157,13 +158,15 @@ def run_report(tree: Path, argv: list[str], out: Path) -> tuple[int, bytes | Non
 def diff(a, b, path: str = "$") -> tuple[float, float, list[str]]:
     """The largest absolute and relative differences between matching floats,
     and the path of every other value that differs: a bool, int, string or
-    null, a type, or an array's length or an object's key set."""
+    null, a type, an array's length, or a key only one side's object has.
+    Two objects are compared on the keys they share."""
     if isinstance(a, float) and isinstance(b, float):
         if a == b or (math.isnan(a) and math.isnan(b)):
             return 0.0, 0.0, []
         return abs(a - b), abs(a - b) / max(abs(a), abs(b)), []
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        parts = [diff(a[k], b[k], f"{path}.{k}") for k in a]
+    if isinstance(a, dict) and isinstance(b, dict):
+        parts = [diff(a[k], b[k], f"{path}.{k}") for k in a if k in b]
+        parts.append((0.0, 0.0, [f"{path}.{k}" for k in sorted(a.keys() ^ b.keys())]))
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         parts = [diff(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
     else:
