@@ -23,6 +23,7 @@ from .freepoly import (
 from .funcalc import CalcParams, compile_polynomial, default_scale, poly_consistency, sharp
 from .matrix_core import (
     MatrixTuple,
+    _task_rngs,
     cyclic_shift,
     op_norm,
     random_matrix,
@@ -220,8 +221,7 @@ def run_rowball(
     _require(1, np.inf, identity_trials=identity_trials)
     delta = row_delta(d)
     worst_rel = 0.0
-    for i in range(identity_trials):
-        rng = task_rng(seed, 0x10, i)
+    for i, rng in enumerate(_task_rngs(seed, (0x10,), range(identity_trials))):
         n = 1 + i % 4
         x = MatrixTuple([random_matrix(n, n, rng) for _ in range(d)])
         lhs = op_norm(delta.eval(x)) ** 2
@@ -300,8 +300,7 @@ def run_polydisc(
     _check_loop_dim(F, level)  # the calc step's loop, before any sampling
     delta = diag_delta(d)
     worst = 0.0
-    for i in range(identity_trials):
-        rng = task_rng(seed, 0x20, i)
+    for i, rng in enumerate(_task_rngs(seed, (0x20,), range(identity_trials))):
         n = 1 + i % 4
         x = MatrixTuple([random_matrix(n, n, rng) for _ in range(d)])
         lhs = op_norm(delta.eval(x))
@@ -398,8 +397,7 @@ def run_commutator(
     eigen_rows = []
     count = 0
     for level in levels:
-        for tr in range(trials_per_level):
-            rng = task_rng(seed, 0x30, level, tr)
+        for tr, rng in enumerate(_task_rngs(seed, (0x30, level), range(trials_per_level))):
             x = MatrixTuple([random_matrix(level, level, rng) for _ in range(d)])
             qx = q.eval(x)
             nq = op_norm(qx)

@@ -8,7 +8,10 @@ sampling.  Matrices are plain complex numpy arrays throughout.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from itertools import islice, pairwise
 from typing import Iterable
 
 import numpy as np
@@ -178,6 +181,122 @@ def task_rng(seed: int, *key: int) -> np.random.Generator:
     ones exactly.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+# numpy's SeedSequence: its pool size and the published hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# Keys hashed per array pass of _task_rngs, so its arrays stay small however
+# many keys a caller walks through.
+_SEED_BLOCK = 4096
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ISeedSequence that hands PCG64 the four uint64 words it asks for,
+    already computed.  Made on first use: numpy loads ``numpy.random`` only
+    when it is first touched, and ``import freecalc`` leaves it unloaded."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _words(n) -> list[int]:
+    """An int as SeedSequence reads it: 32-bit words, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """The first ``count`` values of a SeedSequence running hash constant."""
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _hashmix(value, before, after):
+    """SeedSequence's ``hashmix`` (or a ``generate_state`` word), given the
+    running constant before and after the call advances it; on Python ints
+    or on broadcasting uint32 arrays."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two 32-bit words."""
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _pcg64_words(head: list[int], keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for the entropy ``head``
+    followed by one key, for every key of a uint32 array: a ``(keys, 4)`` array.
+
+    ``head`` holds 32-bit Python ints: the run entropy padded to the pool
+    size, then the prefix words.  So the key, the last word, only enters
+    after the pool is filled and mixed, and the hash constants advance the
+    same way whatever the data.  Everything before the key runs once on
+    Python ints; the key's four mixes and the eight state words each run as
+    one array operation over all keys.
+    """
+    # one (before, after) pair per hashmix: four per word of head, four for the key
+    steps = pairwise(_hash_consts(_INIT_A, _MULT_A, 4 * len(head) + 5))
+    pool = [_hashmix(word, *next(steps)) for word in head[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in head[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+    last = np.array(list(steps), dtype=np.uint32)  # one (before, after) per pool word
+    pool = _mix(np.array(pool, dtype=np.uint32), _hashmix(keys[:, None], last[:, 0], last[:, 1]))
+    b = np.array(_hash_consts(_INIT_B, _MULT_B, 9), dtype=np.uint32)
+    state = _hashmix(np.tile(pool, 2), b[:-1], b[1:]).astype(np.uint64)
+    # little-endian word pairs, as SeedSequence's view of its uint32 state
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+def _task_rngs(seed: int, prefix: tuple[int, ...], keys):
+    """Yield, for each k of ``keys``, a generator with the stream of
+    ``task_rng(seed, *prefix, k)``: the same draws and the same PCG64 state.
+
+    The SeedSequence hash runs once per block of keys, on a uint32 array of
+    them, and each generator is a PCG64 seeded with its precomputed words: a
+    few microseconds per key where ``task_rng`` builds a SeedSequence.  Such
+    a generator has no SeedSequence to ``spawn`` from.  A key of 2**32 or
+    more takes several words in SeedSequence and goes through ``task_rng``
+    itself.
+    """
+    head = _words(seed)
+    head += [0] * (_POOL_SIZE - len(head))
+    for p in prefix:
+        head += _words(p)
+    seed_words, keys = _seed_words_type(), iter(keys)
+    while block := [operator.index(k) for k in islice(keys, _SEED_BLOCK)]:
+        rows = iter(_pcg64_words(
+            head, np.array([k for k in block if 0 <= k <= _MASK32], dtype=np.uint32)))
+        for k in block:
+            if 0 <= k <= _MASK32:
+                yield np.random.Generator(np.random.PCG64(seed_words(next(rows))))
+            else:
+                yield task_rng(seed, *prefix, k)
 
 
 def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,6 +24,7 @@ from .matrix_core import (
     _complex_gaussian,
     _op_norms,
     _rescaled_to_peak,
+    _task_rngs,
     compress,
     op_norm,
     task_rng,
@@ -139,7 +140,7 @@ def default_proposal(d: int):
     def propose(level, trials, rngs, cfg: SampleConfig) -> np.ndarray:
         normals = np.empty((len(rngs), d, 2, level, level))
         for k, rng in enumerate(rngs):
-            normals[k] = rng.standard_normal((d, 2, level, level))
+            rng.standard_normal(out=normals[k])
         targets = np.array([DEFAULT_NORM_TARGETS[t % len(DEFAULT_NORM_TARGETS)]
                             for t in trials])
         return _rescaled_to_peak(_complex_gaussian(normals), targets)
@@ -167,15 +168,16 @@ def gap_domain_proposal(eps: float):
         count = len(rngs)
         cap = (1.0 + eps) * (1.0 - cfg.margin)
         normals = np.empty((count, 3, 2, level, level))  # the two factors' draws, then e's
-        sing = np.zeros((count, level, level), dtype=np.complex128)
-        radius = np.zeros(count)
-        diag = np.arange(level)
+        values = np.empty((count, level))
         for k, rng in enumerate(rngs):
-            normals[k, :2] = rng.standard_normal((2, 2, level, level))
-            sing[k, diag, diag] = rng.uniform(0.88, cap, size=level)
-            normals[k, 2] = rng.standard_normal((2, level, level))
-            if normals[k, 2].any():
-                radius[k] = rng.uniform(0.0, 1.0)
+            rng.standard_normal(out=normals[k, :2])
+            values[k] = rng.uniform(0.88, cap, size=level)
+            rng.standard_normal(out=normals[k, 2])
+        radius = np.zeros(count)
+        for k in np.flatnonzero(normals[:, 2].any(axis=(1, 2, 3))):
+            radius[k] = rngs[k].random()  # uniform(0, 1) bit for bit, without its overhead
+        sing = np.zeros((count, level, level), dtype=np.complex128)
+        sing[:, np.arange(level), np.arange(level)] = values
         gauss = _complex_gaussian(normals)
         u, _ = np.linalg.qr(gauss[:, 0])
         v, _ = np.linalg.qr(gauss[:, 1])
@@ -279,9 +281,10 @@ def _draws(delta: PolyMatrix, cfg: SampleConfig, proposal):
 
     A proposal is a callable ``propose(level, trials, rngs, cfg)`` returning
     the ``(len(trials), d, level, level)`` stack of candidate points, one per
-    trial.  Trial ``t`` draws only from ``rngs[k] = task_rng(cfg.seed,
-    level, t)``, so a point never depends on how the trials are chunked.
-    The stream yields ``(level, trials, points, norms, inside, rngs)`` per
+    trial.  Trial ``t`` draws only from ``rngs[k]``, whose stream is
+    ``task_rng(cfg.seed, level, t)``'s, so a point never depends on how the
+    trials are chunked; a chunk's generators come from one ``_task_rngs``
+    pass.  The stream yields ``(level, trials, points, norms, inside, rngs)`` per
     chunk of at most ``_chunk_trials`` trials: ``norms[k] =
     ||delta(points[k])||``, ``inside[k]`` whether that is <= 1 - margin, and
     ``rngs[k]`` in the state the proposal left, ready for an ascent.
@@ -291,7 +294,7 @@ def _draws(delta: PolyMatrix, cfg: SampleConfig, proposal):
         size = _chunk_trials([delta], level)
         for first in range(0, cfg.trials_per_level, size):
             trials = range(first, min(first + size, cfg.trials_per_level))
-            rngs = [task_rng(cfg.seed, level, trial) for trial in trials]
+            rngs = list(_task_rngs(cfg.seed, (level,), trials))
             points = np.asarray(proposal(level, trials, rngs, cfg), dtype=np.complex128)
             want = (len(trials), delta.d, level, level)
             if points.shape != want:

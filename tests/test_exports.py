@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,16 @@ def test_package_surface_is_the_module_lists():
     assert len(freecalc.__all__) <= 56
     for module in shares:
         assert all(getattr(freecalc, n) is getattr(module, n) for n in module.__all__)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first touch; a command that samples nothing
+    # (calc, eval, validate) should not pay its import time and memory
+    src = os.path.dirname(os.path.dirname(freecalc.__file__))
+    code = "import sys, freecalc.cli; print('numpy.random' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def _referenced_names(path: Path) -> set[str]:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from freecalc import matrix_core
 from freecalc.errors import DomainError, ShapeError
 from freecalc.matrix_core import (
     MatrixTuple,
@@ -176,6 +179,48 @@ def test_task_rng_streams_are_stable_and_distinct():
     c = task_rng(42, 1, 6).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _assert_seedsequence_streams(seed, prefix, keys):
+    got = list(matrix_core._task_rngs(seed, prefix, keys))
+    assert len(got) == len(keys)
+    for rng, k in zip(got, keys):
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*prefix, k)))
+        assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+        assert rng.integers(0, 2**63, 2).tobytes() == ref.integers(0, 2**63, 2).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+_WORD_EDGES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40, 2**64 - 1, 2**64])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**140) | _WORD_EDGES,
+       prefix=st.lists(st.integers(0, 2**70) | st.integers(0, 64) | _WORD_EDGES,
+                       min_size=1, max_size=3).map(tuple),
+       keys=st.lists(st.integers(0, 2**32 - 1) | _WORD_EDGES, max_size=6))
+@example(seed=0, prefix=(3,), keys=[0, 2**32 - 1])
+@example(seed=2**32 - 1, prefix=(0x0E,), keys=[0, 1, 2])
+@example(seed=2**32, prefix=(0x30, 4), keys=[2**32, 2**40, 7])
+@example(seed=2**64 + 5, prefix=(0x0E,), keys=[])
+@example(seed=2**130 + 7, prefix=(2**40, 0, 2**32 - 1), keys=[2**32 - 1, 2**32])
+def test_task_rngs_are_seedsequence_streams(seed, prefix, keys):
+    _assert_seedsequence_streams(seed, prefix, keys)
+
+
+def test_task_rngs_keep_order_across_blocks(monkeypatch):
+    monkeypatch.setattr(matrix_core, "_SEED_BLOCK", 3)
+    _assert_seedsequence_streams(5, (2,), [4, 0, 2**32, 9, 2**32 - 1, 3, 3, 1])
+
+
+def test_task_rngs_refuse_what_seedsequence_refuses():
+    for seed, prefix, key in [(-1, (0,), 0), (0, (-1,), 0), (0, (0,), -1)]:
+        with pytest.raises(ValueError):
+            list(matrix_core._task_rngs(seed, prefix, [key]))
+        with pytest.raises(ValueError):
+            task_rng(seed, *prefix, key)
+    with pytest.raises(TypeError):
+        list(matrix_core._task_rngs(0, (0,), [1.0]))
 
 
 def test_shift_matrices():

@@ -227,6 +227,44 @@ def test_stacked_proposals_are_bitwise_their_per_matrix_reference(level):
         assert rngs[k].bit_generator.state == rng.bit_generator.state
 
 
+class _ZeroNormals:
+    """A generator whose Gaussian draws are all zeros; counts its uniform draws."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms = rng, 0
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+    def uniform(self, *args, **kwargs):
+        self.uniforms += 1
+        return self.rng.uniform(*args, **kwargs)
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+
+def test_gap_proposal_draws_no_radius_for_a_zero_perturbation():
+    cfg, level, trials = SampleConfig(seed=6), 3, range(6)
+    zero = {1, 4}
+    rngs = [_ZeroNormals(task_rng(cfg.seed, level, t)) if t in zero
+            else task_rng(cfg.seed, level, t) for t in trials]
+    got = gap_domain_proposal(0.1)(level, trials, rngs, cfg)
+    for t in trials:
+        if t in zero:
+            # only the singular values: e = 0 has no radius to scale to
+            assert rngs[t].uniforms == 1
+            assert np.allclose(got[t, 0] @ got[t, 1], np.eye(level), atol=1e-12)
+        else:
+            ref = task_rng(cfg.seed, level, t)
+            assert got[t].tobytes() == _gap_point_reference(0.1, level, ref, cfg).tobytes()
+            assert rngs[t].bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("delta, make, level", [
     (diag_delta(2), default_proposal, 64),
     (gap_delta(0.1), lambda d: gap_domain_proposal(0.1), 12),
