@@ -131,6 +131,25 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
+def _norms_within(stack: np.ndarray, bound: float) -> np.ndarray:
+    """``_op_norms(stack)`` for every matrix whose norm may be at most
+    ``bound``, and ``inf`` for the others.
+
+    A matrix's longest column is a lower bound of its operator norm, so a
+    matrix whose longest column exceeds ``bound`` by a relative 1e-10, far
+    beyond SVD roundoff, is outside ``bound`` without an SVD.  The others
+    go through ``_op_norms``, so ``result <= bound`` is ``_op_norms(stack)
+    <= bound`` and every finite value is bitwise ``_op_norms``'.
+    """
+    _check_finite(stack)
+    low = np.sqrt((stack.real**2 + stack.imag**2).sum(axis=-2).max(axis=-1))
+    norms = np.full(low.shape, np.inf)
+    undecided = low <= bound * (1.0 + 1e-10)
+    if undecided.any():
+        norms[undecided] = _op_norms(stack[undecided])
+    return norms
+
+
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
     """Coordinatewise block-diagonal direct sum of two tuples."""
     if x.d != y.d:

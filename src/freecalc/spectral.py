@@ -22,6 +22,7 @@ from .matrix_core import (
     MatrixTuple,
     _check_finite,
     _complex_gaussian,
+    _norms_within,
     _op_norms,
     _rescaled_to_peak,
     _task_rngs,
@@ -56,8 +57,10 @@ STEP_DECAY = 0.7
 _VIOLATION_SLACK = 1e-10
 
 # Memory budget of one chunk of sampled trials: the trial count of a chunk is
-# this many bytes over the bytes per trial of its widest array.
+# this many bytes over the bytes per trial of its widest array plus its
+# generator, which holds about GENERATOR_BYTES (0.95 KiB under tracemalloc).
 CHUNK_BYTES = 4 << 20
+GENERATOR_BYTES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -171,8 +174,9 @@ def gap_domain_proposal(eps: float):
         values = np.empty((count, level))
         for k, rng in enumerate(rngs):
             rng.standard_normal(out=normals[k, :2])
-            values[k] = rng.uniform(0.88, cap, size=level)
+            rng.random(out=values[k])
             rng.standard_normal(out=normals[k, 2])
+        values = 0.88 + (cap - 0.88) * values  # uniform(0.88, cap) bit for bit
         radius = np.zeros(count)
         for k in np.flatnonzero(normals[:, 2].any(axis=(1, 2, 3))):
             radius[k] = rngs[k].random()  # uniform(0, 1) bit for bit, without its overhead
@@ -210,17 +214,22 @@ def _ascend(
     ||delta(witness)||) per objective.
 
     Every climb takes all ``cfg.ascent_steps`` steps.  Each step, every start
-    draws one Gaussian perturbation tuple from its own ``rngs[s]``, and each
-    of its climbs takes it.  A climb whose full step leaves the domain
-    shrinks it to 1/2, 1/4 and 1/8 toward its own current point before
-    counting a rejection: each shrink round is one stacked ``delta.eval`` and
-    SVD over the climbs still searching, and then each objective evaluates
-    the candidates of its climbs that landed inside with one stacked eval
-    and SVD.  Step size and rejections are per climb.  A start's stream is
-    consumed at exactly one draw per step regardless of acceptance, so each
-    climb is bit for bit the climb its objective takes alone from its start,
-    whatever is stacked with it, and runs with more steps extend runs with
-    fewer steps instead of diverging from them.
+    draws one Gaussian perturbation tuple from its own ``rngs[s]`` into one
+    stack, converted to complex at once, and each of its climbs takes it.  A
+    climb whose full step leaves the domain shrinks it to 1/2, 1/4 and 1/8
+    toward its own current point before counting a rejection: each shrink
+    round is one stacked ``delta.eval`` over the climbs still searching and
+    one ``_norms_within`` screen: a candidate whose value has a column longer
+    than 1 - margin by a relative 1e-10 is outside without an SVD (a column
+    bounds the norm from below), and every other candidate's verdict and
+    kept domain norm are its SVD's, so the screen changes no climb.  Then
+    each objective evaluates the candidates of its climbs that
+    landed inside with one stacked eval and SVD.  Step size and rejections
+    are per climb.  A start's stream is consumed at exactly one draw per
+    step regardless of acceptance, so each climb is bit for bit the climb
+    its objective takes alone from its start, whatever is stacked with it,
+    and runs with more steps extend runs with fewer steps instead of
+    diverging from them.
     """
     count, width = len(starts), len(objectives)
     owner = np.repeat(np.arange(count), width)  # climb c: objective c % width from start c // width
@@ -228,16 +237,16 @@ def _ascend(
     cand, cand_norm = np.empty_like(cur), np.empty(cur_val.shape)
     step = np.full(cur_val.shape, STEP_SIZE)
     rejections = np.zeros(cur_val.shape, dtype=int)
-    pert = np.empty_like(starts)
-    draw_shape = (starts.shape[1], 2, *starts.shape[2:])
+    normals = np.empty((count, starts.shape[1], 2, *starts.shape[2:]))
     for _ in range(cfg.ascent_steps):
         for s, rng in enumerate(rngs):
-            pert[s] = _complex_gaussian(rng.standard_normal(draw_shape))
+            rng.standard_normal(out=normals[s])
+        pert = _complex_gaussian(normals)
         searching, landed = np.arange(cur_val.size), np.zeros(cur_val.shape, dtype=bool)
         for shrink in (1.0, 0.5, 0.25, 0.125):
             scale = step[searching] * shrink
             moved = cur[searching] + scale[:, None, None, None] * pert[owner[searching]]
-            norms = _op_norms(delta.eval(moved))
+            norms = _norms_within(delta.eval(moved), 1.0 - cfg.margin)
             inside = norms <= 1.0 - cfg.margin
             hit = searching[inside]
             cand[hit], cand_norm[hit], landed[hit] = moved[inside], norms[inside], True
@@ -265,9 +274,10 @@ def _ascend(
 def _chunk_trials(maps: list[PolyMatrix], level: int) -> int:
     """How many trials of one level go in a chunk: CHUNK_BYTES over the bytes
     per trial of the widest array, the ``(d, n, n)`` point stack or the
-    ``(I n, J n)`` value of one of the maps, and never fewer than one."""
+    ``(I n, J n)`` value of one of the maps, plus GENERATOR_BYTES for the
+    trial's generator, and never fewer than one."""
     width = max(max(p.d, p.I * p.J) for p in maps)
-    return max(1, CHUNK_BYTES // (width * level * level * 16))
+    return max(1, CHUNK_BYTES // (width * level * level * 16 + GENERATOR_BYTES))
 
 
 def _measured(delta: PolyMatrix, level: int, trials, points: np.ndarray, rngs, cfg: SampleConfig):

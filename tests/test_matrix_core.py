@@ -64,6 +64,49 @@ def test_op_norm_rejects_non_finite():
     bad = np.array([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(DomainError):
         op_norm(bad)
+    with pytest.raises(DomainError):
+        matrix_core._norms_within(bad[None], 1.0)
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _screen_stacks() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(8)
+    blocks = np.zeros((30, 6, 6), dtype=np.complex128)
+    blocks[:, :2, :2], blocks[:, 2:, 2:] = _gaussian(rng, 30, 2, 2), _gaussian(rng, 30, 4, 4)
+    one_column = np.zeros((30, 4, 4), dtype=np.complex128)  # its column is its norm
+    one_column[:, :, 0] = _gaussian(rng, 30, 4)
+    return {
+        "random": _gaussian(rng, 40, 4, 4),
+        "rectangular": _gaussian(rng, 30, 3, 7),
+        "zero": np.zeros((3, 4, 4), dtype=np.complex128),
+        "rank-one": _gaussian(rng, 30, 5, 1) @ _gaussian(rng, 30, 1, 5),
+        "block-diagonal": blocks,
+        "one-column": one_column,
+    }
+
+
+@pytest.mark.parametrize("name", list(_screen_stacks()))
+def test_norms_within_keeps_every_svd_verdict(name):
+    stack = _screen_stacks()[name]
+    exact = matrix_core._op_norms(stack)
+    near = np.array([-1e-13, -1e-15, 0.0, 1e-15, 1e-13])
+    # the same matrices rescaled so that each norm lies within 1e-13 of 0.999
+    scale = 0.999 * (1 + np.resize(near, exact.shape)) / np.where(exact > 0, exact, 1.0)
+    cases = [(stack, b) for b in [0.0, 0.999, *np.quantile(exact, [0.25, 0.5, 1.0]),
+                                  *(exact[:3, None] * (1 + near)).ravel()]]
+    cases.append((scale[:, None, None] * stack, 0.999))
+    screened = 0
+    for s, bound in cases:
+        want = matrix_core._op_norms(s)
+        got = matrix_core._norms_within(s, bound)
+        assert np.array_equal(got <= bound, want <= bound)
+        kept = np.isfinite(got)
+        assert got[kept].tobytes() == want[kept].tobytes()
+        screened += int((~kept).sum())
+    assert screened > 0 or name == "zero"
 
 
 def test_matrix_tuple_validation():

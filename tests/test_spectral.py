@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,6 +230,21 @@ def test_stacked_proposals_are_bitwise_their_per_matrix_reference(level):
         assert rngs[k].bit_generator.state == rng.bit_generator.state
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.19])
+def test_gap_proposal_is_its_uniform_reference_on_every_level(eps):
+    # the singular values are rng.random draws mapped onto [0.88, cap) in one
+    # pass, which must be numpy's uniform(0.88, cap) bit for bit
+    trials = range(10)
+    for seed in range(12):
+        cfg = SampleConfig(seed=seed)
+        for level in range(1, 9):
+            got = gap_domain_proposal(eps)(
+                level, trials, [task_rng(seed, level, t) for t in trials], cfg)
+            for t in trials:
+                want = _gap_point_reference(eps, level, task_rng(seed, level, t), cfg)
+                assert got[t].tobytes() == want.tobytes()
+
+
 class _ZeroNormals:
     """A generator whose Gaussian draws are all zeros; counts its uniform draws."""
 
@@ -239,13 +257,9 @@ class _ZeroNormals:
         out[...] = 0.0
         return out
 
-    def uniform(self, *args, **kwargs):
+    def random(self, size=None, out=None):
         self.uniforms += 1
-        return self.rng.uniform(*args, **kwargs)
-
-    def random(self):
-        self.uniforms += 1
-        return self.rng.random()
+        return self.rng.random(size, out=out)
 
 
 def test_gap_proposal_draws_no_radius_for_a_zero_perturbation():
@@ -281,6 +295,23 @@ def test_chunks_match_one_trial_at_a_time(delta, make, level):
     assert any(x.n == level for x in got) and len(got) == len(want)
     for a, b in zip(got, want):
         assert a.coords.tobytes() == b.coords.tobytes()
+
+
+def test_a_level_one_chunk_counts_its_generators_in_the_budget():
+    # row_delta(1) at level 1 has 16 bytes of arrays per trial, so most of
+    # a chunk's memory is its trials' generators
+    delta = row_delta(1)
+    size = spectral._chunk_trials([delta], 1)
+    assert size == 4032  # the arrays alone would admit 262,144 trials
+    cfg = SampleConfig(levels=(1,), trials_per_level=size + 1)
+    tracemalloc.start()
+    try:
+        _, trials, *_ = next(spectral._draws(delta, cfg, None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trials) == size
+    assert peak <= 1.5 * spectral.CHUNK_BYTES
 
 
 def test_wide_delta_runs_in_chunks_of_one(monkeypatch):
@@ -400,7 +431,7 @@ def test_k_spectral_draws_each_step_once_whatever_the_family_size(monkeypatch):
     gaussian, draws = spectral._complex_gaussian, []
 
     def counting(normals):
-        draws.append(normals.shape)
+        draws.append(normals.shape[0])
         return gaussian(normals)
 
     monkeypatch.setattr(spectral, "_complex_gaussian", counting)
@@ -413,9 +444,10 @@ def test_k_spectral_draws_each_step_once_whatever_the_family_size(monkeypatch):
         for members in (family[:1], family[3:4], family):
             draws.clear()
             k_spectral_check(delta, T, 1.0, members, cfg)
-            counts.append(len(draws))
-        # one proposal draw per chunk, then one perturbation per step and start
-        assert counts == [len(cfg.levels) + steps * starts] * 3
+            counts.append(sum(draws))
+        # one proposal draw per trial, then one perturbation per step and start
+        trials = len(cfg.levels) * cfg.trials_per_level
+        assert counts == [trials + steps * starts] * 3
         assert starts > 1
 
 
@@ -470,6 +502,31 @@ def _copied(rng):
     return twin
 
 
+def test_shrink_rounds_send_fewer_candidates_to_the_svd(monkeypatch):
+    # refine ops of a gap-domain estimate: most shrink-round candidates have
+    # a column longer than 1 - margin, so the screen refuses them unseen
+    objective = FreePoly.letter(1, 2) * FreePoly.letter(2, 2) - 1
+    cfg = SampleConfig(levels=(2, 3, 4), trials_per_level=20, ascent_steps=15, seed=1)
+    svd, sent = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        sent.append(math.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    def run():
+        sent.clear()
+        rep = sup_norm_estimate(objective, gap_delta(0.1), cfg,
+                                proposal=gap_domain_proposal(0.1))
+        return dumps_canonical(encode(rep)), sum(sent)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    screened, screened_svds = run()
+    monkeypatch.setattr(spectral, "_norms_within", lambda stack, _: spectral._op_norms(stack))
+    unscreened, unscreened_svds = run()
+    assert screened == unscreened
+    assert screened_svds < 0.5 * unscreened_svds
+
+
 def test_stacked_ascent_is_bitwise_the_one_start_reference():
     delta = diag_delta(2)
     members = [PolyMatrix([[FreePoly.one(2)]]), PolyMatrix([[FreePoly.letter(1, 2)]])]
@@ -492,10 +549,11 @@ def test_stacked_ascent_is_bitwise_the_one_start_reference():
 
 
 @pytest.mark.parametrize("budget, steps, shapes", [
-    # level 1: two whole starts per group; level 2: one start, its six members in 4 + 2
-    pytest.param(1 << 10, 250, {(1, 2, 6), (2, 1, 4), (2, 1, 2)}, id="sliced-members"),
-    # level 1: all eight starts in one group; level 2: two whole starts per group
-    pytest.param(3 << 10, 250, {(1, 8, 6), (2, 2, 6)}, id="whole-starts"),
+    # one start per group, its six members in 5 + 1 at level 1 and 4 + 2 at level 2
+    pytest.param(6 << 10, 250, {(1, 1, 5), (1, 1, 1), (2, 1, 4), (2, 1, 2)},
+                 id="sliced-members"),
+    # level 1: eight starts in groups of 3 + 3 + 2; level 2: two whole starts per group
+    pytest.param(20 << 10, 250, {(1, 3, 6), (1, 2, 6), (2, 2, 6)}, id="whole-starts"),
     pytest.param(1, 40, {(1, 1, 1), (2, 1, 1)}, id="one-climb-each"),
 ])
 def test_grouped_climbs_match_the_ungrouped_run(monkeypatch, budget, steps, shapes):
@@ -523,13 +581,18 @@ def test_grouped_climbs_match_the_ungrouped_run(monkeypatch, budget, steps, shap
 def test_climbs_of_a_wide_objective_stay_within_the_chunk_budget(monkeypatch):
     # a 4 x 4 objective is 16 times as wide as row_delta(1)'s value, so its
     # start values and climbs must go in groups sized by the objective
-    op_norms, sizes = spectral._op_norms, []
+    op_norms, norms_within, sizes = spectral._op_norms, spectral._norms_within, []
 
     def recording(stack):
         sizes.append(stack.nbytes)
         return op_norms(stack)
 
+    def recording_within(stack, bound):
+        sizes.append(stack.nbytes)
+        return norms_within(stack, bound)
+
     monkeypatch.setattr(spectral, "_op_norms", recording)
+    monkeypatch.setattr(spectral, "_norms_within", recording_within)
     x1 = FreePoly.letter(1, 1)
     objective = PolyMatrix([[x1] * 4] * 4)
     cfg = SampleConfig(levels=(8,), trials_per_level=1024, ascent_steps=2, seed=0)

@@ -21,7 +21,7 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
   steps per admissible sample;
 * ``freecalc supnorm`` of the same objective on ``diag_delta(3)`` at levels 8
   and 16, 1000 trials each and no ascent, so the default proposal's stacked
-  rescale runs over several sampler chunks per level (3 at level 8, 9 at
+  rescale runs over several sampler chunks per level (3 at level 8, 10 at
   level 16, with a 4 MiB chunk);
 * ``freecalc supnorm`` of ``x1 x2 x3`` on ``row_delta(3)`` with 40 trials
   per level and 250 ascent steps: each level's 21 admissible starts climb in
@@ -29,7 +29,7 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 * ``freecalc supnorm`` of the 4 x 4 matrix with every entry x1 on
   ``row_delta(1)`` at level 8, 1024 trials and 3 ascent steps: the objective
   is 16 times as wide as delta's value, so its 616 admissible starts climb
-  in groups sized by the objective (256, 256 and 104 climbs, with a 4 MiB
+  in groups sized by the objective (240, 240 and 136 climbs, with a 4 MiB
   chunk) within one sampler chunk.
 
 The stock inputs are written once, with this tree's freecalc, and handed to
