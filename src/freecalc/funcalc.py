@@ -17,12 +17,15 @@ import numpy as np
 
 from .errors import DomainError, SeriesCapError, ShapeError
 from .freepoly import FreePoly, PolyMatrix, verify_separating_witnesses
-from .matrix_core import MatrixTuple, op_norm
+from .matrix_core import MatrixTuple, ampliate, op_norm
 from .realization import (
     Colligation,
+    _closed,
+    _loop,
+    _point_blocks,
+    _series,
     _terms_for_tolerance,
     eval_colligation,
-    homog_series,
     poly_to_colligation,
     xfirst_to_blocks,
 )
@@ -226,7 +229,12 @@ def sharp(
     # A divergent series overflows to inf/nan; the finiteness check reports
     # that as a DomainError, so numpy's overflow warnings are silenced here.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, term in homog_series(F, y):
+        # One loop serves both routes: the series only reads L and w, and
+        # the closed form consumes L afterwards.
+        y4 = _point_blocks(F, y)
+        n, L, w = _loop(F, y4)
+        a0 = ampliate(n, F.A)
+        for k, term in _series(F, n, L, w, a0):
             if series_value is None:
                 series_value = term.copy()
             else:
@@ -274,7 +282,7 @@ def sharp(
     closed_value = None
     agreement = None
     try:
-        closed_value = eval_colligation(F, y)
+        closed_value = _closed(F, y4, n, L, w, a0)
         agreement = float(op_norm(series_value - closed_value))
     except DomainError as exc:
         notes.append(f"closed form unavailable at this point: {exc}")

@@ -18,8 +18,10 @@ N = n*I*m states (a, i, u): the series takes one product with L per term,
 and the closed form (and the DFT route, which calls it) solves with
 K = I - L, formed in place over L.  Y_M and I_n (x) B, I_n (x) D are applied
 in factored form, never formed: L and w = Y_M (I_n (x) C), the right-hand
-side of the one linear solve, are contracted from one (block, point) view
-of Y and the slot views of C and D.
+side of the one linear solve, are each one batched matmul of a view of Y
+against a slot view of D or C, L written straight into its N x N buffer.
+funcalc.sharp builds the loop once and runs the series on it before the
+closed form consumes it.
 
 The closed form is guarded: K must be invertible with ||K^-1|| at most
 RESOLVENT_NORM_CAP, and a loop that is neither nilpotent nor an isometric
@@ -73,9 +75,9 @@ __all__ = [
 ISOMETRY_TOL = 1e-8
 RESOLVENT_NORM_CAP = 1e12
 _SPECTRAL_SLACK = 1e-10
-# Largest loop dimension N = n*I*m an evaluation allocates: every N x N complex
-# matrix (the loop L, which becomes K in place, and its LU factor) takes
-# 16 N^2 bytes, 64 MiB here.
+# Largest loop dimension N = n*I*m an evaluation allocates.  It holds two
+# N x N complex matrices, the loop L (which becomes K in place) and its LU
+# factor, each 16 N^2 bytes: 64 MiB here.
 MAX_LOOP_DIM = 2048
 
 
@@ -238,7 +240,7 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
 # --- evaluation ----------------------------------------------------------------
 #
 # Index layout.  The point is read as y4[i, a, j, b] = (block (i, j) of y)[a, b],
-# C and D by their slot views c3[j, u, q] and d4[j, u, i, v], and B by its
+# C and D by their slot views c3[j, u, q] and d3[j, u, (i, v)], and B by its
 # columns (i, u) as stored.
 # Y_M has entries Y_M[(a, i, u), (b, j, v)] = y4[i, a, j, b] * delta(u, v), and
 # I_n (x) X acts on the point index a alone.  Every product below is contracted
@@ -279,15 +281,21 @@ def _check_loop_dim(F: Colligation, n: int) -> int:
 
 def _loop(F: Colligation, y4: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, L, w): the loop L = Y_M (I_n (x) D), rows (a, i, u) and columns
-    (b, i', v), written straight into its N x N layout, and w = Y_M (I_n (x) C),
-    rows (a, i, u) and columns (b, q)."""
+    (b, i', v), and w = Y_M (I_n (x) C), rows (a, i, u) and columns (b, q).
+
+    Each is one broadcast matmul of the point, viewed as yt[a, i, ., b, j],
+    against a slot view with u leading and j as the contracted index: the
+    stack of n*I*m products (b, j) @ (j, x) is written straight into the
+    N x N layout of L, so no N x N temporary is made.
+    """
     n = y4.shape[1]
     N = _check_loop_dim(F, n)
-    c3, d4 = F.C.reshape(F.J, F.m, F.k1), F.D.reshape(F.J, F.m, F.I, F.m)
+    I, J, m = F.I, F.J, F.m
+    yt = y4.transpose(1, 0, 3, 2)[:, :, None]
     L = np.empty((N, N), dtype=np.complex128)
-    np.einsum("iajb,juxv->aiubxv", y4, d4, optimize=True,
-              out=L.reshape(n, F.I, F.m, n, F.I, F.m))
-    w = np.einsum("iajb,juq->aiubq", y4, c3, optimize=True).reshape(N, n * F.k1)
+    np.matmul(yt, F.D.reshape(J, m, I * m).transpose(1, 0, 2),
+              out=L.reshape(n, I, m, n, I * m))
+    w = np.matmul(yt, F.C.reshape(J, m, F.k1).transpose(1, 0, 2)).reshape(N, n * F.k1)
     return n, L, w
 
 
@@ -337,12 +345,30 @@ def _resolvent_matrix(F: Colligation, y: np.ndarray, L: np.ndarray) -> np.ndarra
     return K
 
 
+def _closed(F: Colligation, y4: np.ndarray, n: int, L: np.ndarray, w: np.ndarray,
+            a0: np.ndarray) -> np.ndarray:
+    """The closed form a0 + (I_n (x) B) (I - L)^-1 w on a built loop, with
+    a0 = I_n (x) A; L is consumed."""
+    K = _resolvent_matrix(F, y4.reshape(F.I * n, F.J * n), L)
+    return a0 + _apply_b(F, np.linalg.solve(K, w), n)
+
+
+def _series(F: Colligation, n: int, L: np.ndarray, w: np.ndarray, a0: np.ndarray):
+    """Yield (k, P_k) on a built loop: P_0 = a0 = I_n (x) A and
+    P_k = (I_n (x) B) L^(k-1) w.  Neither L nor w is written."""
+    yield 0, a0
+    k = 1
+    while True:
+        yield k, _apply_b(F, w, n)
+        w = L @ w
+        k += 1
+
+
 def eval_colligation(F: Colligation, y) -> np.ndarray:
     """Linear-fractional value of the colligation at an nI x nJ block point."""
     y4 = _point_blocks(F, y)
     n, L, w = _loop(F, y4)
-    K = _resolvent_matrix(F, y4.reshape(F.I * n, F.J * n), L)
-    return ampliate(n, F.A) + _apply_b(F, np.linalg.solve(K, w), n)
+    return _closed(F, y4, n, L, w, ampliate(n, F.A))
 
 
 def homog_series(F: Colligation, y):
@@ -355,12 +381,7 @@ def homog_series(F: Colligation, y):
     """
     y4 = _point_blocks(F, y)
     n, L, w = _loop(F, y4)
-    yield 0, ampliate(n, F.A)
-    k = 1
-    while True:
-        yield k, _apply_b(F, w, n)
-        w = L @ w
-        k += 1
+    yield from _series(F, n, L, w, ampliate(n, F.A))
 
 
 def _terms_for_tolerance(t: float, tol: float) -> int:

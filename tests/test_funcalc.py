@@ -4,6 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from freecalc import funcalc, realization
 from freecalc.errors import DomainError, SeriesCapError, ShapeError
 from freecalc.freepoly import (
     FreePoly,
@@ -29,6 +30,7 @@ from freecalc.funcalc import (
 from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, random_tuple, task_rng
 from freecalc.realization import (
     Colligation,
+    eval_colligation,
     homog_series,
     poly_to_colligation,
     random_isometric,
@@ -273,6 +275,36 @@ def test_derive_witnesses_missing_coordinate():
     delta = PolyMatrix([[FreePoly.monomial((1, 2), 2)]])
     with pytest.raises(DomainError, match="witness"):
         derive_witnesses(delta)
+
+
+def test_sharp_builds_the_loop_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    build = realization._loop
+    for module in (realization, funcalc):  # wherever a module holds the name
+        monkeypatch.setattr(module, "_loop", counting, raising=False)
+    delta = diag_delta(2)
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    compiled = compile_polynomial((x1 + x2) ** 3 - 2.0 * x2 * x1, delta)
+    jobs = [(*_isometric_job(delta, 6, 3, 0.7, 5), "geometric"),
+            (compiled, random_tuple(4, 2, 1.5, 6), "nilpotent")]
+    for F, T, mode in jobs:
+        calls.clear()
+        rep = sharp(F, delta, T)
+        assert len(calls) == 1
+        assert f"stopping rule: {mode}" in [c.detail for c in rep.certificates]
+        # the public routes, each building its own loop, are the reference
+        y = delta.eval(T) / rep.s
+        series = None
+        for _, term in islice(homog_series(F, y), rep.terms_used + 1):
+            series = term.copy() if series is None else series + term
+        closed = eval_colligation(F, y)
+        assert np.array_equal(rep.value, closed)
+        assert rep.closed_form_agreement == float(op_norm(series - closed))
 
 
 def test_compile_polynomial_exact_at_any_scale():

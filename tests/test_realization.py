@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice, product
 
 import numpy as np
@@ -22,6 +23,8 @@ from freecalc.realization import (
     RESOLVENT_NORM_CAP,
     Colligation,
     _graph_nilpotency,
+    _loop,
+    _point_blocks,
     _resolvent_bound,
     dft_points_for,
     eval_colligation,
@@ -174,6 +177,41 @@ def test_kernel_matches_dense_kronecker_oracle():
         closed = ampliate(n, F.A) + bamp @ ym @ np.linalg.solve(
             np.eye(n * J * m) - damp @ ym, camp)
         assert np.abs(eval_colligation(F, y) - closed).max() <= 1e-12
+
+
+def test_loop_matches_dense_kronecker_oracle():
+    # row, square and column arrangements; the column ones (I > J) are run by
+    # no experiment, so this is where their layout is checked
+    rng = task_rng(74, 0)
+    for (I, J), k1, k2, n in product(((1, 2), (1, 3), (2, 2), (2, 1), (3, 1)),
+                                     (1, 3), (1, 3), (1, 2, 5)):
+        m = 2 + (I + J + n) % 2
+        F = Colligation(random_matrix(k2, k1, rng), random_matrix(k2, I * m, rng),
+                        random_matrix(J * m, k1, rng), random_matrix(J * m, I * m, rng), I, J)
+        y = random_matrix(n * I, n * J, rng)
+        ym = _states_oracle(y, I, J, m)
+        got_n, L, w = _loop(F, _point_blocks(F, y))
+        assert got_n == n and L.shape == (n * I * m, n * I * m) and w.shape == (n * I * m, n * k1)
+        for got, want in ((L, ym @ ampliate(n, F.D)), (w, ym @ ampliate(n, F.C))):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("I, J, m", [(1, 3, 32), (2, 2, 16)])
+def test_closed_form_allocates_one_loop_matrix(I, J, m):
+    # N = n*I*m = 1024: the loop is built in place, so the traced peak is L
+    # itself (16 N^2 bytes) plus the n*k1 columns of w.  The LU factor, the
+    # other matrix of MAX_LOOP_DIM's budget, lives in numpy.linalg's work
+    # buffer, which tracemalloc does not see.
+    n = 1024 // (I * m)
+    F = random_isometric(I, J, m, 1, 1, 76 + I)
+    y = _ball_point(n, I, J, 0.5, 77)
+    tracemalloc.start()
+    try:
+        eval_colligation(F, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16 * 1024**2
 
 
 def test_empty_dimensions_flow_through_every_route():

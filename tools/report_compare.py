@@ -7,8 +7,9 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 ``PYTHONPATH``,
 
 * ``freecalc experiment NAME --seed 0`` for every experiment but ``custom``;
-* ``freecalc calc --job J`` on two stock jobs: a random isometric model on
-  ``row_delta(3)`` at n = 8, m = 4, and the compile of ``(x1 + x2)^4`` on
+* ``freecalc calc --job J`` on three stock jobs: random isometric models on
+  ``row_delta(3)`` at n = 8, m = 4 and on ``diag_delta(2)`` at n = 12, m = 3
+  (a square 2 x 2 block grid), and the compile of ``(x1 + x2)^4`` on
   ``diag_delta(2)`` at n = 6;
 * ``freecalc spectral-check`` of a 23-member random family on
   ``diag_delta(2)`` at a level-3 tuple outside the domain, so every
@@ -102,8 +103,14 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     coords = [random_matrix(6, 6, rng) for _ in range(2)]
     compiled = {"F": compile_polynomial((x1 + x2) ** 4, delta), "delta": delta,
                 "T": MatrixTuple([c * (1.5 / op_norm(c)) for c in coords])}
+    square_rng = task_rng(0, 0xCA1C, 2)  # its own stream: the other inputs stay as they were
+    coords = [random_matrix(12, 12, square_rng) for _ in range(delta.d)]
+    scale = 0.6 / op_norm(delta.eval(MatrixTuple(coords)))
+    square = {"F": random_isometric(delta.I, delta.J, 3, 1, 1, square_rng), "delta": delta,
+              "T": MatrixTuple([c * scale for c in coords])}
     runs = {}
-    for name, job in (("calc-isometric", isometric), ("calc-compiled", compiled)):
+    for name, job in (("calc-isometric", isometric), ("calc-isometric-square", square),
+                      ("calc-compiled", compiled)):
         runs[name] = ["calc", "--job", write(f"{name}.job",
                                              {k: encode(v) for k, v in job.items()})]
 
