@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, SeriesCapError, ShapeError
 from .freepoly import FreePoly, PolyMatrix, verify_separating_witnesses
-from .matrix_core import MatrixTuple, ampliate, op_norm
+from .matrix_core import _SCREEN_MARGIN, MatrixTuple, ampliate, op_norm
 from .realization import (
     Colligation,
     _closed,
@@ -48,7 +48,6 @@ _AGREE_SLACK = 1e-9
 _CONTRACTIVE_SLACK = 1e-8
 _GEOMETRIC_SLACK = 1e-6
 _TERM_BOUND_SLACK = 1e-8
-_SCREEN_MARGIN = 1e-10
 
 _PATH_GRID = 101
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -221,7 +220,7 @@ def sharp(
 
     # Isometric data at t < 1 bounds every degree-k term by t^k; the
     # homogeneous_term_bound certificate records the worst excess over that.
-    bound_terms = F.isometric_certified and t < 1.0
+    bound_terms = t < 1.0 and F.isometric_certified
     worst_excess = 0.0
     series_value = None
     terms_used = 0  # top homogeneous degree included in the partial sum
@@ -282,7 +281,7 @@ def sharp(
     closed_value = None
     agreement = None
     try:
-        closed_value = _closed(F, y4, n, L, w, a0)
+        closed_value = _closed(F, t, n, L, w, a0)
         agreement = float(op_norm(series_value - closed_value))
     except DomainError as exc:
         notes.append(f"closed form unavailable at this point: {exc}")
@@ -309,7 +308,7 @@ def sharp(
                 detail=f"stopping rule: {mode}",
             )
         )
-    if F.isometric_certified and t < 1.0:
+    if t < 1.0 and F.isometric_certified:
         value_norm = float(op_norm(value))
         certs.append(
             Certificate(
@@ -474,15 +473,35 @@ def poly_consistency(
     )
 
 
+def _exact_inverse(c: complex) -> complex | None:
+    """A float q with c * q == 1 exactly: 1/c, or a float neighbour of its
+    real part, tried in that order; None when none of the three recovers 1.
+
+    For a real c the three are the only candidates: the exact c * q moves by
+    more than 2^-53 per float step of q, and c * (1/c) lies within 2^-53 of
+    1, so a q two or more steps from 1/c gives a product more than 2^-53
+    from 1, which does not round to 1.
+    """
+    q = 1.0 / c
+    for re in (q.real, math.nextafter(q.real, -math.inf), math.nextafter(q.real, math.inf)):
+        if c * complex(re, q.imag) == 1.0:
+            return complex(re, q.imag)
+    return None
+
+
 def derive_witnesses(delta: PolyMatrix) -> list[FreePoly]:
     """Read coordinate-recovery witnesses off delta when entries are scaled letters.
 
     Looks for an entry of the form c * x^r for every coordinate r; the witness
-    is then the matching slot letter divided by c.  Raises DomainError when
-    some coordinate never appears alone, in which case the caller must supply
-    witnesses explicitly.
+    is then the matching slot letter times a float q with c * q == 1 exactly
+    (1/c or a float neighbour of it), so the witness passes the exact check
+    of verify_separating_witnesses.  Raises DomainError when some coordinate
+    never appears alone, in which case the caller must supply witnesses
+    explicitly, or appears alone only with coefficients that no float q
+    inverts exactly.
     """
     found: dict[int, FreePoly] = {}
+    inexact: dict[int, str] = {}
     d_slots = delta.I * delta.J
     for i in range(delta.I):
         for j in range(delta.J):
@@ -496,9 +515,20 @@ def derive_witnesses(delta: PolyMatrix) -> list[FreePoly]:
             r = word[0]
             if r in found:
                 continue
+            q = _exact_inverse(coeff)
+            if q is None:
+                c = f"{coeff.real:.17g}" if coeff.imag == 0 else f"({coeff:.17g})"
+                inexact.setdefault(
+                    r, f"entry ({i}, {j}) of delta is {c} * x^{r}, and no float q has "
+                       f"{c} * q == 1 exactly, so no float witness recovers coordinate {r} "
+                       "exactly")
+                continue
             slot = i * delta.J + j + 1
-            found[r] = FreePoly.letter(slot, d_slots) * (1.0 / coeff)
+            found[r] = FreePoly.letter(slot, d_slots) * q
     missing = [r for r in range(1, delta.d + 1) if r not in found]
+    unrecovered = [inexact[r] for r in missing if r in inexact]
+    if unrecovered:
+        raise DomainError("cannot derive coordinate witnesses: " + "; ".join(unrecovered))
     if missing:
         raise DomainError(
             "cannot derive coordinate witnesses: no entry of delta is a plain "

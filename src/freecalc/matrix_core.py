@@ -35,6 +35,9 @@ __all__ = [
 
 # Smallest singular value below this times the largest counts as singular.
 SINGULAR_RTOL = 1e-12
+# Relative margin by which a cheap norm bound must clear its threshold before
+# it settles a check without an SVD: far beyond SVD and summation roundoff.
+_SCREEN_MARGIN = 1e-10
 
 
 def _check_finite(a: np.ndarray, what: str = "matrix") -> None:
@@ -144,7 +147,7 @@ def _norms_within(stack: np.ndarray, bound: float) -> np.ndarray:
     _check_finite(stack)
     low = np.sqrt((stack.real**2 + stack.imag**2).sum(axis=-2).max(axis=-1))
     norms = np.full(low.shape, np.inf)
-    undecided = low <= bound * (1.0 + 1e-10)
+    undecided = low <= bound * (1.0 + _SCREEN_MARGIN)
     if undecided.any():
         norms[undecided] = _op_norms(stack[undecided])
     return norms
@@ -163,10 +166,16 @@ def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
 
 
 def ampliate(n: int, a) -> np.ndarray:
-    """Tensor a matrix with the identity on an n-dimensional outer slot: I_n (x) A."""
+    """Tensor a matrix with the identity on an n-dimensional outer slot: I_n (x) A.
+
+    One broadcast product, the complex products np.kron takes, so the result
+    is bitwise np.kron's, signed zeros included.
+    """
     if n < 0:
         raise ShapeError("ampliation size must be nonnegative")
-    return np.kron(np.eye(n, dtype=np.complex128), as_array(a))
+    a = as_array(a)
+    eye = np.eye(n, dtype=np.complex128)
+    return (eye[:, None, :, None] * a[None, :, None, :]).reshape(n * a.shape[0], n * a.shape[1])
 
 
 def similarity(s, x: MatrixTuple) -> MatrixTuple:

@@ -31,6 +31,9 @@ first.  Since ||L|| <= ||D|| ||Y|| = g, a loop of nilpotency index nu has
 and rho(L) <= g.  The SVD of K runs only when that bound exceeds the cap,
 and eigvals(L) only when g does not clear 1 - _SPECTRAL_SLACK, so both
 decompositions are taken exactly when the bound cannot settle the check.
+g itself is bounded first by ||D||_F ||Y||, and the SVD of D runs only when
+that bound cannot settle a check; ||Y|| comes from the caller, which
+funcalc.sharp has already taken.
 
 Polynomials compile (poly_to_colligation) to a deterministic automaton that
 reads each word right to left and has no two states with the same tag
@@ -59,7 +62,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .freepoly import FreePoly, PolyMatrix, Word
-from .matrix_core import ampliate, as_array, op_norm, random_matrix, rng_from
+from .matrix_core import _SCREEN_MARGIN, ampliate, as_array, op_norm, random_matrix, rng_from
 
 __all__ = [
     "Colligation",
@@ -88,11 +91,13 @@ class Colligation:
     Columns of B and rows of C/D are ordered copy-major: slot (i, state) maps
     to index i*m + state.  ``isometric_certified`` is computed, not trusted:
     it is True exactly when the assembled block [A B; C D] satisfies
-    ||V*V - I|| <= ISOMETRY_TOL.  ``nilpotent_index`` is computed from D at
-    construction, never passed.
+    ||V*V - I|| <= ISOMETRY_TOL.  The Gram V*V - I is formed and checked
+    finite at construction, and its norm, ``isometry_defect``, is taken on
+    first read.  ``nilpotent_index`` is computed from D at construction,
+    never passed.
     """
 
-    __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_defect",
+    __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_gram", "_defect",
                  "_nilpotent_index", "_D_norm")
 
     def __init__(self, A, B, C, D, I: int, J: int):
@@ -117,13 +122,15 @@ class Colligation:
                 raise DomainError(f"block {name} has non-finite entries")
         self._A, self._B, self._C, self._D = A, B, C, D
         self._I, self._J, self._m = I, J, m
-        v = np.block([[A, B], [C, D]])
+        v = np.empty((k2 + J * m, k1 + I * m), dtype=np.complex128)
+        v[:k2, :k1], v[:k2, k1:], v[k2:, :k1], v[k2:, k1:] = A, B, C, D
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = v.conj().T @ v - np.eye(v.shape[1])
-        try:
-            self._defect = op_norm(gram)
-        except DomainError:  # the blocks are finite, so V*V left double range
-            raise DomainError("the isometry defect overflowed") from None
+            gram = v.conj().T @ v
+        gram[np.diag_indices(gram.shape[0])] -= 1.0
+        if not np.isfinite(gram).all():  # the blocks are finite, so V*V left double range
+            raise DomainError("the isometry defect overflowed")
+        self._gram: np.ndarray | None = gram
+        self._defect: float | None = None
         self._nilpotent_index = _graph_nilpotency(D, I, J, m)
         self._D_norm: float | None = None
 
@@ -167,11 +174,15 @@ class Colligation:
 
     @property
     def isometry_defect(self) -> float:
+        """||V*V - I||, computed on first read."""
+        if self._defect is None:
+            self._defect = op_norm(self._gram)
+            self._gram = None
         return self._defect
 
     @property
     def isometric_certified(self) -> bool:
-        return self._defect <= ISOMETRY_TOL
+        return self.isometry_defect <= ISOMETRY_TOL
 
     @property
     def nilpotent_index(self) -> int | None:
@@ -312,9 +323,9 @@ def _resolvent_bound(g: float, nilpotent_index: int | None) -> float:
     return math.inf
 
 
-def _resolvent_matrix(F: Colligation, y: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Guard the Neumann inversion of K = I - L, and return K formed in place
-    over L (L is consumed).
+def _resolvent_matrix(F: Colligation, y_norm: float, L: np.ndarray) -> np.ndarray:
+    """Guard the Neumann inversion of K = I - L at a point of norm y_norm,
+    and return K formed in place over L (L is consumed).
 
     The spectral radius must stay below 1 unless the data is isometric with
     ||y|| < 1 or the loop is nilpotent, and ||K^-1|| must stay at most
@@ -322,11 +333,23 @@ def _resolvent_matrix(F: Colligation, y: np.ndarray, L: np.ndarray) -> np.ndarra
     runs only when g >= 1 - _SPECTRAL_SLACK, and the SVD of K only when
     _resolvent_bound(g) exceeds the cap: a decomposition is taken only where
     the bound cannot settle the check, so the verdict is the decomposition's.
+    g is first bounded by ||D||_F ||y||, inflated by _SCREEN_MARGIN past
+    rounding, and ||D|| is read only when that bound settles neither check,
+    so every verdict is the one the exact g gives.
     """
-    y_norm = op_norm(y)
-    g = F.D_norm * y_norm
-    spectral = not (F.isometric_certified and y_norm < 1.0) and F.nilpotent_index is None
-    if spectral and L.size and not g < 1.0 - _SPECTRAL_SLACK:
+    nilp = F.nilpotent_index
+    spectral = nilp is None and not (y_norm < 1.0 and F.isometric_certified) and L.size > 0
+
+    def unsettled(g: float) -> tuple[bool, bool]:
+        """Whether a bound g on ||L|| leaves the spectral test, and the cap, open."""
+        return (spectral and not g < 1.0 - _SPECTRAL_SLACK,
+                not _resolvent_bound(g, nilp) <= RESOLVENT_NORM_CAP)
+
+    check_rho, check_cap = unsettled(
+        math.sqrt(np.vdot(F.D, F.D).real) * y_norm * (1.0 + _SCREEN_MARGIN))
+    if check_rho or check_cap:
+        check_rho, check_cap = unsettled(F.D_norm * y_norm)
+    if check_rho:
         rho = float(np.abs(np.linalg.eigvals(L)).max())
         if rho >= 1.0 - _SPECTRAL_SLACK:
             raise DomainError(
@@ -334,7 +357,7 @@ def _resolvent_matrix(F: Colligation, y: np.ndarray, L: np.ndarray) -> np.ndarra
             )
     K = np.negative(L, out=L)
     K[np.diag_indices(K.shape[0])] += 1.0
-    if _resolvent_bound(g, F.nilpotent_index) <= RESOLVENT_NORM_CAP:
+    if not check_cap:
         return K
     sv = np.linalg.svd(K, compute_uv=False)
     if sv.size and (sv[-1] == 0.0 or 1.0 / sv[-1] > RESOLVENT_NORM_CAP):
@@ -345,11 +368,11 @@ def _resolvent_matrix(F: Colligation, y: np.ndarray, L: np.ndarray) -> np.ndarra
     return K
 
 
-def _closed(F: Colligation, y4: np.ndarray, n: int, L: np.ndarray, w: np.ndarray,
+def _closed(F: Colligation, y_norm: float, n: int, L: np.ndarray, w: np.ndarray,
             a0: np.ndarray) -> np.ndarray:
-    """The closed form a0 + (I_n (x) B) (I - L)^-1 w on a built loop, with
-    a0 = I_n (x) A; L is consumed."""
-    K = _resolvent_matrix(F, y4.reshape(F.I * n, F.J * n), L)
+    """The closed form a0 + (I_n (x) B) (I - L)^-1 w on a built loop at a
+    point of norm y_norm, with a0 = I_n (x) A; L is consumed."""
+    K = _resolvent_matrix(F, y_norm, L)
     return a0 + _apply_b(F, np.linalg.solve(K, w), n)
 
 
@@ -368,7 +391,7 @@ def eval_colligation(F: Colligation, y) -> np.ndarray:
     """Linear-fractional value of the colligation at an nI x nJ block point."""
     y4 = _point_blocks(F, y)
     n, L, w = _loop(F, y4)
-    return _closed(F, y4, n, L, w, ampliate(n, F.A))
+    return _closed(F, op_norm(y4.reshape(F.I * n, F.J * n)), n, L, w, ampliate(n, F.A))
 
 
 def homog_series(F: Colligation, y):

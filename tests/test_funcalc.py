@@ -277,6 +277,22 @@ def test_derive_witnesses_missing_coordinate():
         derive_witnesses(delta)
 
 
+def test_derived_witnesses_recover_their_coordinates_exactly():
+    # 49 * (1/49) rounds to 0.9999999999999999, but a float neighbour of 1/49
+    # gives 1 exactly; no float q has 237 * q == 1
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    zero, P = FreePoly.zero(2), x1 * x2 - 0.5 * x2
+    delta = PolyMatrix([[49.0 * x1, zero], [zero, x2]])
+    assert 49.0 * (1.0 / 49.0) != 1.0
+    F = compile_polynomial(P, delta)
+    T = random_tuple(3, 2, 0.5, 63)
+    rep = sharp(F, delta, T, CalcParams(s=1.0))
+    assert rep.ok and op_norm(rep.value - P.eval(T)) <= 1e-12
+    with pytest.raises(DomainError, match=r"entry \(0, 0\) of delta is 237 \* x\^1, and no "
+                                          r"float q has 237 \* q == 1 exactly"):
+        compile_polynomial(P, PolyMatrix([[237.0 * x1, zero], [zero, x2]]))
+
+
 def test_sharp_builds_the_loop_once(monkeypatch):
     calls = []
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -177,6 +179,14 @@ def test_ampliate_is_kron_with_identity():
     assert got.shape == (6, 6)
     assert np.array_equal(got, np.kron(np.eye(3), a))
     assert op_norm(got) == pytest.approx(op_norm(a), rel=1e-12)
+    # bitwise np.kron's, signed zeros of 0 * a included, on every shape
+    rng = task_rng(17, 0)
+    parts = np.array([0.0, -0.0, 1.5, -2.0])
+    for n, rows, cols in product((0, 1, 3), (0, 1, 2), (0, 1, 3)):
+        a = rng.choice(parts, (rows, cols)) + 1j * rng.choice(parts, (rows, cols))
+        want = np.kron(np.eye(n, dtype=np.complex128), a)
+        got = ampliate(n, a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_block_norm_dominates_entries():

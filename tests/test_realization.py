@@ -99,6 +99,67 @@ def test_colligation_shape_validation_and_fields():
         Colligation([[1e308]], np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 1, 1)
 
 
+@pytest.fixture
+def svd_matrices(monkeypatch):
+    """The number of matrices each np.linalg.svd call decomposes, in order."""
+    svd, sent = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        sent.append(math.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return sent
+
+
+def test_isometry_defect_is_taken_once_on_first_read(svd_matrices):
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    rng = task_rng(59, 0)
+    models = [_mobius(0.3), random_isometric(2, 2, 2, 1, 1, 5),
+              Colligation(*(random_matrix(r, c, rng) for r, c in ((1, 2), (1, 2), (4, 2), (4, 2))),
+                          1, 2),
+              compile_polynomial((x1 + x2) ** 4, diag_delta(2)), _constant_model([[2.0]], 1, 1)]
+    assert not svd_matrices  # construction forms the Gram but decomposes nothing
+    for F in models:
+        v = np.block([[F.A, F.B], [F.C, F.D]])
+        want = op_norm(v.conj().T @ v - np.eye(v.shape[1]))
+        svd_matrices.clear()
+        assert F.isometry_defect == want  # the first read takes the SVD
+        assert F.isometric_certified == (want <= 1e-8) and F.isometry_defect == want
+        assert sum(svd_matrices) == 1
+
+
+def test_compiled_sharp_outside_the_ball_decomposes_two_matrices(svd_matrices):
+    # ||delta(T)|| and the two-path agreement: the isometric certificates
+    # are not due at t >= 1, so the defect is never taken, the guard reads
+    # ||y|| from sharp's t, and ||D||_F ||y|| settles the resolvent cap
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    jobs = [((x1 + x2) ** 4, diag_delta(2), random_tuple(6, 2, 1.5, 60)),
+            (x1 * x2 - 0.5 * x2 * x2 * x1 + 1.0, row_delta(2), random_tuple(4, 2, 1.5, 61))]
+    for P, delta, T in jobs:
+        svd_matrices.clear()
+        F = compile_polynomial(P, delta)
+        rep = sharp(F, delta, T)
+        assert sum(svd_matrices) == 2
+        assert rep.t >= 1.0 and rep.ok
+        assert op_norm(rep.value - P.eval(T)) <= 1e-9 * max(1.0, op_norm(P.eval(T)))
+
+
+def test_isometric_sharp_takes_no_norm_of_y_or_d(svd_matrices):
+    # x1 on row_delta(1): V = [[0, 1], [1, 0]], isometric and nilpotent.  At
+    # t < 1 sharp decomposes ||delta(T)||, the defect, ||P_1|| (its Frobenius
+    # norm does not clear t), the agreement, and the value and series norms:
+    # six matrices.  The guard reads ||y|| as t, and ||D||_F = 0 settles it.
+    delta = row_delta(1)
+    F = compile_polynomial(FreePoly.letter(1, 1), delta)
+    T = random_tuple(4, 1, 0.5, 62)
+    svd_matrices.clear()
+    rep = sharp(F, delta, T)
+    assert sum(svd_matrices) == 6
+    assert rep.t < 1.0 and {c.name for c in rep.certificates} >= {
+        "contractive", "series_norm_geometric", "homogeneous_term_bound"}
+
+
 def test_blocks_are_read_only():
     F = _mobius(0.1)
     with pytest.raises((ValueError, TypeError)):
@@ -614,9 +675,24 @@ def test_resolvent_guard_matches_decomposition_oracle():
     models += [random_isometric(1, 2, 2, 1, 1, 84), _gaussian_loop(1, 2, 2, 94),
                compile_polynomial(x1 * x2 - x2 * x1 + x1, row_delta(2)),
                random_isometric(2, 1, 2, 1, 3, 85), _gaussian_loop(2, 1, 2, 95)]
+    cases = [(F, (0.3, 0.8, 0.99, 1.2, 2.5)) for F in models]
+    # radii where the Frobenius bound ||D||_F ||y|| cannot settle a check
+    # that the exact ||D|| ||y|| settles: the cap on a 13-state chain
+    # (||D|| = 1, ||D||_F = sqrt(12)), and the spectral test on Gaussian loops
+    chain = _state_graph_model([(u, u + 1) for u in range(12)], 13)
+    cases.append((chain, (4.0, 5.0, 8.0)))
+    for r in cases[-1][1]:
+        frobenius = np.linalg.norm(chain.D) * r
+        assert _resolvent_bound(frobenius, 13) > RESOLVENT_NORM_CAP
+        assert _resolvent_bound(chain.D_norm * r, 13) <= RESOLVENT_NORM_CAP
+    for seed in range(3):
+        F = _gaussian_loop(2, 2, 3, 96 + seed)
+        cases.append((F, (0.8, 0.9, 1.0 - 1e-9)))
+        for r in cases[-1][1]:
+            assert np.linalg.norm(F.D) * r >= 1.0 - 1e-10 > F.D_norm * r
     raised = kept = 0
-    for idx, F in enumerate(models):
-        for r in (0.3, 0.8, 0.99, 1.2, 2.5):
+    for idx, (F, radii) in enumerate(cases):
+        for r in radii:
             y = _ball_point(2, F.I, F.J, r, 100 + idx)
             n, ym = 2, _states_oracle(y, F.I, F.J, F.m)
             L = ym @ ampliate(n, F.D)  # the matrix eval_colligation inverts

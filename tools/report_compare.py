@@ -7,10 +7,13 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 ``PYTHONPATH``,
 
 * ``freecalc experiment NAME --seed 0`` for every experiment but ``custom``;
-* ``freecalc calc --job J`` on three stock jobs: random isometric models on
+* ``freecalc calc --job J`` on four stock jobs: random isometric models on
   ``row_delta(3)`` at n = 8, m = 4 and on ``diag_delta(2)`` at n = 12, m = 3
-  (a square 2 x 2 block grid), and the compile of ``(x1 + x2)^4`` on
-  ``diag_delta(2)`` at n = 6;
+  (a square 2 x 2 block grid), the compile of ``(x1 + x2)^4`` on
+  ``diag_delta(2)`` at n = 6, and the compile of ``x1`` on ``row_delta(1)``
+  (V = [[0, 1], [1, 0]], isometric and nilpotent) at n = 4 with
+  ||T|| = 0.5, so its contractive, geometric and term-bound certificates
+  read the model's isometry defect;
 * ``freecalc spectral-check`` of a 23-member random family on
   ``diag_delta(2)`` at a level-3 tuple outside the domain, so every
   violation's right-hand side comes from the sampler's ascents;
@@ -108,9 +111,13 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     scale = 0.6 / op_norm(delta.eval(MatrixTuple(coords)))
     square = {"F": random_isometric(delta.I, delta.J, 3, 1, 1, square_rng), "delta": delta,
               "T": MatrixTuple([c * scale for c in coords])}
+    letter_rng = task_rng(0, 0xCA1C, 3)  # its own stream, as square_rng's
+    c = random_matrix(4, 4, letter_rng)
+    letter = {"F": compile_polynomial(FreePoly.letter(1, 1), row_delta(1)),
+              "delta": row_delta(1), "T": MatrixTuple([c * (0.5 / op_norm(c))])}
     runs = {}
     for name, job in (("calc-isometric", isometric), ("calc-isometric-square", square),
-                      ("calc-compiled", compiled)):
+                      ("calc-compiled", compiled), ("calc-compiled-letter", letter)):
         runs[name] = ["calc", "--job", write(f"{name}.job",
                                              {k: encode(v) for k, v in job.items()})]
 
