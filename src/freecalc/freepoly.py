@@ -396,6 +396,12 @@ def diag_delta(d: int) -> PolyMatrix:
     )
 
 
+def _check_gap_eps(eps: float) -> None:
+    """Refuse a gap width outside (0, 0.2), where ``gap_delta`` has its bound."""
+    if not 0.0 < eps < 0.2:
+        raise DomainError(f"eps must lie strictly between 0 and 0.2, got {eps}")
+
+
 def gap_delta(eps: float) -> PolyMatrix:
     """Two-letter diagonal arrangement whose domain forces y*x close to 1.
 
@@ -404,8 +410,7 @@ def gap_delta(eps: float) -> PolyMatrix:
     of 1 in norm on the whole matrix domain, while natural operator pairs
     just outside the matrix levels break the bound.
     """
-    if not 0.0 < eps < 0.2:
-        raise DomainError(f"eps must lie strictly between 0 and 0.2, got {eps}")
+    _check_gap_eps(eps)
     d = 2
     x1 = FreePoly.letter(1, d)
     x2 = FreePoly.letter(2, d)

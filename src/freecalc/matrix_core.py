@@ -134,23 +134,41 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def _norms_within(stack: np.ndarray, bound: float) -> np.ndarray:
-    """``_op_norms(stack)`` for every matrix whose norm may be at most
-    ``bound``, and ``inf`` for the others.
+def _column_floor(stack: np.ndarray) -> np.ndarray:
+    """The longest column of each matrix of a ``(..., rows, cols)`` stack: a
+    lower bound of its operator norm."""
+    return np.sqrt((stack.real**2 + stack.imag**2).sum(axis=-2).max(axis=-1))
 
-    A matrix's longest column is a lower bound of its operator norm, so a
-    matrix whose longest column exceeds ``bound`` by a relative 1e-10, far
-    beyond SVD roundoff, is outside ``bound`` without an SVD.  The others
-    go through ``_op_norms``, so ``result <= bound`` is ``_op_norms(stack)
-    <= bound`` and every finite value is bitwise ``_op_norms``'.
+
+def _first_within(stack: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of a ``(rows, k, r, c)`` stack, the index of its first
+    matrix with operator norm at most ``bound``, or -1 if it has none, and
+    that matrix's ``_op_norms`` value (``inf`` where the index is -1).
+
+    The search runs round by round, matrix 0 of every row first.  A matrix
+    whose ``_column_floor`` exceeds ``bound`` by a relative 1e-10, far beyond
+    SVD roundoff, is outside without an SVD.  Round j sends to one
+    ``_op_norms`` call, in row order, the j-th matrix of every row still
+    searching that the screen left undecided, and a round with none makes
+    no call.  So the SVD sees exactly the matrices a one-row-at-a-time
+    search with this screen reads, every verdict is the SVD's, and every
+    returned norm is bitwise ``_op_norms``' for its matrix alone.
+
+    The whole stack is checked finite first, so a non-finite matrix raises
+    ``DomainError`` even when it comes after its row's first match.
     """
     _check_finite(stack)
-    low = np.sqrt((stack.real**2 + stack.imag**2).sum(axis=-2).max(axis=-1))
-    norms = np.full(low.shape, np.inf)
-    undecided = low <= bound * (1.0 + _SCREEN_MARGIN)
-    if undecided.any():
-        norms[undecided] = _op_norms(stack[undecided])
-    return norms
+    undecided = _column_floor(stack) <= bound * (1.0 + _SCREEN_MARGIN)
+    first, norms = np.full(len(stack), -1), np.full(len(stack), np.inf)
+    searching = np.ones(len(stack), dtype=bool)
+    for j in range(stack.shape[1]):
+        read = np.flatnonzero(searching & undecided[:, j])
+        if read.size:
+            found = _op_norms(stack[read, j])
+            inside = found <= bound
+            hit = read[inside]
+            first[hit], norms[hit], searching[hit] = j, found[inside], False
+    return first, norms
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:

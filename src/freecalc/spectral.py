@@ -11,18 +11,20 @@ the true supremum.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from itertools import chain, product
 
 import numpy as np
 
 from .errors import CheckFailure, DomainError, ShapeError
-from .freepoly import FreePoly, PolyMatrix
+from .freepoly import FreePoly, PolyMatrix, _check_gap_eps
 from .matrix_core import (
     MatrixTuple,
     _check_finite,
     _complex_gaussian,
-    _norms_within,
+    _first_within,
     _op_norms,
     _rescaled_to_peak,
     _task_rngs,
@@ -53,6 +55,8 @@ DEFAULT_NORM_TARGETS = tuple(round(0.1 * k, 10) for k in range(1, 16))
 STEP_SIZE = 0.1
 REJECTIONS_PER_DECAY = 10
 STEP_DECAY = 0.7
+# A rejected full step is retried at these fractions of it, in order.
+SHRINKS = (1.0, 0.5, 0.25, 0.125)
 
 _VIOLATION_SLACK = 1e-10
 
@@ -65,7 +69,12 @@ GENERATOR_BYTES = 1 << 10
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Knobs for randomized domain sampling and ascent."""
+    """Knobs for randomized domain sampling and ascent.
+
+    The levels, trial and step counts and seed take any integer but a bool
+    and are stored as Python ints (the levels as a tuple); the margin takes
+    any real number and is stored as a float.
+    """
 
     levels: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     trials_per_level: int = 200
@@ -74,19 +83,44 @@ class SampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.levels:
+        try:
+            levels = tuple(self.levels)
+        except TypeError:
+            raise ShapeError(f"levels must be a sequence of integers, got {self.levels!r}") from None
+        if not levels:
             raise ShapeError("need at least one sampling level")
-        for n in self.levels:
-            if not 1 <= int(n) <= MAX_LEVEL:
+        levels = tuple(_integer(n, "a sampling level", ShapeError) for n in levels)
+        for n in levels:
+            if not 1 <= n <= MAX_LEVEL:
                 raise ShapeError(f"sampling level {n} outside 1..{MAX_LEVEL}")
-        if self.trials_per_level < 0:
+        trials = _integer(self.trials_per_level, "trials_per_level", ShapeError)
+        if trials < 0:
             raise ShapeError("trials_per_level must be >= 0")
-        if self.ascent_steps < 0:
+        steps = _integer(self.ascent_steps, "ascent_steps", ShapeError)
+        if steps < 0:
             raise ShapeError("ascent_steps must be >= 0")
+        if not isinstance(self.margin, numbers.Real):
+            raise DomainError(f"margin must be a real number, got {self.margin!r}")
         if not 0 < self.margin < 1:
             raise DomainError("margin must lie in (0, 1)")
-        if self.seed < 0:
+        seed = _integer(self.seed, "seed", DomainError)
+        if seed < 0:
             raise DomainError("seed must be >= 0")
+        # plain Python values, so a config runs and encodes whatever types built it
+        for name, value in [("levels", levels), ("trials_per_level", trials),
+                            ("ascent_steps", steps), ("margin", float(self.margin)),
+                            ("seed", seed)]:
+            object.__setattr__(self, name, value)
+
+
+def _integer(value, what: str, error: type) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises ``error``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +198,11 @@ def gap_domain_proposal(eps: float):
     for the unitary factors, the singular values, the Gaussian e, and then,
     only if e is nonzero, the fraction of the radius e is scaled to.  The QR
     factorizations, the inverses, the rescaling of e and the products run
-    once on the stack of all trials.
+    once on the stack of all trials.  ``eps`` must lie in (0, 0.2), as for
+    ``gap_delta``.
     """
+
+    _check_gap_eps(eps)
 
     def propose(level, trials, rngs, cfg: SampleConfig) -> np.ndarray:
         count = len(rngs)
@@ -215,47 +252,43 @@ def _ascend(
 
     Every climb takes all ``cfg.ascent_steps`` steps.  Each step, every start
     draws one Gaussian perturbation tuple from its own ``rngs[s]`` into one
-    stack, converted to complex at once, and each of its climbs takes it.  A
-    climb whose full step leaves the domain shrinks it to 1/2, 1/4 and 1/8
-    toward its own current point before counting a rejection: each shrink
-    round is one stacked ``delta.eval`` over the climbs still searching and
-    one ``_norms_within`` screen: a candidate whose value has a column longer
-    than 1 - margin by a relative 1e-10 is outside without an SVD (a column
-    bounds the norm from below), and every other candidate's verdict and
-    kept domain norm are its SVD's, so the screen changes no climb.  Then
-    each objective evaluates the candidates of its climbs that
-    landed inside with one stacked eval and SVD.  Step size and rejections
-    are per climb.  A start's stream is consumed at exactly one draw per
-    step regardless of acceptance, so each climb is bit for bit the climb
-    its objective takes alone from its start, whatever is stacked with it,
-    and runs with more steps extend runs with fewer steps instead of
-    diverging from them.
+    stack, converted to complex at once, and each of its climbs takes it.
+    A climb tries its full step, then 1/2, 1/4 and 1/8 of it toward its own
+    current point, before counting a rejection.  All four candidates of
+    every climb go in one ``(climbs, 4, d, n, n)`` stack, with one
+    ``delta.eval`` per step, and ``_first_within`` lands each climb at its
+    first candidate inside: it refuses without an SVD a candidate whose
+    value has a column longer than 1 - margin by a relative 1e-10 (a column
+    bounds the norm from below), and decomposes, shrink by shrink, only
+    the candidates a climb-by-climb search would read.  So every verdict and
+    kept domain norm is that candidate's SVD's, and the screen changes no
+    climb.  Every candidate's delta value is checked finite, so a non-finite
+    one raises ``DomainError`` even past its climb's landing shrink.  Then
+    each objective evaluates the candidates of its climbs that landed inside
+    with one stacked eval and SVD.  Step size and rejections are per climb.
+    A start's stream is consumed at exactly one draw per step regardless of
+    acceptance, so each climb is bit for bit the climb its objective takes
+    alone from its start, whatever is stacked with it, and runs with more
+    steps extend runs with fewer steps instead of diverging from them.
     """
     count, width = len(starts), len(objectives)
     owner = np.repeat(np.arange(count), width)  # climb c: objective c % width from start c // width
     cur, cur_val, cur_norm = starts[owner], np.asarray(start_values).T.flatten(), start_norms[owner]
-    cand, cand_norm = np.empty_like(cur), np.empty(cur_val.shape)
+    shrinks = np.array(SHRINKS)
     step = np.full(cur_val.shape, STEP_SIZE)
     rejections = np.zeros(cur_val.shape, dtype=int)
     normals = np.empty((count, starts.shape[1], 2, *starts.shape[2:]))
     for _ in range(cfg.ascent_steps):
         for s, rng in enumerate(rngs):
             rng.standard_normal(out=normals[s])
-        pert = _complex_gaussian(normals)
-        searching, landed = np.arange(cur_val.size), np.zeros(cur_val.shape, dtype=bool)
-        for shrink in (1.0, 0.5, 0.25, 0.125):
-            scale = step[searching] * shrink
-            moved = cur[searching] + scale[:, None, None, None] * pert[owner[searching]]
-            norms = _norms_within(delta.eval(moved), 1.0 - cfg.margin)
-            inside = norms <= 1.0 - cfg.margin
-            hit = searching[inside]
-            cand[hit], cand_norm[hit], landed[hit] = moved[inside], norms[inside], True
-            searching = searching[~inside]
-            if not searching.size:
-                break
+        pert = _complex_gaussian(normals)[owner]
+        scale = step[:, None] * shrinks
+        moved = cur[:, None] + scale[..., None, None, None] * pert[:, None]
+        first, cand_norm = _first_within(delta.eval(moved), 1.0 - cfg.margin)
+        cand = moved[np.arange(first.size), first]  # read only where first >= 0
         accepted = np.zeros(cur_val.shape, dtype=bool)
         for i, objective in enumerate(objectives):
-            mine = i + width * np.flatnonzero(landed[i::width])
+            mine = i + width * np.flatnonzero(first[i::width] >= 0)
             if mine.size:
                 values = _op_norms(objective.eval(cand[mine]))
                 better = values > cur_val[mine]
@@ -271,13 +304,22 @@ def _ascend(
     return [ascents[s * width:(s + 1) * width] for s in range(count)]
 
 
-def _chunk_trials(maps: list[PolyMatrix], level: int) -> int:
-    """How many trials of one level go in a chunk: CHUNK_BYTES over the bytes
-    per trial of the widest array, the ``(d, n, n)`` point stack or the
-    ``(I n, J n)`` value of one of the maps, plus GENERATOR_BYTES for the
-    trial's generator, and never fewer than one."""
-    width = max(max(p.d, p.I * p.J) for p in maps)
+def _width(p: PolyMatrix) -> int:
+    """The n x n matrices per point in p's widest array: the ``(d, n, n)``
+    point stack or the ``(I n, J n)`` value."""
+    return max(p.d, p.I * p.J)
+
+
+def _per_chunk(width: int, level: int) -> int:
+    """CHUNK_BYTES over ``width`` n x n complex matrices plus GENERATOR_BYTES,
+    and never fewer than one."""
     return max(1, CHUNK_BYTES // (width * level * level * 16 + GENERATOR_BYTES))
+
+
+def _chunk_trials(maps: list[PolyMatrix], level: int) -> int:
+    """How many trials of one level go in a chunk: ``_per_chunk`` of the
+    widest ``_width`` of the maps, counting each trial's generator."""
+    return _per_chunk(max(map(_width, maps)), level)
 
 
 def _measured(delta: PolyMatrix, level: int, trials, points: np.ndarray, rngs, cfg: SampleConfig):
@@ -357,9 +399,11 @@ def _chunk_climbs(members: list[PolyMatrix], delta: PolyMatrix, trials: list[int
                   starts: np.ndarray, norms: np.ndarray, rngs: list, cfg: SampleConfig):
     """The climbs from one chunk's admissible starts, one ``_ascend`` per group.
 
-    A group holds at most ``_chunk_trials`` climbs, sized by the widest of
-    delta and the members, so no stacked ascent array and no start-value or
-    step evaluation outgrows the chunk budget: whole starts with all
+    A group holds at most ``_per_chunk`` climbs of the widest of a member
+    and ``len(SHRINKS)`` copies of delta (a step stacks that many candidate
+    points and delta values per climb), so no stacked ascent array and no
+    start-value or step evaluation outgrows the chunk budget once one
+    climb's candidates fit in it: whole starts with all
     their members while they fit, else one start with a slice of its
     members.  Each later slice replays its start's stream from the state the
     proposal left, so every climb is the one it takes ungrouped (the
@@ -367,7 +411,8 @@ def _chunk_climbs(members: list[PolyMatrix], delta: PolyMatrix, trials: list[int
     afterwards).  A group's start values are one stacked eval and SVD per
     member.
     """
-    size, count = _chunk_trials([delta, *members], starts.shape[-1]), len(members)
+    size = _per_chunk(max(len(SHRINKS) * _width(delta), *map(_width, members)), starts.shape[-1])
+    count = len(members)
     width = min(count, size)  # members per group
     per = max(1, size // count)  # starts per group
     for first in range(0, len(starts), per):

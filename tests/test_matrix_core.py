@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -67,7 +68,7 @@ def test_op_norm_rejects_non_finite():
     with pytest.raises(DomainError):
         op_norm(bad)
     with pytest.raises(DomainError):
-        matrix_core._norms_within(bad[None], 1.0)
+        matrix_core._first_within(bad[None, None], 1.0)
 
 
 def _gaussian(rng, *shape):
@@ -91,7 +92,7 @@ def _screen_stacks() -> dict[str, np.ndarray]:
 
 
 @pytest.mark.parametrize("name", list(_screen_stacks()))
-def test_norms_within_keeps_every_svd_verdict(name):
+def test_norms_within_keeps_every_svd_verdict(name, monkeypatch):
     stack = _screen_stacks()[name]
     exact = matrix_core._op_norms(stack)
     near = np.array([-1e-13, -1e-15, 0.0, 1e-15, 1e-13])
@@ -100,14 +101,30 @@ def test_norms_within_keeps_every_svd_verdict(name):
     cases = [(stack, b) for b in [0.0, 0.999, *np.quantile(exact, [0.25, 0.5, 1.0]),
                                   *(exact[:3, None] * (1 + near)).ravel()]]
     cases.append((scale[:, None, None] * stack, 0.999))
+    svd, sent = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        sent.append(math.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
     screened = 0
     for s, bound in cases:
-        want = matrix_core._op_norms(s)
-        got = matrix_core._norms_within(s, bound)
-        assert np.array_equal(got <= bound, want <= bound)
-        kept = np.isfinite(got)
-        assert got[kept].tobytes() == want[kept].tobytes()
-        screened += int((~kept).sum())
+        # every matrix in a row of its own, then rows of three in stack order
+        for k in (1, 3):
+            rows = s[:len(s) // k * k].reshape(-1, k, *s.shape[1:])
+            want = svd(rows, compute_uv=False)[..., 0]
+            inside = want <= bound
+            sent.clear()
+            first, norms = matrix_core._first_within(rows, bound)
+            assert np.array_equal(first, np.where(inside.any(axis=1), inside.argmax(axis=1), -1))
+            hit = first >= 0
+            assert norms[hit].tobytes() == want[hit, first[hit]].tobytes()
+            assert np.isinf(norms[~hit]).all()
+            # a row-by-row search reads its matrices up to its first inside
+            read = np.where(hit, first + 1, k).sum()
+            assert sum(sent) <= read
+            screened += int(read - sum(sent))
     assert screened > 0 or name == "zero"
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freecalc import spectral
+from freecalc import matrix_core, spectral
 from freecalc.errors import CheckFailure, DomainError, ShapeError
 from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, gap_delta, row_delta
 from freecalc.matrix_core import MatrixTuple, cyclic_shift, op_norm, random_matrix, task_rng
@@ -38,6 +38,37 @@ def test_config_validation():
         SampleConfig(margin=0.0)
     with pytest.raises(DomainError):
         SampleConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("levels", (2.5,), ShapeError),
+    ("levels", (2.0,), ShapeError),
+    ("levels", (True,), ShapeError),
+    ("levels", ("3",), ShapeError),
+    ("levels", 3, ShapeError),
+    ("trials_per_level", 2.5, ShapeError),
+    ("trials_per_level", True, ShapeError),
+    ("ascent_steps", 1.5, ShapeError),
+    ("seed", 1.5, DomainError),
+    ("seed", False, DomainError),
+    ("margin", "0.1", DomainError),
+    ("margin", None, DomainError),
+])
+def test_config_refuses_fields_it_cannot_run_or_encode(field, value, error):
+    with pytest.raises(error):
+        SampleConfig(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_python_ints():
+    plain = SampleConfig(levels=(2, 3), trials_per_level=4, ascent_steps=2, margin=0.01, seed=7)
+    numpy = SampleConfig(levels=[np.int64(2), np.int32(3)], trials_per_level=np.int64(4),
+                         ascent_steps=np.uint8(2), margin=np.float64(0.01), seed=np.int64(7))
+    assert numpy == plain and type(numpy.levels) is tuple
+    assert all(type(v) is int for v in (*numpy.levels, numpy.trials_per_level,
+                                        numpy.ascent_steps, numpy.seed))
+    x1, delta = FreePoly.letter(1, 2), diag_delta(2)
+    assert (dumps_canonical(encode(sup_norm_estimate(x1, delta, numpy)))
+            == dumps_canonical(encode(sup_norm_estimate(x1, delta, plain))))
 
 
 def test_constant_objective_estimate_is_exact():
@@ -260,6 +291,12 @@ class _ZeroNormals:
     def random(self, size=None, out=None):
         self.uniforms += 1
         return self.rng.random(size, out=out)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, 0.2, math.nan, math.inf])
+def test_gap_proposal_refuses_eps_outside_its_range(eps):
+    with pytest.raises(DomainError, match="eps must lie strictly between 0 and 0.2"):
+        gap_domain_proposal(eps)
 
 
 def test_gap_proposal_draws_no_radius_for_a_zero_perturbation():
@@ -521,10 +558,72 @@ def test_shrink_rounds_send_fewer_candidates_to_the_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     screened, screened_svds = run()
-    monkeypatch.setattr(spectral, "_norms_within", lambda stack, _: spectral._op_norms(stack))
+    monkeypatch.setattr(matrix_core, "_column_floor", lambda stack: np.zeros(stack.shape[:-2]))
     unscreened, unscreened_svds = run()
     assert screened == unscreened
     assert screened_svds < 0.5 * unscreened_svds
+
+
+def _ascent_work(monkeypatch, objective, delta, cfg, proposal=None):
+    """Run ``sup_norm_estimate`` and count its work: the delta evaluations
+    made inside ``_ascend`` (matched by identity), the ascent steps taken, the
+    matrices sent to the SVD, and the shrink index each climb landed at."""
+    svd, evaluate, ascend, first_within = (
+        np.linalg.svd, PolyMatrix.eval, spectral._ascend, spectral._first_within)
+    work = {"evals": 0, "steps": 0, "svd": 0, "firsts": []}
+    climbing = []
+
+    def counting_svd(a, *args, **kwargs):
+        work["svd"] += math.prod(a.shape[:-2])
+        return svd(a, *args, **kwargs)
+
+    def counting_eval(self, x):
+        work["evals"] += bool(climbing) and self is delta
+        return evaluate(self, x)
+
+    def counting_ascend(objectives, delta_, starts, *args):
+        work["steps"] += args[-1].ascent_steps
+        climbing.append(True)
+        try:
+            return ascend(objectives, delta_, starts, *args)
+        finally:
+            climbing.pop()
+
+    def recording(stack, bound):
+        first, norms = first_within(stack, bound)
+        work["firsts"].extend(first)
+        return first, norms
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(PolyMatrix, "eval", counting_eval)
+    monkeypatch.setattr(spectral, "_ascend", counting_ascend)
+    monkeypatch.setattr(spectral, "_first_within", recording)
+    rep = sup_norm_estimate(objective, delta, cfg, proposal=proposal)
+    return rep, work
+
+
+def test_an_ascent_step_evaluates_delta_once(monkeypatch):
+    # the shrink-round screening config: a climb-by-climb search made 180
+    # delta evaluations in its 45 steps, and sent these 1032 matrices to the SVD
+    objective = FreePoly.letter(1, 2) * FreePoly.letter(2, 2) - 1
+    cfg = SampleConfig(levels=(2, 3, 4), trials_per_level=20, ascent_steps=15, seed=1)
+    _, work = _ascent_work(monkeypatch, objective, gap_delta(0.1), cfg,
+                           gap_domain_proposal(0.1))
+    assert work["steps"] == 45
+    assert work["evals"] == work["steps"]
+    assert work["svd"] == 1032
+
+
+def test_full_step_landings_send_the_same_matrices_to_the_svd(monkeypatch):
+    # most climbs land at the full step, where a stacked step evaluates the
+    # three shrinks it does not read; it must still decompose only the
+    # 1513 matrices a climb-by-climb search decomposes
+    cfg = SampleConfig(levels=(2, 3), trials_per_level=10, ascent_steps=30, seed=1)
+    _, work = _ascent_work(monkeypatch, FreePoly.letter(1, 2), diag_delta(2), cfg)
+    firsts = np.array(work["firsts"])
+    assert (firsts == 0).sum() > 0.5 * firsts.size
+    assert work["evals"] == work["steps"] == 60
+    assert work["svd"] == 1513
 
 
 def test_stacked_ascent_is_bitwise_the_one_start_reference():
@@ -549,11 +648,10 @@ def test_stacked_ascent_is_bitwise_the_one_start_reference():
 
 
 @pytest.mark.parametrize("budget, steps, shapes", [
-    # one start per group, its six members in 5 + 1 at level 1 and 4 + 2 at level 2
-    pytest.param(6 << 10, 250, {(1, 1, 5), (1, 1, 1), (2, 1, 4), (2, 1, 2)},
-                 id="sliced-members"),
-    # level 1: eight starts in groups of 3 + 3 + 2; level 2: two whole starts per group
-    pytest.param(20 << 10, 250, {(1, 3, 6), (1, 2, 6), (2, 2, 6)}, id="whole-starts"),
+    # one start per group, its six members in 4 + 2 at level 1 and 3 + 3 at level 2
+    pytest.param(6 << 10, 250, {(1, 1, 4), (1, 1, 2), (2, 1, 3)}, id="sliced-members"),
+    # level 1: eight starts in groups of two; level 2: one whole start per group
+    pytest.param(20 << 10, 250, {(1, 2, 6), (2, 1, 6)}, id="whole-starts"),
     pytest.param(1, 40, {(1, 1, 1), (2, 1, 1)}, id="one-climb-each"),
 ])
 def test_grouped_climbs_match_the_ungrouped_run(monkeypatch, budget, steps, shapes):
@@ -581,7 +679,7 @@ def test_grouped_climbs_match_the_ungrouped_run(monkeypatch, budget, steps, shap
 def test_climbs_of_a_wide_objective_stay_within_the_chunk_budget(monkeypatch):
     # a 4 x 4 objective is 16 times as wide as row_delta(1)'s value, so its
     # start values and climbs must go in groups sized by the objective
-    op_norms, norms_within, sizes = spectral._op_norms, spectral._norms_within, []
+    op_norms, first_within, sizes = spectral._op_norms, spectral._first_within, []
 
     def recording(stack):
         sizes.append(stack.nbytes)
@@ -589,16 +687,55 @@ def test_climbs_of_a_wide_objective_stay_within_the_chunk_budget(monkeypatch):
 
     def recording_within(stack, bound):
         sizes.append(stack.nbytes)
-        return norms_within(stack, bound)
+        return first_within(stack, bound)
 
     monkeypatch.setattr(spectral, "_op_norms", recording)
-    monkeypatch.setattr(spectral, "_norms_within", recording_within)
+    monkeypatch.setattr(spectral, "_first_within", recording_within)
     x1 = FreePoly.letter(1, 1)
     objective = PolyMatrix([[x1] * 4] * 4)
     cfg = SampleConfig(levels=(8,), trials_per_level=1024, ascent_steps=2, seed=0)
     rep = sup_norm_estimate(objective, row_delta(1), cfg)
     assert max(sizes) <= spectral.CHUNK_BYTES
     assert rep.admissible > 2 * spectral._chunk_trials([objective], 8)  # several groups
+
+
+def test_climbs_of_a_wide_delta_stay_within_the_chunk_budget(monkeypatch):
+    # diag_delta(3) has a 3n x 3n value, nine times a 1 x 1 objective's, and
+    # a step stacks four candidate values per climb, so the groups must count
+    # four delta values per climb
+    delta = diag_delta(3)
+    evaluate, first_within, svd, sizes, groups = (
+        PolyMatrix.eval, spectral._first_within, np.linalg.svd, [], [])
+    ascend = spectral._ascend
+
+    def recording_eval(self, x):
+        value = evaluate(self, x)
+        if self is delta:
+            sizes.append(value.nbytes)
+        return value
+
+    def recording_within(stack, bound):
+        sizes.append(stack.nbytes)
+        return first_within(stack, bound)
+
+    def recording_svd(a, *args, **kwargs):
+        sizes.append(a.nbytes)
+        return svd(a, *args, **kwargs)
+
+    def recording_ascend(objectives, delta_, starts, *args):
+        groups.append(len(starts) * len(objectives))
+        return ascend(objectives, delta_, starts, *args)
+
+    monkeypatch.setattr(spectral, "CHUNK_BYTES", 256 << 10)
+    monkeypatch.setattr(PolyMatrix, "eval", recording_eval)
+    monkeypatch.setattr(spectral, "_first_within", recording_within)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(spectral, "_ascend", recording_ascend)
+    cfg = SampleConfig(levels=(8,), trials_per_level=40, ascent_steps=3, seed=4)
+    rep = sup_norm_estimate(FreePoly.letter(1, 3), delta, cfg)
+    assert max(sizes) <= spectral.CHUNK_BYTES
+    assert len(groups) > 2 and max(groups) > 1  # several groups of several climbs
+    assert rep.admissible == sum(groups)
 
 
 def test_k_spectral_empty_family_draws_nothing_and_generators_work():
