@@ -565,7 +565,7 @@ def test_shrink_rounds_send_fewer_candidates_to_the_svd(monkeypatch):
 
 
 def _ascent_work(monkeypatch, objective, delta, cfg, proposal=None):
-    """Run ``sup_norm_estimate`` and count its work: the delta evaluations
+    """Run ``sup_norm_estimate`` and return its work: the delta evaluations
     made inside ``_ascend`` (matched by identity), the ascent steps taken, the
     matrices sent to the SVD, and the shrink index each climb landed at."""
     svd, evaluate, ascend, first_within = (
@@ -598,8 +598,8 @@ def _ascent_work(monkeypatch, objective, delta, cfg, proposal=None):
     monkeypatch.setattr(PolyMatrix, "eval", counting_eval)
     monkeypatch.setattr(spectral, "_ascend", counting_ascend)
     monkeypatch.setattr(spectral, "_first_within", recording)
-    rep = sup_norm_estimate(objective, delta, cfg, proposal=proposal)
-    return rep, work
+    sup_norm_estimate(objective, delta, cfg, proposal=proposal)
+    return work
 
 
 def test_an_ascent_step_evaluates_delta_once(monkeypatch):
@@ -607,8 +607,8 @@ def test_an_ascent_step_evaluates_delta_once(monkeypatch):
     # delta evaluations in its 45 steps, and sent these 1032 matrices to the SVD
     objective = FreePoly.letter(1, 2) * FreePoly.letter(2, 2) - 1
     cfg = SampleConfig(levels=(2, 3, 4), trials_per_level=20, ascent_steps=15, seed=1)
-    _, work = _ascent_work(monkeypatch, objective, gap_delta(0.1), cfg,
-                           gap_domain_proposal(0.1))
+    work = _ascent_work(monkeypatch, objective, gap_delta(0.1), cfg,
+                        gap_domain_proposal(0.1))
     assert work["steps"] == 45
     assert work["evals"] == work["steps"]
     assert work["svd"] == 1032
@@ -619,7 +619,7 @@ def test_full_step_landings_send_the_same_matrices_to_the_svd(monkeypatch):
     # three shrinks it does not read; it must still decompose only the
     # 1513 matrices a climb-by-climb search decomposes
     cfg = SampleConfig(levels=(2, 3), trials_per_level=10, ascent_steps=30, seed=1)
-    _, work = _ascent_work(monkeypatch, FreePoly.letter(1, 2), diag_delta(2), cfg)
+    work = _ascent_work(monkeypatch, FreePoly.letter(1, 2), diag_delta(2), cfg)
     firsts = np.array(work["firsts"])
     assert (firsts == 0).sum() > 0.5 * firsts.size
     assert work["evals"] == work["steps"] == 60
