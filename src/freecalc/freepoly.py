@@ -25,8 +25,6 @@ __all__ = [
     "diag_delta",
     "gap_delta",
     "lens_delta",
-    "compose_with_entries",
-    "verify_separating_witnesses",
 ]
 
 Word = tuple[int, ...]
@@ -229,11 +227,6 @@ class FreePoly:
                 out[u] = out.get(u, 0j) + v
         return FreePoly(d_new, out)
 
-    def scale_letters(self, s: complex) -> "FreePoly":
-        """Substitute x^j -> s * x^j for every letter (coefficients scale by s^|word|)."""
-        s = complex(s)
-        return FreePoly(self._d, {w: c * s ** len(w) for w, c in self._terms.items()})
-
     # --- evaluation -----------------------------------------------------------
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
@@ -432,44 +425,3 @@ def lens_delta() -> PolyMatrix:
     zero = FreePoly.zero(d)
     return PolyMatrix([[x, zero], [zero, x - 1]])
 
-
-# --- coordinate recovery ------------------------------------------------------
-
-
-def compose_with_entries(h: FreePoly, delta: PolyMatrix) -> FreePoly:
-    """Substitute the entries of delta (row-major) for the letters of h.
-
-    ``h`` must be a polynomial in I*J letters; the result is a polynomial in
-    delta's own d letters.
-    """
-    if h.d != delta.I * delta.J:
-        raise ShapeError(
-            f"h has {h.d} letters but delta has {delta.I * delta.J} entries"
-        )
-    flat = [delta.entry(i, j) for i in range(delta.I) for j in range(delta.J)]
-    return h.substitute(flat)
-
-
-def verify_separating_witnesses(
-    delta: PolyMatrix, witnesses: Sequence[FreePoly]
-) -> tuple[bool, list[str]]:
-    """Check that witness polynomials recover every coordinate from delta's entries.
-
-    Witness r (a polynomial in I*J slot letters) must satisfy
-    witness_r(delta entries) == x^r exactly as polynomials.  Returns the overall
-    verdict and a per-coordinate detail list.  No search is attempted; the
-    witnesses are user-supplied claims that we verify symbolically.
-    """
-    details: list[str] = []
-    ok = True
-    if len(witnesses) != delta.d:
-        raise ShapeError(f"need {delta.d} witnesses, got {len(witnesses)}")
-    for r, h in enumerate(witnesses, start=1):
-        composed = compose_with_entries(h, delta)
-        target = FreePoly.letter(r, delta.d)
-        if composed == target:
-            details.append(f"coordinate {r}: recovered exactly")
-        else:
-            ok = False
-            details.append(f"coordinate {r}: composition differs from x^{r}")
-    return ok, details

@@ -6,17 +6,24 @@ computes that value along two independent routes (the closed linear-fractional
 form and the homogeneous series), bounds the truncation error when the model
 data supports a bound, and wraps everything in a report whose certificates can
 be re-checked from the numbers alone.
+
+It also compiles a polynomial P into a model with F(delta(T)/s) = P(T).
+That needs every coordinate r to sit alone in some entry of delta, as
+c * x^r with a c that a float q inverts exactly (c * q == 1); the compile
+then renames x^r to that entry's slot and scales by q * s.  A coordinate
+found alone only with coefficients that no float inverts exactly, or never
+found alone, is a DomainError, in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, SeriesCapError, ShapeError
-from .freepoly import FreePoly, PolyMatrix, verify_separating_witnesses
+from .freepoly import FreePoly, PolyMatrix
 from .matrix_core import _SCREEN_MARGIN, MatrixTuple, ampliate, op_norm
 from .realization import (
     Colligation,
@@ -37,7 +44,6 @@ __all__ = [
     "Certificate",
     "PolyConsistencyReport",
     "compile_polynomial",
-    "derive_witnesses",
     "path_norm_sup",
     "poly_consistency",
     "sharp",
@@ -423,7 +429,8 @@ def poly_consistency(
         )
     if P.d != delta.d:
         raise ShapeError(f"polynomial uses {P.d} letters, delta uses {delta.d}")
-    s = _scaled_point(delta, T, params)[2]
+    rep = sharp(F, delta, T, params)
+    s = rep.s
     threshold = params.tol + _AGREE_SLACK
 
     vanishes = delta.vanishes_at_zero()
@@ -441,7 +448,6 @@ def poly_consistency(
         gap = float(op_norm(got - want))
         comp_gap = gap if comp_gap is None else max(comp_gap, gap)
 
-    rep = sharp(F, delta, T, replace(params, s=s))
     sharp_gap = float(op_norm(xfirst_to_blocks(rep.value, T.n, F.k2, F.k1) - P.eval(T)))
 
     notes = []
@@ -489,24 +495,21 @@ def _exact_inverse(c: complex) -> complex | None:
     return None
 
 
-def derive_witnesses(delta: PolyMatrix) -> list[FreePoly]:
-    """Read coordinate-recovery witnesses off delta when entries are scaled letters.
+def _coordinate_slots(delta: PolyMatrix) -> list[tuple[int, complex]]:
+    """Per coordinate r, the slot of an entry c * x^r of delta and a float q
+    with c * q == 1 exactly.
 
-    Looks for an entry of the form c * x^r for every coordinate r; the witness
-    is then the matching slot letter times a float q with c * q == 1 exactly
-    (1/c or a float neighbour of it), so the witness passes the exact check
-    of verify_separating_witnesses.  Raises DomainError when some coordinate
-    never appears alone, in which case the caller must supply witnesses
-    explicitly, or appears alone only with coefficients that no float q
-    inverts exactly.
+    The entry is the first single-term c * x^r in row-major order whose c
+    has an exact float inverse (see _exact_inverse); slots count 1-based in
+    that order.  Raises DomainError when some coordinate appears alone only
+    with coefficients that no float inverts exactly, and otherwise when some
+    coordinate never appears alone.
     """
-    found: dict[int, FreePoly] = {}
+    found: dict[int, tuple[int, complex]] = {}
     inexact: dict[int, str] = {}
-    d_slots = delta.I * delta.J
     for i in range(delta.I):
         for j in range(delta.J):
-            p = delta.entry(i, j)
-            terms = p.sorted_terms()
+            terms = delta.entry(i, j).sorted_terms()
             if len(terms) != 1:
                 continue
             word, coeff = terms[0]
@@ -523,8 +526,7 @@ def derive_witnesses(delta: PolyMatrix) -> list[FreePoly]:
                        f"{c} * q == 1 exactly, so no float witness recovers coordinate {r} "
                        "exactly")
                 continue
-            slot = i * delta.J + j + 1
-            found[r] = FreePoly.letter(slot, d_slots) * q
+            found[r] = (i * delta.J + j + 1, q)
     missing = [r for r in range(1, delta.d + 1) if r not in found]
     unrecovered = [inexact[r] for r in missing if r in inexact]
     if unrecovered:
@@ -532,7 +534,7 @@ def derive_witnesses(delta: PolyMatrix) -> list[FreePoly]:
     if missing:
         raise DomainError(
             "cannot derive coordinate witnesses: no entry of delta is a plain "
-            f"scaled letter for coordinate(s) {missing}; pass witnesses explicitly"
+            f"scaled letter for coordinate(s) {missing}"
         )
     return [found[r] for r in range(1, delta.d + 1)]
 
@@ -541,29 +543,34 @@ def compile_polynomial(
     P: FreePoly | PolyMatrix,
     delta: PolyMatrix,
     s: float = 1.0,
-    witnesses=None,
 ) -> Colligation:
     """Build a model with F(delta(T)/s) = P(T) exactly, for every tuple T.
 
-    Requires witnesses h_r with h_r(entries of delta) = x^r; these are derived
-    automatically when each coordinate shows up as a scaled letter entry.  The
-    model compiles P with every letter replaced by the witness evaluated at
-    s times the slot variables, so the 1/s scaling of the input cancels.  The
-    state loop is nilpotent, hence evaluation is a finite exact sum with no
-    convergence constraint.
+    Every coordinate r must appear alone in some entry of delta, as c * x^r
+    with a c that a float q inverts exactly (c * q == 1); the first such
+    entry in row-major order is the coordinate's slot.  The model compiles P
+    with every letter x^r renamed to its slot letter and each word's
+    coefficient multiplied, letter by letter, by q * s, so the 1/s scaling of
+    the input cancels.  Raises DomainError when a coordinate appears alone
+    only with coefficients that no float inverts exactly, and otherwise when
+    a coordinate never appears alone.  The state loop is nilpotent, hence
+    evaluation is a finite exact sum with no convergence constraint.
     """
     if not 0.0 < s <= 1.0:
         raise DomainError("scale s must lie in (0, 1]")
     P = PolyMatrix.from_poly(P)
     if P.d != delta.d:
         raise ShapeError(f"polynomial uses {P.d} letters, delta uses {delta.d}")
-    if witnesses is None:
-        witnesses = derive_witnesses(delta)
-    ok, details = verify_separating_witnesses(delta, witnesses)
-    if not ok:
-        raise DomainError(
-            "witnesses do not recover the coordinates: " + "; ".join(details)
-        )
-    images = [h.scale_letters(s) for h in witnesses]
-    compiled = P.map(lambda p: p.substitute(images))
-    return poly_to_colligation(compiled, delta.I, delta.J)
+    slots = _coordinate_slots(delta)
+    letters = [slot for slot, _ in slots]
+    gains = [q * complex(s) for _, q in slots]
+
+    def rename(p: FreePoly) -> FreePoly:
+        terms = {}
+        for word, c in p.sorted_terms():
+            for r in word:
+                c = c * gains[r - 1]
+            terms[tuple(letters[r - 1] for r in word)] = c
+        return FreePoly(delta.I * delta.J, terms)
+
+    return poly_to_colligation(P.map(rename), delta.I, delta.J)

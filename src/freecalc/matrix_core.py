@@ -45,6 +45,16 @@ def _check_finite(a: np.ndarray, what: str = "matrix") -> None:
         raise DomainError(f"{what} entries must be finite (found NaN or Inf)")
 
 
+def _integer(value, what: str, error: type) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises ``error``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 def as_array(m) -> np.ndarray:
     """Coerce a matrix-like object to a 2-D complex128 array (no copy if possible)."""
     a = np.asarray(m, dtype=np.complex128)

@@ -62,7 +62,15 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .freepoly import FreePoly, PolyMatrix, Word
-from .matrix_core import _SCREEN_MARGIN, ampliate, as_array, op_norm, random_matrix, rng_from
+from .matrix_core import (
+    _SCREEN_MARGIN,
+    _integer,
+    ampliate,
+    as_array,
+    op_norm,
+    random_matrix,
+    rng_from,
+)
 
 __all__ = [
     "Colligation",
@@ -422,13 +430,23 @@ def _terms_for_tolerance(t: float, tol: float) -> int:
     return n
 
 
+def _degree(k) -> int:
+    """A homogeneous degree as a Python int; a negative or non-integer k
+    raises DomainError."""
+    k = _integer(k, "degree k", DomainError)
+    if k < 0:
+        raise DomainError(f"degree k must be >= 0, got {k}")
+    return k
+
+
 def dft_points_for(k: int, t: float, tol: float) -> int:
     """Smallest certified angle count for degree-k extraction at radius t.
 
     For an isometric colligation the aliasing error of an N-point average is
     below t^(N-k)/(1-t), so N = k + 1 + _terms_for_tolerance(t, tol) pushes
-    it under tol.  Requires t < 1.
+    it under tol.  Requires an integer k >= 0 and t < 1.
     """
+    k = _degree(k)
     if not 0.0 <= t < 1.0:
         raise DomainError("certified extraction needs a point with norm below 1")
     if not 0.0 < tol < math.inf:
@@ -443,7 +461,10 @@ def homog_extract_dft(F: Colligation, y, k: int, n_angles: int) -> np.ndarray:
     an independent route to the terms of homog_series: it only uses the
     closed-form evaluation, never the series algebra.  Aliasing picks up terms of degree
     k + N, k + 2N, ...; choose n_angles with dft_points_for to certify.
+    k must be an integer >= 0 and n_angles an integer above k.
     """
+    k = _degree(k)
+    n_angles = _integer(n_angles, "n_angles", DomainError)
     if n_angles <= k:
         raise DomainError(f"need more angles than the degree: {n_angles} <= {k}")
     y4 = _point_blocks(F, y)

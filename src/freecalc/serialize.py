@@ -459,29 +459,29 @@ _DETECTORS = (
 )
 
 
-def detect_kind(v) -> str:
-    """Name the domain type a JSON object encodes, from its key shape."""
-    obj = _want_dict(v, "$")
-    for name, keys, _ in _DETECTORS:
-        if keys <= obj.keys():
-            return name
-    raise ValidationError(
-        "unrecognized document: expected a matrix, tuple, polynomial, "
-        "polynomial matrix, colligation, or evaluation job",
-        "$",
-    )
-
-
-def decode_any(v, path: str = "$"):
-    """Decode a JSON object of any supported domain type (detected by keys)."""
-    for name, keys, dec in _DETECTORS:
-        if isinstance(v, dict) and keys <= v.keys():
-            return dec(v, path)
+def _detector(v, path: str):
+    """The (name, decoder) entry of _DETECTORS whose keys the object ``v``
+    has; anything else is an unrecognized document at ``path``."""
+    if isinstance(v, dict):
+        for name, keys, dec in _DETECTORS:
+            if keys <= v.keys():
+                return name, dec
     raise ValidationError(
         "unrecognized document: expected a matrix, tuple, polynomial, "
         "polynomial matrix, colligation, or evaluation job",
         path,
     )
+
+
+def detect_kind(v) -> str:
+    """Name the domain type a JSON object encodes, from its key shape."""
+    return _detector(_want_dict(v, "$"), "$")[0]
+
+
+def decode_any(v, path: str = "$"):
+    """Decode a JSON object of any supported domain type (detected by keys)."""
+    _, dec = _detector(v, path)
+    return dec(v, path)
 
 
 def parse_json(text: str, source: str | None = None):

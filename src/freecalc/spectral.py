@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from itertools import chain, product
 
@@ -25,6 +24,7 @@ from .matrix_core import (
     _check_finite,
     _complex_gaussian,
     _first_within,
+    _integer,
     _op_norms,
     _rescaled_to_peak,
     _task_rngs,
@@ -111,16 +111,6 @@ class SampleConfig:
                             ("ascent_steps", steps), ("margin", float(self.margin)),
                             ("seed", seed)]:
             object.__setattr__(self, name, value)
-
-
-def _integer(value, what: str, error: type) -> int:
-    """``value`` as a Python int; a bool or a non-integer raises ``error``."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise error(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ def test_package_surface_is_the_module_lists():
     shares = [freecalc.errors, freecalc.freepoly, freecalc.funcalc,
               freecalc.matrix_core, freecalc.realization, freecalc.spectral]
     assert freecalc.__all__ == [n for m in shares for n in m.__all__] + ["__version__"]
-    assert len(freecalc.__all__) <= 56
+    assert len(freecalc.__all__) <= 53
     for module in shares:
         assert all(getattr(freecalc, n) is getattr(module, n) for n in module.__all__)
 

@@ -7,13 +7,11 @@ from freecalc.errors import DomainError, ShapeError
 from freecalc.freepoly import (
     FreePoly,
     PolyMatrix,
-    compose_with_entries,
     diag_delta,
     e_lambda,
     gap_delta,
     lens_delta,
     row_delta,
-    verify_separating_witnesses,
 )
 from freecalc.matrix_core import MatrixTuple, _op_norms, op_norm, random_tuple, task_rng
 
@@ -92,12 +90,10 @@ def test_homogeneous_parts_scaling():
     parts = [p.homogeneous_part(k) for k in range(p.degree() + 1)]
     assert sum(parts[1:], parts[0]) == p
     s = 0.3
-    q = p.scale_letters(s)
-    for k, part in enumerate(parts):
-        assert q.homogeneous_part(k) == part.scale_letters(s)
     x = _point(11)
     sx = MatrixTuple([s * c for c in x.coords])
-    assert np.allclose(q.eval(x), p.eval(sx), atol=1e-12)
+    scaled = sum(s**k * part.eval(x) for k, part in enumerate(parts))
+    assert np.allclose(scaled, p.eval(sx), atol=1e-12)
 
 
 def test_substitute_matches_numeric_composition():
@@ -316,29 +312,6 @@ def test_lens_delta_contains_half_plus_small():
     assert op_norm(delta.eval(inside)) <= 1 - 1e-3
     outside = MatrixTuple([np.array([[1.7 + 0.0j]])])
     assert not op_norm(delta.eval(outside)) <= 1 - 1e-3
-
-
-def test_compose_with_entries_and_witnesses():
-    delta = diag_delta(2)
-    # slot letters: entries row-major are (x1, 0, 0, x2) -> slots 1 and 4
-    h1 = FreePoly.letter(1, 4)
-    h2 = FreePoly.letter(4, 4)
-    ok, details = verify_separating_witnesses(delta, [h1, h2])
-    assert ok and all("recovered" in s for s in details)
-    bad = FreePoly.letter(2, 4)  # a zero entry recovers nothing
-    ok2, details2 = verify_separating_witnesses(delta, [h1, bad])
-    assert not ok2 and "differs" in details2[1]
-    with pytest.raises(ShapeError):
-        verify_separating_witnesses(delta, [h1])
-
-
-def test_compose_with_entries_shape_check():
-    delta = row_delta(2)
-    with pytest.raises(ShapeError):
-        compose_with_entries(FreePoly.letter(1, 3), delta)
-    # composing slot 2 with the row recovers the second coordinate
-    got = compose_with_entries(FreePoly.letter(2, 2), delta)
-    assert got == FreePoly.letter(2, 2)
 
 
 def test_e_lambda_shapes_and_letters():

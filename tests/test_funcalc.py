@@ -21,7 +21,6 @@ from freecalc.funcalc import (
     Certificate,
     compile_polynomial,
     default_scale,
-    derive_witnesses,
     path_norm_sup,
     poly_consistency,
     sharp,
@@ -259,22 +258,68 @@ def test_poly_consistency_reports_failed_hypotheses():
     assert any("does not vanish" in n for n in rep.notes)
 
 
-def test_derive_witnesses_diagonal_and_gap():
-    w = derive_witnesses(diag_delta(2))
-    assert w[0] == FreePoly.letter(1, 4)
-    assert w[1] == FreePoly.letter(4, 4)
-    # gap entries are scaled letters on the diagonal: witnesses unscale them
-    got = derive_witnesses(gap_delta(0.1))
-    for witness, slot in zip(got, (5, 9)):
-        (word, coeff), = witness.sorted_terms()
-        assert word == (slot,)
-        assert coeff == pytest.approx(1.1, rel=1e-12)
+def _slot_and_gain(delta, r):
+    """The slot letter x^r compiles to through delta, and its coefficient."""
+    F = compile_polynomial(FreePoly.letter(r, delta.d), delta)
+    assert F.m == 1
+    (i,), (j,) = np.flatnonzero(F.B[0]), np.flatnonzero(F.C[:, 0])
+    return i * delta.J + j + 1, F.B[0, i]
 
 
-def test_derive_witnesses_missing_coordinate():
+def _x(r, d=2):
+    return FreePoly.letter(r, d)
+
+
+_ORACLE_DELTAS = {
+    # delta, s, per coordinate: (slot, coefficient of its entry)
+    "diag": (diag_delta(2), 1.0, [(1, 1.0), (4, 1.0)]),
+    "row": (row_delta(3), 1.0, [(1, 1.0), (2, 1.0), (3, 1.0)]),
+    "gap": (gap_delta(0.1), 0.5, [(5, 1.0 / 1.1), (9, 1.0 / 1.1)]),
+    "lens": (lens_delta(), 1.0, [(1, 1.0)]),
+    "swapped": (PolyMatrix([[_x(2), _x(1)]]), 1.0, [(2, 1.0), (1, 1.0)]),
+    # no float inverts 237 exactly, so coordinate 1 takes the later entry
+    "inexact-first": (PolyMatrix([[237.0 * _x(1), _x(2), _x(1)]]), 1.0, [(3, 1.0), (2, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_DELTAS))
+def test_compile_polynomial_is_the_substitution_route(name):
+    # the route the rename replaces: substitute q * s times the slot letter
+    # for each coordinate, then compile over delta's slots
+    delta, s, slots = _ORACLE_DELTAS[name]
+    d, d_slots = delta.d, delta.I * delta.J
+    images = [FreePoly.letter(slot, d_slots) * (funcalc._exact_inverse(c) * s)
+              for slot, c in slots]
+    words = [(), (1,), (d, 1), (1, 1, d), (d, 1, d, 1)]
+    coeffs = [0.5, -1e-300, (0.3 - 0.7j), -1e150, (-0.0 - 2.5j)]
+    scalar = FreePoly(d, dict(zip(words, coeffs)))
+    square = PolyMatrix([[scalar, FreePoly.zero(d)],
+                         [FreePoly(d, dict(zip(words[::-1], coeffs))), _x(d, d) * -3.0]])
+    for P in (scalar, square):
+        F = compile_polynomial(P, delta, s=s)
+        G = poly_to_colligation(PolyMatrix.from_poly(P).map(lambda p: p.substitute(images)),
+                                delta.I, delta.J)
+        assert F == G
+        for a, b in zip((F.A, F.B, F.C, F.D), (G.A, G.B, G.C, G.D)):
+            assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+def test_compile_polynomial_reads_slots_and_inverses():
+    assert [_slot_and_gain(diag_delta(2), r) for r in (1, 2)] == [(1, 1.0), (4, 1.0)]
+    # gap entries are scaled letters on the diagonal: the compile unscales them
+    for r, want in zip((1, 2), (5, 9)):
+        slot, gain = _slot_and_gain(gap_delta(0.1), r)
+        assert slot == want
+        assert gain == pytest.approx(1.1, rel=1e-12)
+    assert _slot_and_gain(lens_delta(), 1) == (1, 1.0)
+
+
+def test_compile_polynomial_refuses_a_coordinate_never_alone():
     delta = PolyMatrix([[FreePoly.monomial((1, 2), 2)]])
-    with pytest.raises(DomainError, match="witness"):
-        derive_witnesses(delta)
+    with pytest.raises(DomainError, match=r"no entry of delta is a plain scaled letter "
+                                          r"for coordinate\(s\) \[1, 2\]$"):
+        compile_polynomial(FreePoly.letter(1, 2), delta)
 
 
 def test_derived_witnesses_recover_their_coordinates_exactly():
@@ -337,22 +382,12 @@ def test_compile_polynomial_exact_at_any_scale():
         compile_polynomial(p, delta, s=1.5)
 
 
-def test_compile_polynomial_rejects_bad_witnesses():
-    delta = diag_delta(2)
-    p = FreePoly.letter(1, 2)
-    bad = [FreePoly.letter(2, 4), FreePoly.letter(4, 4)]  # slot 2 is a zero entry
-    with pytest.raises(DomainError, match="witnesses"):
-        compile_polynomial(p, delta, witnesses=bad)
-
-
 def test_compile_matrix_polynomial_through_lens():
     # 2x1 polynomial column through the one-letter lens arrangement
     d = 1
     x = FreePoly.letter(1, d)
     P = PolyMatrix([[x * x], [x - 0.5]])
     delta = lens_delta()
-    w = derive_witnesses(delta)
-    assert w[0] == FreePoly.letter(1, 4)
     F = compile_polynomial(P, delta, s=1.0)
     T = MatrixTuple([np.array([[0.5 + 0.2j]])])
     rep = sharp(F, delta, T, CalcParams(s=1.0))

@@ -362,6 +362,31 @@ def test_dft_points_for_edges():
         homog_extract_dft(F, np.array([[0.5]]), 3, 3)
 
 
+@pytest.mark.parametrize("k", [-1, 2.5, 2.0, True, None])
+def test_dft_refuses_a_degree_that_is_not_a_nonnegative_integer(k):
+    # -1 with 8 angles would alias to the degree-7 term; 2.5 would ask for 37.5 angles
+    F = poly_to_colligation(FreePoly.letter(1, 1), 1, 1)
+    with pytest.raises(DomainError, match="degree k must be"):
+        dft_points_for(k, 0.5, 1e-10)
+    with pytest.raises(DomainError, match="degree k must be"):
+        homog_extract_dft(F, np.array([[0.5]]), k, 8)
+
+
+@pytest.mark.parametrize("n_angles", [8.0, 8.5, np.float64(8), False])
+def test_dft_refuses_an_angle_count_that_is_not_an_integer(n_angles):
+    F = poly_to_colligation(FreePoly.letter(1, 1), 1, 1)
+    with pytest.raises(DomainError, match="n_angles must be an integer"):
+        homog_extract_dft(F, np.array([[0.5]]), 1, n_angles)
+
+
+def test_dft_takes_numpy_integers():
+    F = poly_to_colligation(FreePoly.letter(1, 1), 1, 1)
+    y = np.array([[0.5]])
+    assert dft_points_for(np.int64(1), 0.0, 1e-10) == 2
+    got = homog_extract_dft(F, y, np.int64(1), np.int32(4))
+    assert np.array_equal(got, homog_extract_dft(F, y, 1, 4))
+
+
 def _random_poly_matrix(rng, k2: int, k1: int, d: int) -> PolyMatrix:
     """Seeded k2 x k1 polynomial matrix built so that the compile has work to
     do: words drawn with all their suffixes from a small shared pool, so

@@ -123,8 +123,13 @@ def test_detect_kind_on_every_document_type():
         assert detect_kind(payload) == kind
         decoded = decode_any(payload)
         assert decoded is not None
-    with pytest.raises(ValidationError, match="unrecognized"):
+    with pytest.raises(ValidationError, match=r"^\$: unrecognized"):
         detect_kind({"foo": 1})
+    with pytest.raises(ValidationError, match=r"^\$: expected an object, got list"):
+        detect_kind([1])
+    for doc in ({"foo": 1}, [1]):
+        with pytest.raises(ValidationError, match=r"^\$\.x: unrecognized"):
+            decode_any(doc, "$.x")
 
 
 def test_job_roundtrip_and_detection():
