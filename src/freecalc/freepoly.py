@@ -10,6 +10,7 @@ is the domain the rest of the package works over.
 
 from __future__ import annotations
 
+import cmath
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,7 +52,8 @@ class FreePoly:
     words are tuples of 1-based letter indices and the empty word is the
     constant term.  Zero
     coefficients are never stored, so structural equality is semantic
-    equality.
+    equality.  A coefficient that is not finite, given or produced by
+    overflowing arithmetic, raises ``DomainError`` naming its word.
     """
 
     __slots__ = ("_d", "_terms")
@@ -72,6 +74,9 @@ class FreePoly:
                     clean[word] = c
                 else:
                     clean.pop(word, None)
+        for word, c in clean.items():  # a non-finite input or sum stays non-finite
+            if not cmath.isfinite(c):
+                raise DomainError(f"coefficient {c} of word {word} is not finite")
         self._d = d
         self._terms = dict(sorted(clean.items(), key=lambda kv: _canon_key(kv[0])))
 

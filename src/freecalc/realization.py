@@ -13,24 +13,33 @@ function
 
 where Y_M is Y with the auxiliary space M tensored into each block slot and
 L = Y_M (I_n (x) D) is the loop operator (the second line is the
-push-through identity).  Every route runs on that one loop, on the
-N = n*I*m states (a, i, u): the series takes one product with L per term,
-and the closed form (and the DFT route, which calls it) solves with
-K = I - L, formed in place over L.  Y_M and I_n (x) B, I_n (x) D are applied
-in factored form, never formed: L and w = Y_M (I_n (x) C), the right-hand
-side of the one linear solve, are each one batched matmul of a view of Y
-against a slot view of D or C, L written straight into its N x N buffer.
-funcalc.sharp builds the loop once and runs the series on it before the
-closed form consumes it.
+push-through identity).  Every route runs on that one loop, on its live
+states: of the n*I*m states (a, i, u), those whose column i*m + u of B or
+of D is nonzero, N = n*(live count) of them.  A dead state's column of L is
+zero, so L is block triangular with a zero block on the dead states, and
+every term B L^k w, the value B (I - L)^-1 w and rho(L) are the live
+block's.  A compiled polynomial reads each state out at one slot only,
+its tag letter's, so its loop has n*m states, 1/I of the full grid.
+The series takes one product with L per term, and the closed form (and
+the DFT route, which calls it) solves with K = I - L, formed in place over
+L.  Y_M and I_n (x) B, I_n (x) D are applied in factored form, never
+formed: L and w = Y_M (I_n (x) C), the right-hand side of the one linear
+solve, are built by one batched matmul per slot of a view of Y against
+D's or C's rows for that slot's live states, written straight into the
+slot's rows of the N x N buffer.  funcalc.sharp builds the loop once and
+runs the series on it before the closed form consumes it.
 
 The closed form is guarded: K must be invertible with ||K^-1|| at most
 RESOLVENT_NORM_CAP, and a loop that is neither nilpotent nor an isometric
 contraction must have spectral radius below 1.  Both are settled by a bound
 first.  Since ||L|| <= ||D|| ||Y|| = g, a loop of nilpotency index nu has
 ||K^-1|| <= sum_(k<nu) g^k, any loop with g < 1 has ||K^-1|| <= 1/(1 - g),
-and rho(L) <= g.  The SVD of K runs only when that bound exceeds the cap,
-and eigvals(L) only when g does not clear 1 - _SPECTRAL_SLACK, so both
-decompositions are taken exactly when the bound cannot settle the check.
+and rho(L) <= g; g bounds the live block as well, so a verdict the bound
+settles is the same on the live loop as on the full grid.  The SVD of K
+runs only when that bound exceeds the cap, and eigvals(L) only when g does
+not clear 1 - _SPECTRAL_SLACK, so both decompositions are taken exactly
+when the bound cannot settle the check; the SVD reads the live K, the
+matrix that is actually solved.
 g itself is bounded first by ||D||_F ||Y||, and the SVD of D runs only when
 that bound cannot settle a check; ||Y|| comes from the caller, which
 funcalc.sharp has already taken.
@@ -86,9 +95,9 @@ __all__ = [
 ISOMETRY_TOL = 1e-8
 RESOLVENT_NORM_CAP = 1e12
 _SPECTRAL_SLACK = 1e-10
-# Largest loop dimension N = n*I*m an evaluation allocates.  It holds two
-# N x N complex matrices, the loop L (which becomes K in place) and its LU
-# factor, each 16 N^2 bytes: 64 MiB here.
+# Largest loop dimension N = n*(live states) an evaluation allocates.  It
+# holds two N x N complex matrices, the loop L (which becomes K in place) and
+# its LU factor, each 16 N^2 bytes: 64 MiB here.
 MAX_LOOP_DIM = 2048
 
 
@@ -97,7 +106,10 @@ class Colligation:
 
     Shapes: A is k2 x k1, B is k2 x (I*m), C is (J*m) x k1, D is (J*m) x (I*m).
     Columns of B and rows of C/D are ordered copy-major: slot (i, state) maps
-    to index i*m + state.  ``isometric_certified`` is computed, not trusted:
+    to index i*m + state.  A state is live when its column of B or of D has a
+    nonzero entry; the live states, like ``nilpotent_index``, are computed
+    at construction, and the loop is built on them alone.
+    ``isometric_certified`` is computed, not trusted:
     it is True exactly when the assembled block [A B; C D] satisfies
     ||V*V - I|| <= ISOMETRY_TOL.  The Gram V*V - I is formed and checked
     finite at construction, and its norm, ``isometry_defect``, is taken on
@@ -106,7 +118,7 @@ class Colligation:
     """
 
     __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_gram", "_defect",
-                 "_nilpotent_index", "_D_norm")
+                 "_nilpotent_index", "_D_norm", "_live", "_live_count", "_slots")
 
     def __init__(self, A, B, C, D, I: int, J: int):
         if I < 1 or J < 1:
@@ -141,6 +153,7 @@ class Colligation:
         self._defect: float | None = None
         self._nilpotent_index = _graph_nilpotency(D, I, J, m)
         self._D_norm: float | None = None
+        self._live, self._live_count, self._slots = _live_states(B, D, I, m)
 
     # --- fields -------------------------------------------------------------
 
@@ -256,6 +269,30 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
     return layers if peeled == m else None
 
 
+def _live_states(B: np.ndarray, D: np.ndarray, I: int, m: int):
+    """(live, count, slots): the states (i, u) whose column i*m + u of B or
+    of D has a nonzero entry, in slot-major order.
+
+    ``live`` selects those columns, ``count`` is how many there are, and
+    ``slots`` holds (i, lo, hi, us) for each slot i with a live state:
+    positions lo:hi of the live order are slot i's states, selected from
+    0..m-1 by ``us``.  A selector that is one contiguous run is a slice, so a
+    fully live model's operands are views of its blocks.
+    """
+    live = np.flatnonzero((B != 0).any(axis=0) | (D != 0).any(axis=0))
+    bounds = np.searchsorted(live, np.arange(I + 1) * m).tolist()
+    slots = tuple((i, lo, hi, _run(live[lo:hi] - i * m))
+                  for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo)
+    return _run(live), live.size, slots
+
+
+def _run(ix: np.ndarray):
+    """An increasing index array as a slice when it is one contiguous run."""
+    if ix.size and ix[-1] - ix[0] + 1 == ix.size:
+        return slice(int(ix[0]), int(ix[-1]) + 1)
+    return ix
+
+
 # --- evaluation ----------------------------------------------------------------
 #
 # Index layout.  The point is read as y4[i, a, j, b] = (block (i, j) of y)[a, b],
@@ -282,39 +319,50 @@ def _point_blocks(F: Colligation, y) -> np.ndarray:
 
 
 def _apply_b(F: Colligation, w: np.ndarray, n: int) -> np.ndarray:
-    """(I_n (x) B) w for w with rows (a, i, u) and n*k1 columns."""
-    return (F.B @ w.reshape(n, F.I * F.m, n * F.k1)).reshape(n * F.k2, n * F.k1)
+    """(I_n (x) B) w for w with rows (a, live state) and n*k1 columns."""
+    return (F.B[:, F._live] @ w.reshape(n, F._live_count, n * F.k1)).reshape(n * F.k2, n * F.k1)
 
 
 def _check_loop_dim(F: Colligation, n: int) -> int:
-    """The loop dimension N = n * I * m, refused above MAX_LOOP_DIM before
-    any N x N matrix is allocated."""
-    N = n * F.I * F.m
+    """The loop dimension N = n * (live states), refused above MAX_LOOP_DIM
+    before any N x N matrix is allocated."""
+    N = n * F._live_count
     if N > MAX_LOOP_DIM:
+        states = "states" if F._live_count == F.I * F.m else f"live states of {n * F.I * F.m}"
         raise DomainError(
-            f"loop too large: n={n}, I={F.I}, m={F.m} give N={N} states, "
+            f"loop too large: n={n}, I={F.I}, m={F.m} give N={N} {states}, "
             f"{16 * N * N} bytes per N x N matrix; at most N={MAX_LOOP_DIM} is allowed"
         )
     return N
 
 
 def _loop(F: Colligation, y4: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, L, w): the loop L = Y_M (I_n (x) D), rows (a, i, u) and columns
-    (b, i', v), and w = Y_M (I_n (x) C), rows (a, i, u) and columns (b, q).
+    """(n, L, w): the loop L = Y_M (I_n (x) D) on the live states, rows
+    (a, i, u) and columns (b, i', v), and w = Y_M (I_n (x) C), rows (a, i, u)
+    and columns (b, q).
 
-    Each is one broadcast matmul of the point, viewed as yt[a, i, ., b, j],
-    against a slot view with u leading and j as the contracted index: the
-    stack of n*I*m products (b, j) @ (j, x) is written straight into the
-    N x N layout of L, so no N x N temporary is made.
+    A dead state (i, u) has zero columns in B and D: its column of L is zero
+    and it feeds neither another state nor the output, so dropping it changes
+    no series term, no closed form value and no eigenvalue but zeros.  Each
+    slot i with live states takes one broadcast matmul of the point, viewed
+    as yt[a, ., b, j], against D's rows (j, u) at live columns and C's rows
+    (j, u), for the slot's live states u, with j as the contracted index: the
+    products are written straight into the slot's rows of L and w, so no
+    N x N temporary is made.  On a fully live model the operands are views
+    of the blocks, and L and w are bitwise one broadcast call over all slots.
     """
     n = y4.shape[1]
     N = _check_loop_dim(F, n)
-    I, J, m = F.I, F.J, F.m
-    yt = y4.transpose(1, 0, 3, 2)[:, :, None]
+    J, m, k1, s = F.J, F.m, F.k1, F._live_count
+    yt = y4.transpose(1, 0, 3, 2)
+    d3 = F.D[:, F._live].reshape(J, m, s).transpose(1, 0, 2)
+    c3 = F.C.reshape(J, m, k1).transpose(1, 0, 2)
     L = np.empty((N, N), dtype=np.complex128)
-    np.matmul(yt, F.D.reshape(J, m, I * m).transpose(1, 0, 2),
-              out=L.reshape(n, I, m, n, I * m))
-    w = np.matmul(yt, F.C.reshape(J, m, F.k1).transpose(1, 0, 2)).reshape(N, n * F.k1)
+    w = np.empty((N, n * k1), dtype=np.complex128)
+    L4, w4 = L.reshape(n, s, n, s), w.reshape(n, s, n, k1)
+    for i, lo, hi, us in F._slots:
+        np.matmul(yt[:, i, None], d3[us], out=L4[:, lo:hi])
+        np.matmul(yt[:, i, None], c3[us], out=w4[:, lo:hi])
     return n, L, w
 
 
@@ -343,7 +391,11 @@ def _resolvent_matrix(F: Colligation, y_norm: float, L: np.ndarray) -> np.ndarra
     the bound cannot settle the check, so the verdict is the decomposition's.
     g is first bounded by ||D||_F ||y||, inflated by _SCREEN_MARGIN past
     rounding, and ||D|| is read only when that bound settles neither check,
-    so every verdict is the one the exact g gives.
+    so every verdict is the one the exact g gives.  L is the loop on the
+    live states, which g bounds as it bounds the full grid's, so the bound
+    settles the same checks.  The SVD reads the live K, the matrix that is
+    actually solved; the full grid's ||K^-1|| is never smaller, since the
+    live block's inverse is a block of it.
     """
     nilp = F.nilpotent_index
     spectral = nilp is None and not (y_norm < 1.0 and F.isometric_certified) and L.size > 0

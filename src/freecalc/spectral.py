@@ -252,7 +252,12 @@ def _ascend(
     bounds the norm from below), and decomposes, shrink by shrink, only
     the candidates a climb-by-climb search would read.  So every verdict and
     kept domain norm is that candidate's SVD's, and the screen changes no
-    climb.  Every candidate's delta value is checked finite, so a non-finite
+    climb.  Where the four candidates and delta values of the climbs exceed
+    ``CHUNK_BYTES`` (``_chunk_climbs`` lets that happen only to a group of
+    one climb), the shrinks go in batches that fit, down to one at a time,
+    one ``delta.eval`` per batch; a later batch searches only the climbs
+    that have not landed, so every climb and every SVD is the one stacked
+    step's.  Every candidate's delta value is checked finite, so a non-finite
     one raises ``DomainError`` even past its climb's landing shrink.  Then
     each objective evaluates the candidates of its climbs that landed inside
     with one stacked eval and SVD.  Step size and rejections are per climb.
@@ -265,6 +270,9 @@ def _ascend(
     owner = np.repeat(np.arange(count), width)  # climb c: objective c % width from start c // width
     cur, cur_val, cur_norm = starts[owner], np.asarray(start_values).T.flatten(), start_norms[owner]
     shrinks = np.array(SHRINKS)
+    level = starts.shape[-1]
+    per_shrink = cur_val.size * _width(delta) * level * level * 16  # one shrink of every climb
+    batch = min(len(SHRINKS), max(1, CHUNK_BYTES // max(1, per_shrink)))
     step = np.full(cur_val.shape, STEP_SIZE)
     rejections = np.zeros(cur_val.shape, dtype=int)
     normals = np.empty((count, starts.shape[1], 2, *starts.shape[2:]))
@@ -273,9 +281,19 @@ def _ascend(
             rng.standard_normal(out=normals[s])
         pert = _complex_gaussian(normals)[owner]
         scale = step[:, None] * shrinks
-        moved = cur[:, None] + scale[..., None, None, None] * pert[:, None]
+        moved = cur[:, None] + scale[:, :batch, None, None, None] * pert[:, None]
         first, cand_norm = _first_within(delta.eval(moved), 1.0 - cfg.margin)
         cand = moved[np.arange(first.size), first]  # read only where first >= 0
+        for lo in range(batch, len(SHRINKS), batch):  # the shrinks one batch left over
+            moved = cur[:, None] + scale[:, lo:lo + batch, None, None, None] * pert[:, None]
+            values = delta.eval(moved)
+            _check_finite(values)
+            searching = np.flatnonzero(first < 0)  # a climb that landed is not searched again
+            found, norms = _first_within(values[searching], 1.0 - cfg.margin)
+            hit = found >= 0
+            land = searching[hit]
+            first[land], cand_norm[land] = lo + found[hit], norms[hit]
+            cand[land] = moved[land, found[hit]]
         accepted = np.zeros(cur_val.shape, dtype=bool)
         for i, objective in enumerate(objectives):
             mine = i + width * np.flatnonzero(first[i::width] >= 0)
@@ -393,7 +411,8 @@ def _chunk_climbs(members: list[PolyMatrix], delta: PolyMatrix, trials: list[int
     and ``len(SHRINKS)`` copies of delta (a step stacks that many candidate
     points and delta values per climb), so no stacked ascent array and no
     start-value or step evaluation outgrows the chunk budget once one
-    climb's candidates fit in it: whole starts with all
+    climb's candidates fit in it (where they do not, ``_ascend`` evaluates
+    the shrinks in smaller batches): whole starts with all
     their members while they fit, else one start with a slice of its
     members.  Each later slice replays its start's stream from the state the
     proposal left, so every climb is the one it takes ungrouped (the

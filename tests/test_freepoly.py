@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -13,6 +15,7 @@ from freecalc.freepoly import (
     lens_delta,
     row_delta,
 )
+from freecalc.funcalc import compile_polynomial
 from freecalc.matrix_core import MatrixTuple, _op_norms, op_norm, random_tuple, task_rng
 
 D = 2
@@ -73,6 +76,28 @@ def test_letter_bounds_checked():
         FreePoly.letter(3, 2)
     with pytest.raises(ShapeError):
         FreePoly.monomial((1, 5), 2)
+
+
+def test_non_finite_coefficients_are_refused_where_they_arise():
+    inf, nan = float("inf"), float("nan")
+    given = [{(1,): inf, (): 1.0}, {(2, 1): nan}, {(): complex(0.0, -inf)}]
+    for terms in given:
+        (word,) = (w for w, c in terms.items() if not np.isfinite(c))
+        with pytest.raises(DomainError, match=rf"of word {re.escape(str(word))} is not finite"):
+            FreePoly(D, terms)
+    big = FreePoly(D, {(1,): 1e308, (): 1.0})
+    x2 = FreePoly.letter(2, D)
+    overflowing = [(lambda: big * 10.0, (1,)), (lambda: big + big, (1,)),
+                   (lambda: big - (-big), (1,)), (lambda: big * (1e10 * x2), (1, 2)),
+                   (lambda: (1e200 * x2) ** 2, (2, 2))]
+    for make, word in overflowing:
+        with pytest.raises(DomainError, match=rf"of word {re.escape(str(word))} is not finite"):
+            make()
+    # the refusal comes from the polynomial, not from the model compiled from it
+    x = FreePoly.letter(1, 1)
+    with pytest.raises(DomainError, match=r"of word \(1,\) is not finite"):
+        compile_polynomial(FreePoly(1, {(1,): inf, (): 1.0}), PolyMatrix([[4.0 * x]]))
+    assert big.sorted_terms() == [((), 1.0), ((1,), 1e308)]  # finite extremes still build
 
 
 def test_power_and_constants():

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from freecalc.errors import DomainError, ShapeError
-from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, e_lambda, row_delta
+from freecalc.freepoly import (
+    FreePoly,
+    PolyMatrix,
+    diag_delta,
+    e_lambda,
+    gap_delta,
+    lens_delta,
+    row_delta,
+)
 from freecalc.funcalc import CalcParams, compile_polynomial, sharp
 from freecalc.matrix_core import (
     MatrixTuple,
@@ -255,6 +263,128 @@ def test_loop_matches_dense_kronecker_oracle():
         assert got_n == n and L.shape == (n * I * m, n * I * m) and w.shape == (n * I * m, n * k1)
         for got, want in ((L, ym @ ampliate(n, F.D)), (w, ym @ ampliate(n, F.C))):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _one_broadcast_loop(F: Colligation, y4: np.ndarray):
+    """The loop over all n*I*m states as one broadcast matmul over every slot."""
+    n = y4.shape[1]
+    I, J, m = F.I, F.J, F.m
+    N = n * I * m
+    yt = y4.transpose(1, 0, 3, 2)[:, :, None]
+    L = np.empty((N, N), dtype=np.complex128)
+    np.matmul(yt, F.D.reshape(J, m, I * m).transpose(1, 0, 2),
+              out=L.reshape(n, I, m, n, I * m))
+    w = np.matmul(yt, F.C.reshape(J, m, F.k1).transpose(1, 0, 2)).reshape(N, n * F.k1)
+    return n, L, w
+
+
+def test_loop_of_a_fully_live_model_is_bitwise_one_broadcast_call():
+    # per-slot products written into the slots' rows are the products the
+    # one call over every slot takes, so dense and isometric models keep
+    # their values to the bit
+    rng = task_rng(75, 0)
+    models = [random_isometric(I, J, m, 1, k2, 78 + m)
+              for I, J, m, k2 in ((1, 3, 4, 1), (2, 2, 3, 1), (1, 2, 2, 1), (2, 1, 2, 3))]
+    for (I, J), k1, m in product(((1, 1), (1, 3), (2, 2), (2, 1), (3, 3)), (1, 3), (1, 2, 4)):
+        models.append(Colligation(random_matrix(2, k1, rng), random_matrix(2, I * m, rng),
+                                  random_matrix(J * m, k1, rng), random_matrix(J * m, I * m, rng),
+                                  I, J))
+    for F, n in product(models, (1, 2, 5, 8)):
+        assert F._live_count == F.I * F.m
+        y4 = _point_blocks(F, random_matrix(n * F.I, n * F.J, rng))
+        got, want = _loop(F, y4), _one_broadcast_loop(F, y4)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _full_grid(F: Colligation, y: np.ndarray, terms: int):
+    """The value and the first ``terms`` homogeneous terms on all n*I*m
+    states, dead ones included, from raw Kronecker products."""
+    n = y.shape[0] // F.I
+    ym = _states_oracle(y, F.I, F.J, F.m)
+    bamp, camp, damp = (ampliate(n, X) for X in (F.B, F.C, F.D))
+    loop, w = ym @ damp, ym @ camp
+    closed = ampliate(n, F.A) + bamp @ np.linalg.solve(np.eye(loop.shape[0]) - loop, w)
+    series = [ampliate(n, F.A)]
+    for _ in range(terms - 1):
+        series.append(bamp @ w)
+        w = loop @ w
+    return closed, series
+
+
+def _dead_state_models() -> list[tuple[Colligation, np.ndarray]]:
+    """Models with dead states, each with a point: Gaussian blocks with
+    random slot columns of B and D zeroed, a model with every state dead,
+    and compiled polynomials on block-diagonal deltas."""
+    rng = task_rng(110, 0)
+    cases = []
+    # (I, J, m, dead columns or a count of random ones, point radius); the
+    # 1.05 radius makes ||D|| ||y|| > 1, so the eigvals guard runs
+    for I, J, m, dead, r in ((2, 2, 3, [3, 4, 5], 1.05), (2, 2, 3, 2, 0.7), (3, 1, 2, 3, 1.05),
+                             (1, 2, 4, 2, 0.9), (3, 3, 2, [0, 1, 4], 1.05)):
+        if isinstance(dead, int):
+            dead = rng.choice(I * m, size=dead, replace=False)
+        B, D = random_matrix(2, I * m, rng), random_matrix(J * m, I * m, rng)
+        B[:, dead], D[:, dead] = 0.0, 0.0
+        F = Colligation(random_matrix(2, 1, rng), B, random_matrix(J * m, 1, rng),
+                        D / op_norm(D), I, J)
+        assert F.nilpotent_index is None and not F.isometric_certified
+        cases.append((F, _ball_point(3, I, J, r, 111 + len(cases))))
+    dead = Colligation(random_matrix(2, 1, rng), np.zeros((2, 4)), random_matrix(4, 1, rng),
+                       np.zeros((4, 4)), 2, 2)
+    cases.append((dead, _ball_point(3, 2, 2, 0.8, 119)))
+    x1, x2, x3 = (FreePoly.letter(j, 3) for j in (1, 2, 3))
+    y1, y2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    x = FreePoly.letter(1, 1)
+    for P, delta in (((y1 + y2) ** 3 - y1 * y2 + 0.5, diag_delta(2)),
+                     (x1 * x2 * x3 + x3 * x3 - 2.0 * x2 + 1.0, diag_delta(3)),
+                     (y1 * y2 - 1.0, gap_delta(0.1)),
+                     (x ** 3 + 2.0 * x - 1.0, lens_delta())):
+        T = random_tuple(3, delta.d, 0.6, 120 + len(cases))
+        cases.append((compile_polynomial(P, delta), delta.eval(T)))
+    return cases
+
+
+def test_dead_states_change_no_route(monkeypatch):
+    eigvals, seen = np.linalg.eigvals, []
+
+    def recording(a):
+        seen.append(a.shape[0])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    guarded = 0
+    for F, y in _dead_state_models():
+        n = y.shape[0] // F.I
+        assert F._live_count < F.I * F.m
+        assert _loop(F, _point_blocks(F, y))[1].shape == (n * F._live_count,) * 2
+        closed, series = _full_grid(F, y, 6)
+        seen.clear()
+        assert np.abs(eval_colligation(F, y) - closed).max() <= 1e-13 * np.abs(closed).max()
+        if seen:
+            assert seen == [n * F._live_count]  # the spectral guard reads the live loop
+            guarded += 1
+        for (k, term), want in zip(homog_series(F, y), series):
+            assert np.abs(term - want).max() <= 1e-13 * np.abs(want).max()
+        for k in (0, 1, 2):
+            want = sum(np.exp(-2j * np.pi * j * k / 5)
+                       * _full_grid(F, np.exp(2j * np.pi * j / 5) * y, 1)[0]
+                       for j in range(5)) / 5
+            got = homog_extract_dft(F, y, k, 5)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(closed).max()
+    assert guarded == 3  # the three Gaussian models at radius 1.05
+
+
+def test_compiled_power_on_a_diagonal_builds_half_the_loop():
+    # (x1 + x2)^4 on diag_delta(2): each of the 8 states reads out at its
+    # tag letter's slot only, so at n = 6 the loop has 48 states, not 96
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    delta = diag_delta(2)
+    F = compile_polynomial((x1 + x2) ** 4, delta)
+    assert (F.I, F.m, F._live_count) == (2, 8, 8)
+    n, L, w = _loop(F, _point_blocks(F, delta.eval(random_tuple(6, 2, 1.5, 125))))
+    assert n == 6 and L.shape == (48, 48) and w.shape == (48, 6)
 
 
 @pytest.mark.parametrize("I, J, m", [(1, 3, 32), (2, 2, 16)])
@@ -747,6 +877,26 @@ def test_loop_dimension_is_capped_before_allocation():
     for run in (lambda: eval_colligation(F, y), lambda: next(homog_series(F, y))):
         with pytest.raises(DomainError, match=r"n=100, I=1, m=100 give N=10000 states, "
                                               r"1600000000 bytes"):
+            run()
+
+
+def test_loop_cap_counts_live_states_only():
+    # (x1 + x2)^8 on diag_delta(2) has 16 states, each live in one slot of
+    # two: at n = 65 the full grid, 2080 states, is over the cap and the
+    # live loop, 1040 states, is under it
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    delta = diag_delta(2)
+    P = (x1 + x2) ** 8
+    F = compile_polynomial(P, delta)
+    n = 65
+    assert n * F.I * F.m > MAX_LOOP_DIM >= n * F._live_count
+    T = random_tuple(n, 2, 0.5, 126)
+    want = P.eval(T)
+    assert op_norm(eval_colligation(F, delta.eval(T)) - want) <= 1e-10 * op_norm(want)
+    y = delta.eval(random_tuple(129, 2, 0.5, 127))
+    for run in (lambda: eval_colligation(F, y), lambda: next(homog_series(F, y))):
+        with pytest.raises(DomainError, match=r"n=129, I=2, m=16 give N=2064 live states of "
+                                              r"4128, 68161536 bytes"):
             run()
 
 

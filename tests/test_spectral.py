@@ -362,6 +362,37 @@ def test_wide_delta_runs_in_chunks_of_one(monkeypatch):
     assert rep.trials == 3 and rep.admissible == 3
 
 
+def test_a_climb_too_wide_for_the_budget_evaluates_its_shrinks_one_at_a_time(monkeypatch):
+    # at level 64 one shrink of one climb is a 4 MiB point stack and a 4 MiB
+    # delta value, so four stacked shrinks peaked at 72.8 MiB under tracemalloc
+    delta = row_delta(64)
+    objective = FreePoly.letter(1, 64)
+    monkeypatch.setattr(spectral, "DEFAULT_NORM_TARGETS", (0.05,))
+    cfg = SampleConfig(levels=(64,), trials_per_level=3, ascent_steps=1, seed=2)
+    evaluate, batches = PolyMatrix.eval, []
+
+    def recording(self, x):
+        if self is delta and x.ndim == 5:  # an ascent step's (climbs, shrinks, d, n, n)
+            batches.append(x.shape[:2])
+        return evaluate(self, x)
+
+    monkeypatch.setattr(PolyMatrix, "eval", recording)
+    tracemalloc.start()
+    try:
+        rep = sup_norm_estimate(objective, delta, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.admissible == 3 and batches == [(1, 1)] * 12
+    assert peak <= 12 * spectral.CHUNK_BYTES
+    # with room for all four, a step evaluates them at once, to the same climbs
+    batches.clear()
+    monkeypatch.setattr(spectral, "CHUNK_BYTES", 8 * spectral.CHUNK_BYTES)
+    stacked = sup_norm_estimate(objective, delta, cfg)
+    assert batches == [(1, 4)] * 3
+    assert dumps_canonical(encode(stacked)) == dumps_canonical(encode(rep))
+
+
 def test_k_spectral_holds_when_tuple_is_inside():
     cfg = SampleConfig(levels=(1, 2), trials_per_level=15, ascent_steps=0, seed=6)
     T = MatrixTuple([np.array([[0.4 + 0.1j]])])

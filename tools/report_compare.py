@@ -7,13 +7,17 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 ``PYTHONPATH``,
 
 * ``freecalc experiment NAME --seed 0`` for every experiment but ``custom``;
-* ``freecalc calc --job J`` on four stock jobs: random isometric models on
+* ``freecalc calc --job J`` on five stock jobs: random isometric models on
   ``row_delta(3)`` at n = 8, m = 4 and on ``diag_delta(2)`` at n = 12, m = 3
   (a square 2 x 2 block grid), the compile of ``(x1 + x2)^4`` on
-  ``diag_delta(2)`` at n = 6, and the compile of ``x1`` on ``row_delta(1)``
+  ``diag_delta(2)`` at n = 6, the compile of ``x1`` on ``row_delta(1)``
   (V = [[0, 1], [1, 0]], isometric and nilpotent) at n = 4 with
   ||T|| = 0.5, so its contractive, geometric and term-bound certificates
-  read the model's isometry defect;
+  read the model's isometry defect, and a Gaussian model on
+  ``diag_delta(2)`` at n = 6, m = 3 with ||D|| = 0.8 and slot 2's columns
+  of B and D zeroed, at ||delta(T)|| = 1.4: neither nilpotent nor
+  isometric, so the heuristic series, the ``eigvals`` guard and the SVD of
+  I - L all run on a loop of its 3 live states per point index;
 * ``freecalc spectral-check`` of a 23-member random family on
   ``diag_delta(2)`` at a level-3 tuple outside the domain, so every
   violation's right-hand side comes from the sampler's ascents;
@@ -87,7 +91,7 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, row_delta
     from freecalc.funcalc import compile_polynomial
     from freecalc.matrix_core import MatrixTuple, op_norm, random_matrix, task_rng
-    from freecalc.realization import random_isometric
+    from freecalc.realization import Colligation, random_isometric
     from freecalc.serialize import dumps_canonical, encode
 
     def write(name: str, obj) -> str:
@@ -115,9 +119,18 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
     c = random_matrix(4, 4, letter_rng)
     letter = {"F": compile_polynomial(FreePoly.letter(1, 1), row_delta(1)),
               "delta": row_delta(1), "T": MatrixTuple([c * (0.5 / op_norm(c))])}
+    dead_rng = task_rng(0, 0xCA1C, 4)  # its own stream, as square_rng's
+    B, D = random_matrix(1, 6, dead_rng), random_matrix(6, 6, dead_rng)
+    B[:, 3:], D[:, 3:] = 0.0, 0.0  # slot 2's states (i = 1) are dead
+    coords = [random_matrix(6, 6, dead_rng) for _ in range(2)]
+    scale = 1.4 / op_norm(delta.eval(MatrixTuple(coords)))
+    dead_slot = {"F": Colligation(random_matrix(1, 1, dead_rng), B, random_matrix(6, 1, dead_rng),
+                                  D * (0.8 / op_norm(D)), 2, 2),
+                 "delta": delta, "T": MatrixTuple([c * scale for c in coords])}
     runs = {}
     for name, job in (("calc-isometric", isometric), ("calc-isometric-square", square),
-                      ("calc-compiled", compiled), ("calc-compiled-letter", letter)):
+                      ("calc-compiled", compiled), ("calc-compiled-letter", letter),
+                      ("calc-dead-slot", dead_slot)):
         runs[name] = ["calc", "--job", write(f"{name}.job",
                                              {k: encode(v) for k, v in job.items()})]
 
