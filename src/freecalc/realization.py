@@ -153,7 +153,7 @@ class Colligation:
         self._defect: float | None = None
         self._nilpotent_index = _graph_nilpotency(D, I, J, m)
         self._D_norm: float | None = None
-        self._live, self._live_count, self._slots = _live_states(B, D, I, m)
+        self._live, self._live_count, self._slots = _live_states(v[:, k1:], I, m)
 
     # --- fields -------------------------------------------------------------
 
@@ -269,9 +269,9 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
     return layers if peeled == m else None
 
 
-def _live_states(B: np.ndarray, D: np.ndarray, I: int, m: int):
-    """(live, count, slots): the states (i, u) whose column i*m + u of B or
-    of D has a nonzero entry, in slot-major order.
+def _live_states(bd: np.ndarray, I: int, m: int):
+    """(live, count, slots): the states (i, u) whose column i*m + u of
+    bd = [B; D] has a nonzero entry, in slot-major order.
 
     ``live`` selects those columns, ``count`` is how many there are, and
     ``slots`` holds (i, lo, hi, us) for each slot i with a live state:
@@ -279,7 +279,7 @@ def _live_states(B: np.ndarray, D: np.ndarray, I: int, m: int):
     0..m-1 by ``us``.  A selector that is one contiguous run is a slice, so a
     fully live model's operands are views of its blocks.
     """
-    live = np.flatnonzero((B != 0).any(axis=0) | (D != 0).any(axis=0))
+    live = np.flatnonzero((bd != 0).any(axis=0))
     bounds = np.searchsorted(live, np.arange(I + 1) * m).tolist()
     slots = tuple((i, lo, hi, _run(live[lo:hi] - i * m))
                   for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo)

@@ -361,7 +361,10 @@ def test_dead_states_change_no_route(monkeypatch):
         assert _loop(F, _point_blocks(F, y))[1].shape == (n * F._live_count,) * 2
         closed, series = _full_grid(F, y, 6)
         seen.clear()
-        assert np.abs(eval_colligation(F, y) - closed).max() <= 1e-13 * np.abs(closed).max()
+        got = eval_colligation(F, y)
+        assert np.abs(got - closed).max() <= 1e-13 * np.abs(closed).max()
+        if not F._live_count:
+            assert np.array_equal(got, ampliate(n, F.A))
         if seen:
             assert seen == [n * F._live_count]  # the spectral guard reads the live loop
             guarded += 1
@@ -850,7 +853,7 @@ def test_resolvent_guard_matches_decomposition_oracle():
         for r in radii:
             y = _ball_point(2, F.I, F.J, r, 100 + idx)
             n, ym = 2, _states_oracle(y, F.I, F.J, F.m)
-            L = ym @ ampliate(n, F.D)  # the matrix eval_colligation inverts
+            L = ym @ ampliate(n, F.D)  # the full grid; eval_colligation inverts its live block
             exact = 1.0 / np.linalg.svd(np.eye(L.shape[0]) - L, compute_uv=False)[-1]
             bound = _resolvent_bound(F.D_norm * op_norm(y), F.nilpotent_index)
             assert bound >= exact * (1.0 - 1e-9)
