@@ -108,7 +108,8 @@ class Colligation:
     Columns of B and rows of C/D are ordered copy-major: slot (i, state) maps
     to index i*m + state.  A state is live when its column of B or of D has a
     nonzero entry; the live states, like ``nilpotent_index``, are computed
-    at construction, and the loop is built on them alone.
+    at construction, with the loop's operands for them, and the loop is
+    built on them alone.
     ``isometric_certified`` is computed, not trusted:
     it is True exactly when the assembled block [A B; C D] satisfies
     ||V*V - I|| <= ISOMETRY_TOL.  The Gram V*V - I is formed and checked
@@ -118,7 +119,7 @@ class Colligation:
     """
 
     __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_gram", "_defect",
-                 "_nilpotent_index", "_D_norm", "_live", "_live_count", "_slots")
+                 "_nilpotent_index", "_D_norm", "_B_live", "_live_count", "_slots")
 
     def __init__(self, A, B, C, D, I: int, J: int):
         if I < 1 or J < 1:
@@ -153,7 +154,14 @@ class Colligation:
         self._defect: float | None = None
         self._nilpotent_index = _graph_nilpotency(D, I, J, m)
         self._D_norm: float | None = None
-        self._live, self._live_count, self._slots = _live_states(v[:, k1:], I, m)
+        live, count, slots = _live_states(v[:, k1:], I, m)
+        # The loop's operands: B's live columns, and per slot D's rows (j, u)
+        # at live columns and C's rows (j, u) for the slot's live states u.
+        # They are views of the blocks when every state is live.
+        d3 = D[:, live].reshape(J, m, count).transpose(1, 0, 2)
+        c3 = C.reshape(J, m, k1).transpose(1, 0, 2)
+        self._B_live, self._live_count = B[:, live], count
+        self._slots = tuple((i, lo, hi, d3[us], c3[us]) for i, lo, hi, us in slots)
 
     # --- fields -------------------------------------------------------------
 
@@ -279,18 +287,22 @@ def _live_states(bd: np.ndarray, I: int, m: int):
     0..m-1 by ``us``.  A selector that is one contiguous run is a slice, so a
     fully live model's operands are views of its blocks.
     """
-    live = np.flatnonzero((bd != 0).any(axis=0))
-    bounds = np.searchsorted(live, np.arange(I + 1) * m).tolist()
-    slots = tuple((i, lo, hi, _run(live[lo:hi] - i * m))
-                  for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo)
-    return _run(live), live.size, slots
+    alive = (bd != 0).any(axis=0).tolist()
+    live, slots = [], []
+    for i in range(I):
+        us = [u for u in range(m) if alive[i * m + u]]
+        if us:
+            slots.append((i, len(live), len(live) + len(us), _run(us)))
+            live += [i * m + u for u in us]
+    return _run(live), len(live), slots
 
 
-def _run(ix: np.ndarray):
-    """An increasing index array as a slice when it is one contiguous run."""
-    if ix.size and ix[-1] - ix[0] + 1 == ix.size:
-        return slice(int(ix[0]), int(ix[-1]) + 1)
-    return ix
+def _run(ix: list[int]):
+    """An increasing index list as a slice when it is one contiguous run,
+    else as an index array."""
+    if ix and ix[-1] - ix[0] + 1 == len(ix):
+        return slice(ix[0], ix[-1] + 1)
+    return np.array(ix, dtype=np.intp)
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -320,7 +332,7 @@ def _point_blocks(F: Colligation, y) -> np.ndarray:
 
 def _apply_b(F: Colligation, w: np.ndarray, n: int) -> np.ndarray:
     """(I_n (x) B) w for w with rows (a, live state) and n*k1 columns."""
-    return (F.B[:, F._live] @ w.reshape(n, F._live_count, n * F.k1)).reshape(n * F.k2, n * F.k1)
+    return (F._B_live @ w.reshape(n, F._live_count, n * F.k1)).reshape(n * F.k2, n * F.k1)
 
 
 def _check_loop_dim(F: Colligation, n: int) -> int:
@@ -346,23 +358,22 @@ def _loop(F: Colligation, y4: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     no series term, no closed form value and no eigenvalue but zeros.  Each
     slot i with live states takes one broadcast matmul of the point, viewed
     as yt[a, ., b, j], against D's rows (j, u) at live columns and C's rows
-    (j, u), for the slot's live states u, with j as the contracted index: the
-    products are written straight into the slot's rows of L and w, so no
-    N x N temporary is made.  On a fully live model the operands are views
-    of the blocks, and L and w are bitwise one broadcast call over all slots.
+    (j, u), for the slot's live states u, with j as the contracted index
+    (operands the colligation selected at construction): the products are
+    written straight into the slot's rows of L and w, so no N x N temporary
+    is made.  On a fully live model the operands are views of the blocks,
+    and L and w are bitwise one broadcast call over all slots.
     """
     n = y4.shape[1]
     N = _check_loop_dim(F, n)
-    J, m, k1, s = F.J, F.m, F.k1, F._live_count
+    k1, s = F.k1, F._live_count
     yt = y4.transpose(1, 0, 3, 2)
-    d3 = F.D[:, F._live].reshape(J, m, s).transpose(1, 0, 2)
-    c3 = F.C.reshape(J, m, k1).transpose(1, 0, 2)
     L = np.empty((N, N), dtype=np.complex128)
     w = np.empty((N, n * k1), dtype=np.complex128)
     L4, w4 = L.reshape(n, s, n, s), w.reshape(n, s, n, k1)
-    for i, lo, hi, us in F._slots:
-        np.matmul(yt[:, i, None], d3[us], out=L4[:, lo:hi])
-        np.matmul(yt[:, i, None], c3[us], out=w4[:, lo:hi])
+    for i, lo, hi, d, c in F._slots:
+        np.matmul(yt[:, i, None], d, out=L4[:, lo:hi])
+        np.matmul(yt[:, i, None], c, out=w4[:, lo:hi])
     return n, L, w
 
 
