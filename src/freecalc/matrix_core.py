@@ -150,10 +150,13 @@ def _column_floor(stack: np.ndarray) -> np.ndarray:
     return np.sqrt((stack.real**2 + stack.imag**2).sum(axis=-2).max(axis=-1))
 
 
-def _first_within(stack: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of a ``(rows, k, r, c)`` stack, the index of its first
-    matrix with operator norm at most ``bound``, or -1 if it has none, and
-    that matrix's ``_op_norms`` value (``inf`` where the index is -1).
+def _first_within(stack: np.ndarray, bound: float, first: np.ndarray, norms: np.ndarray,
+                  offset: int) -> None:
+    """Land each row of a ``(rows, k, r, c)`` stack still searching (its
+    ``first`` is -1) at its first matrix with operator norm at most
+    ``bound``, in place: ``first`` becomes ``offset + j`` and ``norms`` the
+    ``_op_norms`` value of that row's matrix j.  A row's later matrices may
+    come in a later stack, passed with its position as ``offset``.
 
     The search runs round by round, matrix 0 of every row first.  A matrix
     whose ``_column_floor`` exceeds ``bound`` by a relative 1e-10, far beyond
@@ -162,23 +165,21 @@ def _first_within(stack: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarr
     searching that the screen left undecided, and a round with none makes
     no call.  So the SVD sees exactly the matrices a one-row-at-a-time
     search with this screen reads, every verdict is the SVD's, and every
-    returned norm is bitwise ``_op_norms``' for its matrix alone.
+    norm written is bitwise ``_op_norms``' for its matrix alone.
 
     The whole stack is checked finite first, so a non-finite matrix raises
-    ``DomainError`` even when it comes after its row's first match.
+    ``DomainError`` even when its row has already landed or lands before it.
     """
     _check_finite(stack)
     undecided = _column_floor(stack) <= bound * (1.0 + _SCREEN_MARGIN)
-    first, norms = np.full(len(stack), -1), np.full(len(stack), np.inf)
-    searching = np.ones(len(stack), dtype=bool)
+    searching = first < 0
     for j in range(stack.shape[1]):
         read = np.flatnonzero(searching & undecided[:, j])
         if read.size:
             found = _op_norms(stack[read, j])
             inside = found <= bound
             hit = read[inside]
-            first[hit], norms[hit], searching[hit] = j, found[inside], False
-    return first, norms
+            first[hit], norms[hit], searching[hit] = offset + j, found[inside], False
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:

@@ -244,22 +244,22 @@ def _ascend(
     draws one Gaussian perturbation tuple from its own ``rngs[s]`` into one
     stack, converted to complex at once, and each of its climbs takes it.
     A climb tries its full step, then 1/2, 1/4 and 1/8 of it toward its own
-    current point, before counting a rejection.  All four candidates of
-    every climb go in one ``(climbs, 4, d, n, n)`` stack, with one
-    ``delta.eval`` per step, and ``_first_within`` lands each climb at its
-    first candidate inside: it refuses without an SVD a candidate whose
-    value has a column longer than 1 - margin by a relative 1e-10 (a column
-    bounds the norm from below), and decomposes, shrink by shrink, only
-    the candidates a climb-by-climb search would read.  So every verdict and
-    kept domain norm is that candidate's SVD's, and the screen changes no
-    climb.  Where the four candidates and delta values of the climbs exceed
-    ``CHUNK_BYTES`` (``_chunk_climbs`` lets that happen only to a group of
-    one climb), the shrinks go in batches that fit, down to one at a time,
-    one ``delta.eval`` per batch; a later batch searches only the climbs
-    that have not landed, so every climb and every SVD is the one stacked
-    step's.  Every candidate's delta value is checked finite, so a non-finite
-    one raises ``DomainError`` even past its climb's landing shrink.  Then
-    each objective evaluates the candidates of its climbs that landed inside
+    current point, before counting a rejection.  The shrinks go in batches
+    of ``_per_chunk`` for the climbs' delta values, all four at once unless
+    one climb's value nears ``CHUNK_BYTES`` (``_chunk_climbs`` lets that
+    happen only to a group of one climb).  A batch of every climb goes in
+    one stack with one ``delta.eval``, and ``_first_within`` lands each
+    climb not yet landed at its first candidate inside: it refuses without
+    an SVD a candidate whose value has a column longer than 1 - margin by a
+    relative 1e-10 (a column bounds the norm from below), and decomposes,
+    shrink by shrink, only the candidates a climb-by-climb search would
+    read.  So every verdict and kept domain norm is that candidate's SVD's,
+    and neither the screen nor the batches change a climb.  Every
+    candidate's delta value is checked finite, so a non-finite one raises
+    ``DomainError`` even past its climb's landing shrink.  A batch's points
+    are freed once evaluated, and each climb's landing point is formed once,
+    in its perturbation's place, bitwise the point evaluated; each objective
+    evaluates those of its climbs that landed inside
     with one stacked eval and SVD.  Step size and rejections are per climb.
     A start's stream is consumed at exactly one draw per step regardless of
     acceptance, so each climb is bit for bit the climb its objective takes
@@ -269,31 +269,23 @@ def _ascend(
     count, width = len(starts), len(objectives)
     owner = np.repeat(np.arange(count), width)  # climb c: objective c % width from start c // width
     cur, cur_val, cur_norm = starts[owner], np.asarray(start_values).T.flatten(), start_norms[owner]
-    shrinks = np.array(SHRINKS)
-    level = starts.shape[-1]
-    per_shrink = cur_val.size * _width(delta) * level * level * 16  # one shrink of every climb
-    batch = min(len(SHRINKS), max(1, CHUNK_BYTES // max(1, per_shrink)))
+    climbs, shrinks = np.arange(cur_val.size), np.array(SHRINKS)
+    batch = _per_chunk(cur_val.size * _width(delta), starts.shape[-1])  # shrinks per delta.eval
     step = np.full(cur_val.shape, STEP_SIZE)
     rejections = np.zeros(cur_val.shape, dtype=int)
+    first, cand_norm = np.empty(cur_val.shape, dtype=int), np.empty(cur_val.shape)
     normals = np.empty((count, starts.shape[1], 2, *starts.shape[2:]))
     for _ in range(cfg.ascent_steps):
         for s, rng in enumerate(rngs):
             rng.standard_normal(out=normals[s])
-        pert = _complex_gaussian(normals)[owner]
+        cand = _complex_gaussian(normals)[owner]  # each climb's perturbation, for now
         scale = step[:, None] * shrinks
-        moved = cur[:, None] + scale[:, :batch, None, None, None] * pert[:, None]
-        first, cand_norm = _first_within(delta.eval(moved), 1.0 - cfg.margin)
-        cand = moved[np.arange(first.size), first]  # read only where first >= 0
-        for lo in range(batch, len(SHRINKS), batch):  # the shrinks one batch left over
-            moved = cur[:, None] + scale[:, lo:lo + batch, None, None, None] * pert[:, None]
-            values = delta.eval(moved)
-            _check_finite(values)
-            searching = np.flatnonzero(first < 0)  # a climb that landed is not searched again
-            found, norms = _first_within(values[searching], 1.0 - cfg.margin)
-            hit = found >= 0
-            land = searching[hit]
-            first[land], cand_norm[land] = lo + found[hit], norms[hit]
-            cand[land] = moved[land, found[hit]]
+        first.fill(-1)
+        for lo in range(0, len(SHRINKS), batch):  # a batch's points live only through delta.eval
+            _first_within(delta.eval(cur[:, None] + scale[:, lo:lo + batch, None, None, None]
+                                     * cand[:, None]), 1.0 - cfg.margin, first, cand_norm, lo)
+        cand *= scale[climbs, first, None, None, None]
+        cand += cur  # each climb's landing point, the point evaluated; read only where first >= 0
         accepted = np.zeros(cur_val.shape, dtype=bool)
         for i, objective in enumerate(objectives):
             mine = i + width * np.flatnonzero(first[i::width] >= 0)
@@ -410,12 +402,11 @@ def _chunk_climbs(members: list[PolyMatrix], delta: PolyMatrix, trials: list[int
     A group holds at most ``_per_chunk`` climbs of the widest of a member
     and ``len(SHRINKS)`` copies of delta (a step stacks that many candidate
     points and delta values per climb), so no stacked ascent array and no
-    start-value or step evaluation outgrows the chunk budget once one
-    climb's candidates fit in it (where they do not, ``_ascend`` evaluates
-    the shrinks in smaller batches): whole starts with all
-    their members while they fit, else one start with a slice of its
-    members.  Each later slice replays its start's stream from the state the
-    proposal left, so every climb is the one it takes ungrouped (the
+    start-value or step evaluation outgrows the chunk budget (a climb too
+    wide for that alone takes its shrinks in smaller batches): whole starts
+    with all their members while they fit, else one start with a slice of
+    its members.  Each later slice replays its start's stream from the state
+    the proposal left, so every climb is the one it takes ungrouped (the
     generator is left where its last slice left it; nothing draws from it
     afterwards).  A group's start values are one stacked eval and SVD per
     member.

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import freecalc
 from freecalc import cli, experiments
-from freecalc.freepoly import FreePoly, diag_delta, row_delta
+from freecalc.freepoly import FreePoly, PolyMatrix, diag_delta, row_delta
 from freecalc.funcalc import sharp
 from freecalc.matrix_core import MatrixTuple, random_tuple
 from freecalc.realization import Colligation, eval_colligation, random_isometric
@@ -396,6 +396,24 @@ def test_custom_experiment_runs_job(tmp_path):
     assert res.returncode == 0
     rep = json.loads(res.stdout)
     assert rep["experiment"] == "custom" and rep["ok"]
+
+
+def test_experiment_commutator_reads_its_probe_from_a_file(tmp_path):
+    path = _write(tmp_path, "T.json", random_tuple(3, 2, 0.5, 1))
+    res = run_cli("experiment", "commutator", "-p", "levels=[1]", "-p", "trials_per_level=1",
+                  "-p", "eigen_checks=1", "-p", "emptiness_trials=1", "-p", f"T={path}")
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    assert rep["config"]["probe_supplied"] is True and rep["config"]["osc_size"] is None
+    assert rep["results"]["probe_level"] == 3
+
+
+def test_experiment_lens_refuses_a_polynomial_matrix_file(tmp_path):
+    x = FreePoly.letter(1, 2)
+    path = _write(tmp_path, "g.json", PolyMatrix([[x, x]]))
+    res = run_cli("experiment", "lens", "-p", f"g={path}")
+    assert res.returncode == 1
+    assert "must hold a free polynomial" in res.stderr
 
 
 def test_unknown_subcommand_fails():

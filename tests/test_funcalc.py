@@ -166,6 +166,36 @@ def test_sharp_heuristic_mode_says_so():
     assert {c.name for c in rep.certificates} == {"two_path_agreement"}
 
 
+def test_sharp_outside_the_ball_without_isometric_data_says_so():
+    # t = 1.2 and D = 0.5: the loop contracts, but the data certify nothing
+    F = Colligation([[0]], [[1]], [[1]], [[0.5]], 1, 1)
+    rep = sharp(F, row_delta(1), MatrixTuple([np.array([[1.2]])]))
+    assert rep.t == 1.2 and rep.tail_bound is None
+    assert rep.notes == ("point norm >= 1 with non-nilpotent, non-isometric data: "
+                         "series summed on a heuristic stopping rule",)
+    assert rep.value[0, 0] == pytest.approx(3.0)  # 1.2 / (1 - 0.6)
+
+
+def test_sharp_reports_a_diverging_series():
+    # the degree-k term is 2^(k-1), so the partial sum overflows at degree 1024
+    F = Colligation([[0]], [[1]], [[1]], [[2]], 1, 1)
+    with pytest.raises(DomainError, match="series diverged at degree 1024"):
+        sharp(F, row_delta(1), MatrixTuple([np.array([[1.0]])]))
+
+
+def test_sharp_keeps_the_exact_series_where_the_resolvent_is_too_large():
+    # x^4 compiles to a nilpotent model, so its finite series is exact at any
+    # point; at 1e5 the closed form's resolvent norm passes its cap
+    delta = row_delta(1)
+    F = compile_polynomial(FreePoly.letter(1, 1) ** 4, delta)
+    rep = sharp(F, delta, MatrixTuple([np.array([[1e5]])]))
+    (note,) = rep.notes
+    assert note.startswith("closed form unavailable")
+    assert "resolvent norm exceeds 1e+12" in note
+    assert rep.value[0, 0] == 1e20 and rep.closed_form_agreement is None
+    assert [c.name for c in rep.certificates] == ["truncation_tail"]
+
+
 def test_sharp_refuses_isometric_outside_ball():
     F = random_isometric(1, 1, 2, 1, 1, 9)
     if F.nilpotent_index is not None:

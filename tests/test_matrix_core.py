@@ -68,7 +68,7 @@ def test_op_norm_rejects_non_finite():
     with pytest.raises(DomainError):
         op_norm(bad)
     with pytest.raises(DomainError):
-        matrix_core._first_within(bad[None, None], 1.0)
+        matrix_core._first_within(bad[None, None], 1.0, np.full(1, -1), np.full(1, np.inf), 0)
 
 
 def _gaussian(rng, *shape):
@@ -110,13 +110,16 @@ def test_norms_within_keeps_every_svd_verdict(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     screened = 0
     for s, bound in cases:
-        # every matrix in a row of its own, then rows of three in stack order
-        for k in (1, 3):
+        # every matrix in a row of its own, then rows of three in stack order,
+        # searched in one stack and then one matrix of each row per stack
+        for k, cut in ((1, 1), (3, 3), (3, 1)):
             rows = s[:len(s) // k * k].reshape(-1, k, *s.shape[1:])
             want = svd(rows, compute_uv=False)[..., 0]
             inside = want <= bound
             sent.clear()
-            first, norms = matrix_core._first_within(rows, bound)
+            first, norms = np.full(len(rows), -1), np.full(len(rows), np.inf)
+            for lo in range(0, k, cut):
+                matrix_core._first_within(rows[:, lo:lo + cut], bound, first, norms, lo)
             assert np.array_equal(first, np.where(inside.any(axis=1), inside.argmax(axis=1), -1))
             hit = first >= 0
             assert norms[hit].tobytes() == want[hit, first[hit]].tobytes()

@@ -364,7 +364,8 @@ def test_wide_delta_runs_in_chunks_of_one(monkeypatch):
 
 def test_a_climb_too_wide_for_the_budget_evaluates_its_shrinks_one_at_a_time(monkeypatch):
     # at level 64 one shrink of one climb is a 4 MiB point stack and a 4 MiB
-    # delta value, so four stacked shrinks peaked at 72.8 MiB under tracemalloc
+    # delta value, so four stacked shrinks peaked at 72.8 MiB under tracemalloc;
+    # one at a time, a step peaks at 33.0 MiB
     delta = row_delta(64)
     objective = FreePoly.letter(1, 64)
     monkeypatch.setattr(spectral, "DEFAULT_NORM_TARGETS", (0.05,))
@@ -384,7 +385,7 @@ def test_a_climb_too_wide_for_the_budget_evaluates_its_shrinks_one_at_a_time(mon
     finally:
         tracemalloc.stop()
     assert rep.admissible == 3 and batches == [(1, 1)] * 12
-    assert peak <= 12 * spectral.CHUNK_BYTES
+    assert peak <= 10 * spectral.CHUNK_BYTES
     # with room for all four, a step evaluates them at once, to the same climbs
     batches.clear()
     monkeypatch.setattr(spectral, "CHUNK_BYTES", 8 * spectral.CHUNK_BYTES)
@@ -620,10 +621,9 @@ def _ascent_work(monkeypatch, objective, delta, cfg, proposal=None):
         finally:
             climbing.pop()
 
-    def recording(stack, bound):
-        first, norms = first_within(stack, bound)
+    def recording(stack, bound, first, norms, offset):
+        first_within(stack, bound, first, norms, offset)
         work["firsts"].extend(first)
-        return first, norms
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(PolyMatrix, "eval", counting_eval)
@@ -716,9 +716,9 @@ def test_climbs_of_a_wide_objective_stay_within_the_chunk_budget(monkeypatch):
         sizes.append(stack.nbytes)
         return op_norms(stack)
 
-    def recording_within(stack, bound):
+    def recording_within(stack, *args):
         sizes.append(stack.nbytes)
-        return first_within(stack, bound)
+        return first_within(stack, *args)
 
     monkeypatch.setattr(spectral, "_op_norms", recording)
     monkeypatch.setattr(spectral, "_first_within", recording_within)
@@ -745,9 +745,9 @@ def test_climbs_of_a_wide_delta_stay_within_the_chunk_budget(monkeypatch):
             sizes.append(value.nbytes)
         return value
 
-    def recording_within(stack, bound):
+    def recording_within(stack, *args):
         sizes.append(stack.nbytes)
-        return first_within(stack, bound)
+        return first_within(stack, *args)
 
     def recording_svd(a, *args, **kwargs):
         sizes.append(a.nbytes)
@@ -781,6 +781,16 @@ def test_k_spectral_empty_family_draws_nothing_and_generators_work():
     streamed = k_spectral_check(delta, T, 1.0, (p for p in family), cfg)
     assert dumps_canonical(encode(streamed)) == dumps_canonical(encode(listed))
     assert streamed.violations
+
+
+def test_k_spectral_on_an_empty_domain_skips_every_member():
+    # ||x1 x2 - x2 x1 - 1|| >= 1 at every level: no draw is admissible, nor is T
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    T = MatrixTuple([np.eye(2), np.eye(2)])
+    cfg = SampleConfig(levels=(1, 2), trials_per_level=10, ascent_steps=2, seed=0)
+    rep = k_spectral_check(x1 * x2 - x2 * x1 - 1, T, 1.0, family_monomials(2, 1), cfg)
+    assert rep.ok
+    assert "3 family member(s) skipped: no admissible sample, domain possibly empty" in rep.notes
 
 
 def test_k_spectral_checks_every_member_before_drawing():

@@ -38,7 +38,11 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
   ``row_delta(1)`` at level 8, 1024 trials and 3 ascent steps: the objective
   is 16 times as wide as delta's value, so its 616 admissible starts climb
   in groups sized by the objective (240, 240 and 136 climbs, with a 4 MiB
-  chunk) within one sampler chunk.
+  chunk) within one sampler chunk;
+* ``freecalc supnorm`` of ``x1`` on ``row_delta(64)`` at level 64, 3 trials
+  and 2 ascent steps: delta's value at one point is a whole 4 MiB chunk, so
+  each of the 2 admissible starts climbs alone and every step evaluates its
+  four shrinks one at a time: the batched shrink search, byte-compared.
 
 The stock inputs are written once, with this tree's freecalc, and handed to
 both trees.
@@ -164,6 +168,10 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
         "supnorm", "--poly", write("objective-wide", encode(PolyMatrix([[x1] * 4] * 4))),
         "--delta", write("row-delta-1", encode(row_delta(1))),
         "--trials", "1024", "--ascent", "3", "--levels", "8", "--seed", "0"]
+    runs["supnorm-wide-delta"] = [
+        "supnorm", "--poly", write("objective-letter", encode(FreePoly.letter(1, 64))),
+        "--delta", write("row-delta-64", encode(row_delta(64))),
+        "--trials", "3", "--ascent", "2", "--levels", "64", "--seed", "0"]
     return runs
 
 
