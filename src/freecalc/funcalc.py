@@ -17,6 +17,7 @@ found alone, is a DomainError, in that order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -27,13 +28,13 @@ from .freepoly import FreePoly, PolyMatrix
 from .matrix_core import _SCREEN_MARGIN, MatrixTuple, ampliate, op_norm
 from .realization import (
     Colligation,
+    _automaton,
     _closed,
     _loop,
     _point_blocks,
     _series,
     _terms_for_tolerance,
     eval_colligation,
-    poly_to_colligation,
     xfirst_to_blocks,
 )
 from .spectral import SampleConfig, sample_admissible
@@ -551,10 +552,14 @@ def compile_polynomial(
     entry in row-major order is the coordinate's slot.  The model compiles P
     with every letter x^r renamed to its slot letter and each word's
     coefficient multiplied, letter by letter, by q * s, so the 1/s scaling of
-    the input cancels.  Raises DomainError when a coordinate appears alone
-    only with coefficients that no float inverts exactly, and otherwise when
-    a coordinate never appears alone.  The state loop is nilpotent, hence
-    evaluation is a finite exact sum with no convergence constraint.
+    the input cancels.  The renamed terms go straight to the automaton that
+    poly_to_colligation builds, with no renamed polynomial in between; a
+    renamed coefficient that underflows to 0 is dropped, and one that is
+    not finite raises DomainError naming its renamed word.  Raises
+    DomainError when a coordinate appears alone only with coefficients that
+    no float inverts exactly, and otherwise when a coordinate never appears
+    alone.  The state loop is nilpotent, hence evaluation is a finite exact
+    sum with no convergence constraint.
     """
     if not 0.0 < s <= 1.0:
         raise DomainError("scale s must lie in (0, 1]")
@@ -564,13 +569,17 @@ def compile_polynomial(
     slots = _coordinate_slots(delta)
     letters = [slot for slot, _ in slots]
     gains = [q * complex(s) for _, q in slots]
-
-    def rename(p: FreePoly) -> FreePoly:
-        terms = {}
-        for word, c in p.sorted_terms():
-            for r in word:
-                c = c * gains[r - 1]
-            terms[tuple(letters[r - 1] for r in word)] = c
-        return FreePoly(delta.I * delta.J, terms)
-
-    return poly_to_colligation(P.map(rename), delta.I, delta.J)
+    terms = []
+    for alpha, row in enumerate(P.entries):
+        for beta, p in enumerate(row):
+            for word, c in p.sorted_terms():
+                for r in word:
+                    c = c * gains[r - 1]
+                c = 0j + c  # stored as a FreePoly stores it: a -0.0 part reads +0.0
+                if c == 0:  # the gains underflowed it
+                    continue
+                renamed = tuple(letters[r - 1] for r in word)
+                if not cmath.isfinite(c):
+                    raise DomainError(f"coefficient {c} of word {renamed} is not finite")
+                terms.append((alpha, beta, renamed, c))
+    return _automaton(P.I, P.J, terms, delta.I, delta.J)

@@ -49,11 +49,18 @@ reads each word right to left and has no two states with the same tag
 letter and the same future: C and D hold only 0/1, the coefficients sit in
 B, and D is nilpotent with index equal to the degree, so the series is a
 finite exact sum at any point.  (x1 + x2)^k takes 2k states.  Constants and
-single coordinates are compiled like any other polynomial.
+single coordinates are compiled like any other polynomial.  One builder,
+_automaton, takes the terms in a single pass into the suffix trie, merges
+the trie's states and fills B, C and D; funcalc.compile_polynomial hands it
+its renamed terms directly, with no renamed polynomial in between.
 
 Every model certifies its own nilpotency: the index is the longest path in
 the state-transition graph of D, computed when the colligation is built and
 never passed in, so no caller can claim a finite loop that D does not have.
+That graph and the live states come from one nonzero mask of [B; D].  The
+isometry defect ||V*V - I|| is the one quantity left for later: the Gram is
+formed, checked finite and decomposed on its first read, so a model whose
+isometry no check asks about (a nilpotent model at t >= 1) never forms it.
 
 Values are (n*k2) x (n*k1) matrices in outer-point-first ordering: an n x n
 grid of k2 x k1 blocks, so a scalar-valued colligation (k1 = k2 = 1) returns
@@ -87,7 +94,6 @@ __all__ = [
     "homog_series",
     "homog_extract_dft",
     "dft_points_for",
-    "poly_to_colligation",
     "random_isometric",
     "xfirst_to_blocks",
 ]
@@ -107,18 +113,20 @@ class Colligation:
     Shapes: A is k2 x k1, B is k2 x (I*m), C is (J*m) x k1, D is (J*m) x (I*m).
     Columns of B and rows of C/D are ordered copy-major: slot (i, state) maps
     to index i*m + state.  A state is live when its column of B or of D has a
-    nonzero entry; the live states, like ``nilpotent_index``, are computed
-    at construction, with the loop's operands for them, and the loop is
-    built on them alone.
+    nonzero entry; the live states and ``nilpotent_index`` are read from
+    one nonzero mask of [B; D] at construction, with the loop's operands
+    for those states, and the loop is built on them alone.
     ``isometric_certified`` is computed, not trusted:
     it is True exactly when the assembled block [A B; C D] satisfies
-    ||V*V - I|| <= ISOMETRY_TOL.  The Gram V*V - I is formed and checked
-    finite at construction, and its norm, ``isometry_defect``, is taken on
-    first read.  ``nilpotent_index`` is computed from D at construction,
-    never passed.
+    ||V*V - I|| <= ISOMETRY_TOL.  The Gram V*V - I is formed, checked
+    finite and decomposed on the first read of ``isometry_defect``, so a
+    model that never reads it (a nilpotent one outside the unit ball) never
+    forms it, and finite blocks whose Gram overflows raise DomainError at
+    that read, not at construction.  ``nilpotent_index`` is computed from
+    D at construction, never passed.
     """
 
-    __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_gram", "_defect",
+    __slots__ = ("_A", "_B", "_C", "_D", "_I", "_J", "_m", "_defect",
                  "_nilpotent_index", "_D_norm", "_B_live", "_live_count", "_slots")
 
     def __init__(self, A, B, C, D, I: int, J: int):
@@ -143,18 +151,13 @@ class Colligation:
                 raise DomainError(f"block {name} has non-finite entries")
         self._A, self._B, self._C, self._D = A, B, C, D
         self._I, self._J, self._m = I, J, m
-        v = np.empty((k2 + J * m, k1 + I * m), dtype=np.complex128)
-        v[:k2, :k1], v[:k2, k1:], v[k2:, :k1], v[k2:, k1:] = A, B, C, D
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = v.conj().T @ v
-        gram[np.diag_indices(gram.shape[0])] -= 1.0
-        if not np.isfinite(gram).all():  # the blocks are finite, so V*V left double range
-            raise DomainError("the isometry defect overflowed")
-        self._gram: np.ndarray | None = gram
         self._defect: float | None = None
-        self._nilpotent_index = _graph_nilpotency(D, I, J, m)
         self._D_norm: float | None = None
-        live, count, slots = _live_states(v[:, k1:], I, m)
+        nonzero = np.empty((k2 + J * m, I * m), dtype=bool)  # [B; D] != 0
+        np.not_equal(B, 0, out=nonzero[:k2])
+        np.not_equal(D, 0, out=nonzero[k2:])
+        self._nilpotent_index = _graph_nilpotency(nonzero[k2:], I, J, m)
+        live, count, slots = _live_states(nonzero, I, m)
         # The loop's operands: B's live columns, and per slot D's rows (j, u)
         # at live columns and C's rows (j, u) for the slot's live states u.
         # They are views of the blocks when every state is live.
@@ -203,10 +206,20 @@ class Colligation:
 
     @property
     def isometry_defect(self) -> float:
-        """||V*V - I||, computed on first read."""
+        """||V*V - I||: the Gram is formed, checked finite and decomposed on
+        first read.  Finite blocks whose Gram leaves double range raise
+        DomainError here, on every read."""
         if self._defect is None:
-            self._defect = op_norm(self._gram)
-            self._gram = None
+            k2, k1 = self._A.shape
+            v = np.empty((k2 + self._D.shape[0], k1 + self._D.shape[1]), dtype=np.complex128)
+            v[:k2, :k1], v[:k2, k1:], v[k2:, :k1], v[k2:, k1:] = (
+                self._A, self._B, self._C, self._D)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = v.conj().T @ v
+            gram[np.diag_indices(gram.shape[0])] -= 1.0
+            if not np.isfinite(gram).all():  # the blocks are finite, so V*V left double range
+                raise DomainError("the isometry defect overflowed")
+            self._defect = op_norm(gram)
         return self._defect
 
     @property
@@ -232,7 +245,7 @@ class Colligation:
 
     def __repr__(self):
         return (f"Colligation(k1={self.k1}, k2={self.k2}, I={self._I}, "
-                f"J={self._J}, m={self._m}, isometric={self.isometric_certified})")
+                f"J={self._J}, m={self._m}, nilpotent_index={self._nilpotent_index})")
 
     def __eq__(self, other):
         if not isinstance(other, Colligation):
@@ -250,17 +263,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
-    """Nilpotency index of the state-transition graph of D, or None.
+def _graph_nilpotency(d_nonzero: np.ndarray, I: int, J: int, m: int) -> int | None:
+    """Nilpotency index of the state-transition graph of D, or None, from
+    the mask d_nonzero = (D != 0).
 
     The index is the number of states on the longest path, found by peeling
     the graph layer by layer (Kahn): each layer is the states that feed no
     remaining state.  A graph that stops shrinking has a cycle.  The peeling
-    runs in Python, one adjacency row per peeled state: at the state counts
-    of compiled polynomials, per-layer numpy calls would cost more.
+    runs in Python on the adjacency as lists, one row per peeled state: at
+    the state counts of compiled polynomials, per-layer numpy calls would
+    cost more.
     """
-    adj = np.any(D.reshape(J, m, I, m) != 0, axis=(0, 2))  # adj[u, v]: D carries v into u
+    adj = d_nonzero.reshape(J, m, I, m).any(axis=(0, 2))  # adj[u, v]: D carries v into u
     feeds = adj.sum(axis=0).tolist()  # per state, how many remaining states it feeds
+    adj = adj.tolist()
     layer = [v for v in range(m) if not feeds[v]]
     layers = peeled = 0
     while layer:
@@ -268,7 +284,7 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
         peeled += len(layer)
         nxt = []
         for u in layer:
-            for v, edge in enumerate(adj[u].tolist()):
+            for v, edge in enumerate(adj[u]):
                 if edge:
                     feeds[v] -= 1
                     if not feeds[v]:
@@ -277,9 +293,9 @@ def _graph_nilpotency(D: np.ndarray, I: int, J: int, m: int) -> int | None:
     return layers if peeled == m else None
 
 
-def _live_states(bd: np.ndarray, I: int, m: int):
-    """(live, count, slots): the states (i, u) whose column i*m + u of
-    bd = [B; D] has a nonzero entry, in slot-major order.
+def _live_states(bd_nonzero: np.ndarray, I: int, m: int):
+    """(live, count, slots): the states (i, u) whose column i*m + u of the
+    mask bd_nonzero = ([B; D] != 0) has a True entry, in slot-major order.
 
     ``live`` selects those columns, ``count`` is how many there are, and
     ``slots`` holds (i, lo, hi, us) for each slot i with a live state:
@@ -287,7 +303,7 @@ def _live_states(bd: np.ndarray, I: int, m: int):
     0..m-1 by ``us``.  A selector that is one contiguous run is a slice, so a
     fully live model's operands are views of its blocks.
     """
-    alive = (bd != 0).any(axis=0).tolist()
+    alive = bd_nonzero.any(axis=0).tolist()
     live, slots = [], []
     for i in range(I):
         us = [u for u in range(m) if alive[i * m + u]]
@@ -549,22 +565,26 @@ def poly_to_colligation(P: PolyMatrix | FreePoly, I: int, J: int) -> Colligation
 
     Letters are identified with block slots by r = (i-1)*J + j, so evaluating
     the result at the assembled coordinate point reproduces the polynomial.
-    Words are read right to left by a deterministic automaton, built in two
-    exact passes:
+    Words are read right to left by a deterministic automaton, which
+    _automaton builds from the terms as they come (funcalc's
+    compile_polynomial hands it its renamed terms the same way):
 
     1. Suffix trie.  A state is a pair (column beta, nonempty suffix s) of a
        word of some entry (alpha, beta), tagged by its first letter s[0]: it
        reads in at J-slot jj(s[0]) and out at I-slot ii(s[0]).  C feeds the
        one-letter suffixes, D carries s to a.s whenever that is a state too,
        and B reads c from state (beta, w) for each term c.w of (alpha, beta).
+       A word's suffix chain is inserted only down to its first suffix that
+       is a state already, whose own suffixes are states already too.
     2. Merge.  From the longest suffix down, each state gets the signature
        (tag letter, its B readouts, its successor class per letter); states
-       with equal signatures become one.  This is the minimisation of a
-       deterministic weighted automaton: every class keeps at most one
-       successor per letter, so each (beta, word) still has exactly one
-       path and the function is unchanged in exact arithmetic.  (A
-       numerical Hankel-rank reduction can go further when futures are
-       linearly dependent without being equal.)
+       with equal signatures become one, numbered in order of first
+       appearance.  This is the minimisation of a deterministic weighted
+       automaton: every class keeps at most one successor per letter, so
+       each (beta, word) still has exactly one path and the function is
+       unchanged in exact arithmetic.  (A numerical Hankel-rank reduction
+       can go further when futures are linearly dependent without being
+       equal.)  B, C and D are then filled by one indexed assignment each.
 
     C and D hold only 0/1 entries and the coefficients sit in B alone, so
     each word's coefficient in the expansion is an entry of B, exactly.
@@ -576,44 +596,67 @@ def poly_to_colligation(P: PolyMatrix | FreePoly, I: int, J: int) -> Colligation
     P = PolyMatrix.from_poly(P)
     if P.d != I * J:
         raise ShapeError(f"polynomial has d={P.d} letters, arrangement needs {I * J}")
-    k2, k1 = P.I, P.J
+    terms = [(alpha, beta, w, c) for alpha, row in enumerate(P.entries)
+             for beta, p in enumerate(row) for w, c in p.sorted_terms()]
+    return _automaton(P.I, P.J, terms, I, J)
+
+
+def _automaton(k2: int, k1: int, terms, I: int, J: int) -> Colligation:
+    """The colligation of poly_to_colligation's automaton for the k2 x k1
+    polynomial matrix whose nonzero terms are (alpha, beta, word, c), each
+    (alpha, beta, word) at most once, in any order, with every letter in
+    1..I*J; the result does not depend on the order."""
     A = np.zeros((k2, k1), dtype=np.complex128)
-    # Pass 1: per trie state (beta, s), its B readouts {alpha: c} and the
-    # letters a for which a.s is a state.
-    reads: dict[tuple[int, Word], dict[int, complex]] = {}
-    grows: dict[tuple[int, Word], set[int]] = {}
-    for alpha in range(k2):
-        for beta in range(k1):
-            for w, coeff in P.entry(alpha, beta).sorted_terms():
-                if not w:
-                    A[alpha, beta] = coeff
-                    continue
-                for p in range(len(w)):
-                    reads.setdefault((beta, w[p:]), {})
-                    grows.setdefault((beta, w[p:]), set())
-                    if p:
-                        grows[(beta, w[p:])].add(w[p - 1])
-                reads[(beta, w)][alpha] = coeff
-    # Pass 2: longest suffixes first, so every successor is classed already.
+    # Per trie state (beta, s): its B readouts {alpha: c}, and the letters a
+    # for which a.s is a state.
+    states: dict[tuple[int, Word], tuple[dict[int, complex], set[int]]] = {}
+    for alpha, beta, w, coeff in terms:
+        if not w:
+            A[alpha, beta] = coeff
+            continue
+        node = states.get((beta, w))
+        if node is None:
+            node = states[(beta, w)] = ({}, set())
+            for p in range(1, len(w)):
+                tail = states.get((beta, w[p:]))
+                if tail is not None:  # its own suffix chain is in place
+                    tail[1].add(w[p - 1])
+                    break
+                states[(beta, w[p:])] = ({}, {w[p - 1]})
+        node[0][alpha] = coeff
+    # Longest suffixes first, so every successor is classed already.  A new
+    # class records its B readouts and D successors; merged states would
+    # write equal entries.  Every one-letter suffix records its C entry.
     cls: dict[tuple[int, Word], int] = {}
     classes: dict[tuple, int] = {}
-    for key in sorted(reads, key=lambda bs: (-len(bs[1]), bs)):
+    b_at: list[tuple[int, int, int]] = []  # (alpha, i, u), reading b_val
+    b_val: list[complex] = []
+    c_at: list[tuple[int, int, int]] = []  # (j, u, beta)
+    d_at: list[tuple[int, int, int, int]] = []  # (j of a, class of a.s, i, u)
+    for key in sorted(states, key=lambda bs: (-len(bs[1]), bs)):
         beta, s = key
-        nexts = tuple((a, cls[(beta, (a,) + s)]) for a in sorted(grows[key]))
-        sig = (s[0], tuple(sorted(reads[key].items())), nexts)
-        cls[key] = classes.setdefault(sig, len(classes))
+        reads, grows = states[key]
+        nexts = [(a, cls[beta, (a,) + s]) for a in grows]
+        sig = (s[0], frozenset(reads.items()), frozenset(nexts))
+        u = classes.get(sig)
+        if u is None:
+            u = classes[sig] = len(classes)
+            i = (s[0] - 1) // J
+            for alpha, coeff in reads.items():
+                b_at.append((alpha, i, u))
+                b_val.append(coeff)
+            for a, v in nexts:
+                d_at.append(((a - 1) % J, v, i, u))
+        cls[key] = u
+        if len(s) == 1:
+            c_at.append(((s[0] - 1) % J, u, beta))
     m = len(classes)
     B = np.zeros((k2, I * m), dtype=np.complex128)
     C = np.zeros((J * m, k1), dtype=np.complex128)
     D = np.zeros((J * m, I * m), dtype=np.complex128)
-    for (beta, s), u in cls.items():  # merged states write equal entries
-        i, j = divmod(s[0] - 1, J)
-        if len(s) == 1:
-            C[j * m + u, beta] = 1.0
-        for alpha, coeff in reads[(beta, s)].items():
-            B[alpha, i * m + u] = coeff
-        for a in grows[(beta, s)]:
-            D[(a - 1) % J * m + cls[(beta, (a,) + s)], i * m + u] = 1.0
+    np.put(B, [(alpha * I + i) * m + u for alpha, i, u in b_at], b_val)
+    np.put(C, [(j * m + u) * k1 + beta for j, u, beta in c_at], 1.0)
+    np.put(D, [((j * m + v) * I + i) * m + u for j, v, i, u in d_at], 1.0)
     return Colligation(A, B, C, D, I, J)
 
 

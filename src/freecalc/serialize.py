@@ -409,11 +409,12 @@ def decode_colligation(v, path: str = "$") -> Colligation:
             )
         blocks[name] = mat
     claimed = _want_bool(obj["isometric_certified"], f"{path}.isometric_certified")
-    try:
+    try:  # the flag forms the Gram, which may overflow
         F = Colligation(blocks["A"], blocks["B"], blocks["C"], blocks["D"], I, J)
+        certified = F.isometric_certified
     except DomainError as exc:
         raise ValidationError(str(exc), path) from exc
-    if F.isometric_certified != claimed:
+    if certified != claimed:
         raise ValidationError(
             f"stored isometric_certified={claimed} contradicts the recomputed "
             f"defect {F.isometry_defect:.3e}",

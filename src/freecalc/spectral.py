@@ -339,7 +339,8 @@ def _draws(delta: PolyMatrix, cfg: SampleConfig, proposal):
     pass.  The stream yields ``(level, trials, points, norms, inside, rngs)`` per
     chunk of at most ``_chunk_trials`` trials: ``norms[k] =
     ||delta(points[k])||``, ``inside[k]`` whether that is <= 1 - margin, and
-    ``rngs[k]`` in the state the proposal left, ready for an ascent.
+    ``rngs[k]`` in the state the proposal left, ready for an ascent.  The
+    stream keeps no reference to a chunk it has yielded.
     """
     proposal = proposal or default_proposal(delta.d)
     for level in cfg.levels:
@@ -347,15 +348,21 @@ def _draws(delta: PolyMatrix, cfg: SampleConfig, proposal):
         for first in range(0, cfg.trials_per_level, size):
             trials = range(first, min(first + size, cfg.trials_per_level))
             rngs = list(_task_rngs(cfg.seed, (level,), trials))
-            points = np.asarray(proposal(level, trials, rngs, cfg), dtype=np.complex128)
-            want = (len(trials), delta.d, level, level)
-            if points.shape != want:
-                raise ShapeError(
-                    f"proposal returned an array of shape {points.shape}; {len(trials)} "
-                    f"trials at level {level} in {delta.d} letters need {want}"
-                )
-            _check_finite(points, "proposal")
-            yield _measured(delta, level, trials, points, rngs, cfg)
+            yield _measured(delta, level, trials, _proposed(delta, proposal, level, trials, rngs, cfg),
+                            rngs, cfg)
+
+
+def _proposed(delta: PolyMatrix, proposal, level: int, trials, rngs, cfg: SampleConfig):
+    """The proposal's points for a chunk, checked for shape and finiteness."""
+    points = np.asarray(proposal(level, trials, rngs, cfg), dtype=np.complex128)
+    want = (len(trials), delta.d, level, level)
+    if points.shape != want:
+        raise ShapeError(
+            f"proposal returned an array of shape {points.shape}; {len(trials)} "
+            f"trials at level {level} in {delta.d} letters need {want}"
+        )
+    _check_finite(points, "proposal")
+    return points
 
 
 def _objective(p, delta: PolyMatrix) -> PolyMatrix:
@@ -383,16 +390,19 @@ def _climbs(members: list[PolyMatrix], delta: PolyMatrix, cfg: SampleConfig, pro
     ``climbs`` yields ``(trial, member index, ascent)`` for every
     (admissible start, member) pair, each member's climbs in trial order.
     It climbs one group at a time as it is read, so a large family's
-    witnesses never pile up beyond a group's.  With no members it draws
-    nothing.
+    witnesses never pile up beyond a group's, and a chunk's proposals are
+    freed once its admissible starts are copied out.  With no members it
+    draws nothing.
     """
     if not members:
         return
     for level, trials, points, norms, inside, rngs in chain(_draws(delta, cfg, proposal), extras):
         admitted = np.flatnonzero(inside)
-        yield level, trials, _chunk_climbs(
+        climbs = _chunk_climbs(
             members, delta, [trials[k] for k in admitted], points[admitted], norms[admitted],
             [rngs[k] for k in admitted], cfg)
+        del points  # not held while the climbs run
+        yield level, trials, climbs
 
 
 def _chunk_climbs(members: list[PolyMatrix], delta: PolyMatrix, trials: list[int],

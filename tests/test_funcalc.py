@@ -3,6 +3,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from freecalc import funcalc, realization
 from freecalc.errors import DomainError, SeriesCapError, ShapeError
@@ -335,6 +337,105 @@ def test_compile_polynomial_is_the_substitution_route(name):
             assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
 
 
+def _two_pass_compile(P: PolyMatrix, delta: PolyMatrix, s: float):
+    """The blocks (A, B, C, D) of the compile as it was built before it fed
+    its renamed terms straight to the automaton: a renamed PolyMatrix first,
+    then a suffix trie of every suffix of every word, then the merge."""
+    slots = funcalc._coordinate_slots(delta)
+    letters = [slot for slot, _ in slots]
+    gains = [q * complex(s) for _, q in slots]
+
+    def rename(p: FreePoly) -> FreePoly:
+        terms = {}
+        for word, c in p.sorted_terms():
+            for r in word:
+                c = c * gains[r - 1]
+            terms[tuple(letters[r - 1] for r in word)] = c
+        return FreePoly(delta.I * delta.J, terms)
+
+    P, I, J = P.map(rename), delta.I, delta.J
+    k2, k1 = P.I, P.J
+    A = np.zeros((k2, k1), dtype=np.complex128)
+    reads, grows = {}, {}
+    for alpha in range(k2):
+        for beta in range(k1):
+            for w, coeff in P.entry(alpha, beta).sorted_terms():
+                if not w:
+                    A[alpha, beta] = coeff
+                    continue
+                for p in range(len(w)):
+                    reads.setdefault((beta, w[p:]), {})
+                    grows.setdefault((beta, w[p:]), set())
+                    if p:
+                        grows[(beta, w[p:])].add(w[p - 1])
+                reads[(beta, w)][alpha] = coeff
+    cls, classes = {}, {}
+    for key in sorted(reads, key=lambda bs: (-len(bs[1]), bs)):
+        beta, s_ = key
+        nexts = tuple((a, cls[(beta, (a,) + s_)]) for a in sorted(grows[key]))
+        sig = (s_[0], tuple(sorted(reads[key].items())), nexts)
+        cls[key] = classes.setdefault(sig, len(classes))
+    m = len(classes)
+    B = np.zeros((k2, I * m), dtype=np.complex128)
+    C = np.zeros((J * m, k1), dtype=np.complex128)
+    D = np.zeros((J * m, I * m), dtype=np.complex128)
+    for (beta, s_), u in cls.items():
+        i, j = divmod(s_[0] - 1, J)
+        if len(s_) == 1:
+            C[j * m + u, beta] = 1.0
+        for alpha, coeff in reads[(beta, s_)].items():
+            B[alpha, i * m + u] = coeff
+        for a in grows[(beta, s_)]:
+            D[(a - 1) % J * m + cls[(beta, (a,) + s_)], i * m + u] = 1.0
+    return A, B, C, D
+
+
+_STOCK_DELTAS = {"row": row_delta(2), "diag": diag_delta(2), "gap": gap_delta(0.1),
+                 "lens": lens_delta(), "e_lambda": e_lambda(2, 2)}
+# gains of 1/2 and 1/(1.1 * 0.5) push 5e-324 to 0 (-5e-324 to -0.0, which the
+# compile stores as +0.0 beside a nonzero part); gap's 1.1 pushes 1.7e308 to inf
+_COEFFS = st.sampled_from([1.0, -2.5, 0.5 - 0.75j, complex(-0.0, 1.5), complex(2.0, -0.0),
+                           complex(-5e-324, 1.5), complex(-2.0, -5e-324), 1.7e308,
+                           complex(-1e308, 1e308), 5e-324, complex(5e-324, -0.0), -1e-300])
+
+
+@st.composite
+def _poly_matrices(draw, d: int) -> PolyMatrix:
+    """k2 x k1 polynomial matrices, k1, k2 <= 2, whose words (up to length 5)
+    come from a small pool, its suffixes and one-letter extensions, so that
+    suffixes are shared across entries and columns; some entries hold a
+    constant."""
+    word = st.lists(st.integers(1, d), min_size=1, max_size=5).map(tuple)
+    pool = draw(st.lists(word, min_size=1, max_size=3))
+    words = st.one_of(st.just(()), st.sampled_from(pool),
+                      st.sampled_from(pool).map(lambda w: w[1:]),
+                      st.tuples(st.integers(1, d), st.sampled_from(pool))
+                      .map(lambda aw: ((aw[0],) + aw[1])[-5:]))
+    k2, k1 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return PolyMatrix([[FreePoly(d, draw(st.dictionaries(words, _COEFFS, max_size=4)))
+                        for _ in range(k1)] for _ in range(k2)])
+
+
+@pytest.mark.parametrize("name", list(_STOCK_DELTAS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_compile_polynomial_matches_the_two_pass_build_bit_for_bit(name, data):
+    delta = _STOCK_DELTAS[name]
+    P = data.draw(_poly_matrices(delta.d))
+    for s in (1.0, 0.5):
+        try:
+            want = _two_pass_compile(P, delta, s)
+        except DomainError as exc:  # a renamed coefficient that is not finite
+            assert "is not finite" in str(exc)
+            with pytest.raises(DomainError) as got:
+                compile_polynomial(P, delta, s=s)
+            assert str(got.value) == str(exc)
+            continue
+        F = compile_polynomial(P, delta, s=s)
+        for a, b in zip((F.A, F.B, F.C, F.D), want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()  # signbits included
+
+
 def test_compile_polynomial_reads_slots_and_inverses():
     assert [_slot_and_gain(diag_delta(2), r) for r in (1, 2)] == [(1, 1.0), (4, 1.0)]
     # gap entries are scaled letters on the diagonal: the compile unscales them
@@ -410,6 +511,21 @@ def test_compile_polynomial_exact_at_any_scale():
         assert rep.tail_bound == 0.0
     with pytest.raises(DomainError):
         compile_polynomial(p, delta, s=1.5)
+
+
+def test_compile_polynomial_whose_gram_overflows_evaluates_exactly():
+    # V*V - I leaves double range, but a nilpotent model at t >= 1 never
+    # reads its isometry, so the Gram is never formed
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    delta, rng = diag_delta(2), task_rng(71, 0)
+    for big in (1e155, 1e200, 1e300):
+        P = big * x1 + x1 * x2
+        F = compile_polynomial(P, delta)
+        T = MatrixTuple([c * (1.5 / op_norm(c)) for c in (random_matrix(3, 3, rng) for _ in "xy")])
+        rep = sharp(F, delta, T)
+        assert rep.ok and op_norm(rep.value - P.eval(T)) == 0.0
+        with pytest.raises(DomainError, match="the isometry defect overflowed"):
+            F.isometric_certified
 
 
 def test_compile_matrix_polynomial_through_lens():

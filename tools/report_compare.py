@@ -42,7 +42,11 @@ PARENT_TREE is a checkout with its own ``src/`` (for instance made with
 * ``freecalc supnorm`` of ``x1`` on ``row_delta(64)`` at level 64, 3 trials
   and 2 ascent steps: delta's value at one point is a whole 4 MiB chunk, so
   each of the 2 admissible starts climbs alone and every step evaluates its
-  four shrinks one at a time: the batched shrink search, byte-compared.
+  four shrinks one at a time: the batched shrink search, byte-compared;
+* ``freecalc experiment lens -p g=FILE`` with the many-word two-letter
+  ``g = (x1 + x2)^4 - 0.5 x2 x1 x2 + 1e-300 x1``, which each tree
+  substitutes and compiles itself (the calc jobs above hand both trees a
+  model that this tree compiled), so the compile is byte-compared too.
 
 The stock inputs are written once, with this tree's freecalc, and handed to
 both trees.
@@ -172,6 +176,10 @@ def write_inputs(workdir: Path) -> dict[str, list[str]]:
         "supnorm", "--poly", write("objective-letter", encode(FreePoly.letter(1, 64))),
         "--delta", write("row-delta-64", encode(row_delta(64))),
         "--trials", "3", "--ascent", "2", "--levels", "64", "--seed", "0"]
+    x1, x2 = FreePoly.letter(1, 2), FreePoly.letter(2, 2)
+    g = (x1 + x2) ** 4 - 0.5 * x2 * x1 * x2 + 1e-300 * x1
+    runs["lens-compiled"] = ["experiment", "lens", "-p", f"g={write('lens-g', encode(g))}",
+                             "--seed", "0"]
     return runs
 
 
